@@ -158,21 +158,22 @@ func benchSolve(b *testing.B, maxSol int, solve func(context.Context, *core.Prof
 	}
 }
 
-// BenchmarkSolveEager is the historical behavior: every profile entry
-// encoded up front, then the standard unique-or-not check.
-func BenchmarkSolveEager(b *testing.B) { benchSolve(b, 0, core.Solve) }
+// BenchmarkSolveEager is the eager reference encoding (core.SolveEager):
+// every profile entry encoded up front, then the standard unique-or-not
+// check.
+func BenchmarkSolveEager(b *testing.B) { benchSolve(b, 0, core.SolveEager) }
 
-// BenchmarkSolveIncremental is the same check on the incremental engine
-// (deferred entries, persistent solver).
-func BenchmarkSolveIncremental(b *testing.B) { benchSolve(b, 0, core.SolveIncremental) }
+// BenchmarkSolveIncremental is the same check on core.Solve (deferred
+// entries, persistent solver); the name is kept so the benchmark history
+// stays comparable.
+func BenchmarkSolveIncremental(b *testing.B) { benchSolve(b, 0, core.Solve) }
 
 // BenchmarkUniquenessLoopEager exhausts the whole model space (the
 // uniqueness blocking-clause loop runs until UNSAT) with eager encoding.
-func BenchmarkUniquenessLoopEager(b *testing.B) { benchSolve(b, -1, core.Solve) }
+func BenchmarkUniquenessLoopEager(b *testing.B) { benchSolve(b, -1, core.SolveEager) }
 
-// BenchmarkUniquenessLoopIncremental is the same exhaustion on the
-// incremental engine.
-func BenchmarkUniquenessLoopIncremental(b *testing.B) { benchSolve(b, -1, core.SolveIncremental) }
+// BenchmarkUniquenessLoopIncremental is the same exhaustion on core.Solve.
+func BenchmarkUniquenessLoopIncremental(b *testing.B) { benchSolve(b, -1, core.Solve) }
 
 // BenchmarkRecoverFullSweep / BenchmarkRecoverPlanner are the end-to-end
 // pair: exhaustive-sweep recovery vs. the adaptive planner, which stops
@@ -446,7 +447,7 @@ func benchSolveBackend(b *testing.B, factory func() sat.Backend) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.SolveIncremental(context.Background(), prof, opts)
+		res, err := core.Solve(context.Background(), prof, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -64,7 +64,6 @@ func main() {
 		verify   = flag.Bool("verify", false, "compare against the simulated chip's ground truth")
 		showProf = flag.Bool("profile", false, "print the thresholded miscorrection profile")
 		useAnti  = flag.Bool("anti", false, "also collect inverted patterns from anti-cell rows (extension)")
-		useLazy  = flag.Bool("lazy", false, "use the CEGAR-style lazy solver (extension)")
 		usePlan  = flag.Bool("plan", false, "adaptive pattern planner: solve while collecting, stop when unique (extension)")
 		planMax  = flag.Int("plan-budget", 0, "planner pattern budget (0 = the full family; implies -plan)")
 		progress = flag.Bool("progress", false, "stream live pipeline progress to stderr")
@@ -127,9 +126,6 @@ func main() {
 	if *useAnti {
 		opts = append(opts, repro.WithAntiRows())
 	}
-	if *useLazy {
-		opts = append(opts, repro.WithLazySolver())
-	}
 	if *usePlan || *planMax > 0 {
 		if *useAnti {
 			fatal(fmt.Errorf("-plan is incompatible with -anti (the planner schedules true-cell patterns only)"))
@@ -183,9 +179,8 @@ func main() {
 		rep.Result.DetermineTime.Round(time.Millisecond),
 		rep.Result.UniquenessTime.Round(time.Millisecond),
 		rep.Result.Vars, rep.Result.Clauses)
-	if *useLazy {
-		fmt.Printf("        (lazy solver materialized %d deferred pattern entries)\n", rep.Result.LazyRefinements)
-	}
+	fmt.Printf("        (%d profile entries encoded, %d deferred and never needed)\n",
+		rep.Result.PatternsUsed, rep.Result.PatternsSkipped)
 	if rep.Plan != nil {
 		fmt.Printf("planner:                 %d of %d patterns collected in %d batches (decided early: %v)\n",
 			rep.Plan.PatternsUsed, rep.Plan.PatternsFull, rep.Plan.Batches, rep.Plan.DecidedEarly)

@@ -25,8 +25,6 @@ type RecoverOptions struct {
 	// types this roughly doubles the usable capacity and adds row-parity
 	// information the true-cell profile cannot express.
 	UseAntiRows bool
-	// UseLazySolver switches to the CEGAR-style SolveLazy (see lazy.go).
-	UseLazySolver bool
 	// UsePlanner replaces the exhaustive pattern sweep with the adaptive
 	// planner (see Planner): collection proceeds in batches that feed a
 	// persistent incremental solver, and stops the moment the ECC function
@@ -352,13 +350,13 @@ func RecoverPlanned(ctx context.Context, chip Chip, opts RecoverOptions) (*Repor
 }
 
 // SolveStage runs the solve stage of Recover: consult the SolveCache (if
-// any) for a result under the profile's canonical hash, otherwise run the
-// configured solver (eager or lazy per UseLazySolver) and offer the result
-// back. A cache hit replays the original Result — including its recorded
-// solver timings — without any SAT invocation; the surrounding Report's
-// SolveTime then measures only the lookup. Shared by core.Recover and
-// parallel.Engine.Recover so single-chip and multi-chip runs hit the same
-// registry.
+// any) for a result under the profile's canonical hash, otherwise run Solve
+// (SolveNoisy when Solve.Noisy is set) and offer the result back. A cache
+// hit replays the original Result — including its recorded solver timings
+// — without any SAT invocation; the surrounding Report's SolveTime then
+// measures only the lookup. Shared by core.Recover, parallel.Engine.Recover
+// and Pipeline.Solve, so every exact solve takes the same path and
+// single-chip and multi-chip runs hit the same registry.
 func SolveStage(ctx context.Context, profile *Profile, opts RecoverOptions) (*Result, error) {
 	if opts.Solve.Noisy != nil {
 		// Noisy solves neither consult nor feed the SolveCache: the cache
@@ -380,11 +378,7 @@ func SolveStage(ctx context.Context, profile *Profile, opts RecoverOptions) (*Re
 	if solveOpts.Progress == nil {
 		solveOpts.Progress = opts.Progress
 	}
-	solve := Solve
-	if opts.UseLazySolver {
-		solve = SolveLazy
-	}
-	res, err := solve(ctx, profile, solveOpts)
+	res, err := Solve(ctx, profile, solveOpts)
 	if err != nil {
 		return nil, err
 	}

@@ -26,8 +26,8 @@
 // RecoverOptions.UsePlanner it becomes RecoverPlanned, the adaptive
 // collect↔solve loop); Observe is its experimental front half (discovery +
 // collection) for callers that aggregate across chips (internal/parallel
-// does); SolveIncremental/SolveSession are the incremental solve engine
-// (Solve and SolveLazy are thin shims over it); Planner interleaves
+// does); Solve/SolveSession are the one exact, deferred-encoding solve
+// engine (SolveEager is its eager test reference); Planner interleaves
 // collection with solving and stops at uniqueness; SolveStage is the
 // cache-aware solve used by both exhaustive Recover paths.
 // Profile.Canonical/Profile.Hash define the profile's content address —

@@ -238,20 +238,19 @@ func TestCollectedAntiProfileMatchesExact(t *testing.T) {
 }
 
 // End-to-end recovery using both true- and anti-cell regions of a
-// manufacturer C chip, with the lazy solver.
-func TestRecoverWithAntiRowsAndLazySolver(t *testing.T) {
+// manufacturer C chip.
+func TestRecoverWithAntiRows(t *testing.T) {
 	chip := testChip(t, ondie.MfrC, 384, 0)
 	opts := core.DefaultRecoverOptions()
 	opts.Collect.Windows = testWindows()
 	opts.Collect.Rounds = 3
 	opts.UseAntiRows = true
-	opts.UseLazySolver = true
 	rep, err := core.Recover(context.Background(), chip, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Result.Unique || !rep.Result.Codes[0].EquivalentTo(chip.GroundTruthCode()) {
-		t.Fatal("anti-augmented lazy recovery failed")
+		t.Fatal("anti-augmented recovery failed")
 	}
 	// The profile must contain both polarities.
 	sawAnti := false

@@ -136,18 +136,18 @@ func TestAntiProfilesNarrowTheSearch(t *testing.T) {
 	}
 }
 
-// SolveLazy must agree with Solve on every outcome.
-func TestSolveLazyMatchesEager(t *testing.T) {
+// Solve must agree with the SolveEager reference encoding on every outcome.
+func TestSolveMatchesSolveEager(t *testing.T) {
 	rng := rand.New(rand.NewPCG(56, 57))
 	for trial := 0; trial < 6; trial++ {
 		k := 6 + rng.IntN(6)
 		code := ecc.RandomHamming(k, rng)
 		prof := ExactProfile(code, Set12.Patterns(k))
-		eager, err := Solve(context.Background(), prof, SolveOptions{ParityBits: code.ParityBits(), MaxSolutions: -1})
+		eager, err := SolveEager(context.Background(), prof, SolveOptions{ParityBits: code.ParityBits(), MaxSolutions: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		lazy, err := SolveLazy(context.Background(), prof, SolveOptions{ParityBits: code.ParityBits(), MaxSolutions: -1})
+		lazy, err := Solve(context.Background(), prof, SolveOptions{ParityBits: code.ParityBits(), MaxSolutions: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,13 +167,13 @@ func TestSolveLazyMatchesEager(t *testing.T) {
 	}
 }
 
-// The lazy solver should materialize only a fraction of the 2-CHARGED
-// entries.
-func TestSolveLazyDefersMostEntries(t *testing.T) {
+// Solve should materialize only a fraction of the deferred 2-CHARGED
+// entries, where SolveEager encodes all of them.
+func TestSolveDefersMostEntries(t *testing.T) {
 	rng := rand.New(rand.NewPCG(58, 59))
 	code := ecc.RandomHamming(16, rng)
 	prof := ExactProfile(code, Set12.Patterns(16))
-	lazy, err := SolveLazy(context.Background(), prof, SolveOptions{ParityBits: code.ParityBits()})
+	lazy, err := Solve(context.Background(), prof, SolveOptions{ParityBits: code.ParityBits()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,6 +186,15 @@ func TestSolveLazyDefersMostEntries(t *testing.T) {
 			lazy.LazyRefinements, total)
 	}
 	t.Logf("lazy refinements: %d of %d deferred entries", lazy.LazyRefinements, total)
+
+	eager, err := SolveEager(context.Background(), prof, SolveOptions{ParityBits: code.ParityBits()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eager.PatternsSkipped != 0 || eager.LazyRefinements != 0 || eager.PatternsUsed != len(prof.Entries) {
+		t.Fatalf("SolveEager deferred entries: used %d, skipped %d, refinements %d of %d",
+			eager.PatternsUsed, eager.PatternsSkipped, eager.LazyRefinements, len(prof.Entries))
+	}
 }
 
 func TestCountsMerge(t *testing.T) {

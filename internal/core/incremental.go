@@ -9,8 +9,8 @@ import (
 	"repro/internal/sat"
 )
 
-// This file is the incremental solve engine behind Solve, SolveLazy,
-// SolveIncremental and the Planner. One SolveSession owns one SAT backend
+// This file is the incremental solve engine behind Solve (and with it every
+// recovery path) and the Planner. One SolveSession owns one SAT backend
 // for its whole life: profile entries stream in (Feed), the uniqueness
 // blocking-clause loop and every pattern-increment re-solve run on the same
 // solver instance, so learned clauses — the expensive part of CDCL search —
@@ -30,6 +30,8 @@ type SolveSession struct {
 	opts SolveOptions
 	k, r int
 	enc  *encoder
+	// eager encodes every fed entry immediately (SolveEager only).
+	eager bool
 
 	entries []Entry // every entry fed, in order (added or deferred)
 	pending []Entry // deferred multi-CHARGED entries not yet encoded
@@ -59,10 +61,10 @@ func NewSolveSession(k int, opts SolveOptions) (*SolveSession, error) {
 	return &SolveSession{opts: opts, k: k, r: r, enc: enc}, nil
 }
 
-// Feed streams profile entries into the session. 1-CHARGED entries (and
-// everything, under EagerEncode) are encoded immediately; multi-CHARGED
-// entries are deferred and materialized only when a candidate model
-// violates them (counterexample-guided refinement) — most never are.
+// Feed streams profile entries into the session. 1-CHARGED entries are
+// encoded immediately; multi-CHARGED entries are deferred and materialized
+// only when a candidate model violates them (counterexample-guided
+// refinement) — most never are.
 func (ss *SolveSession) Feed(entries ...Entry) error {
 	for _, entry := range entries {
 		if entry.Possible.Len() != ss.k {
@@ -70,7 +72,7 @@ func (ss *SolveSession) Feed(entries ...Entry) error {
 				entry.Pattern, entry.Possible.Len(), ss.k)
 		}
 		ss.entries = append(ss.entries, entry)
-		if ss.opts.EagerEncode || entry.Pattern.Weight() <= 1 {
+		if ss.eager || entry.Pattern.Weight() <= 1 {
 			ss.enc.addEntry(entry)
 			ss.added++
 		} else {
@@ -249,20 +251,33 @@ func (ss *SolveSession) Enumerate(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// SolveIncremental finds the ECC functions consistent with a miscorrection
-// profile by streaming the profile into a fresh SolveSession entry by entry
-// and enumerating candidates on the persistent solver. Semantically it is
-// identical to the eager Solve — the candidate sets are bit-identical (see
-// the cross-check property test) — but multi-CHARGED entries are deferred
-// until a candidate model actually violates them, which usually leaves most
-// of the profile un-encoded (Result.PatternsSkipped). Solve and SolveLazy
-// are thin shims over this engine; the Planner drives the same session
-// directly, interleaving Feeds with collection.
-func SolveIncremental(ctx context.Context, profile *Profile, opts SolveOptions) (*Result, error) {
+// Solve finds the ECC functions consistent with a miscorrection profile
+// (paper §5.3) — the one exact solve every recovery path runs. It streams
+// the profile into a fresh SolveSession and enumerates candidates on the
+// persistent solver: 1-CHARGED entries are encoded up front, multi-CHARGED
+// entries only once a candidate model violates them, which usually leaves
+// most of the profile un-encoded (Result.PatternsSkipped). The Planner
+// drives the same session directly, interleaving Feeds with collection.
+// Cancelling ctx interrupts the SAT search at its next conflict, restart
+// or 64th decision and returns ctx.Err().
+func Solve(ctx context.Context, profile *Profile, opts SolveOptions) (*Result, error) {
+	return solveProfile(ctx, profile, opts, false)
+}
+
+// SolveEager is Solve with every profile entry encoded before the first
+// search. It is the reference encoding for the tests that hold Solve to
+// identical candidate sets, for the ablation figure and for the satlib
+// corpus generator; no recovery path calls it.
+func SolveEager(ctx context.Context, profile *Profile, opts SolveOptions) (*Result, error) {
+	return solveProfile(ctx, profile, opts, true)
+}
+
+func solveProfile(ctx context.Context, profile *Profile, opts SolveOptions, eager bool) (*Result, error) {
 	ss, err := NewSolveSession(profile.K, opts)
 	if err != nil {
 		return nil, err
 	}
+	ss.eager = eager
 	if err := ss.Feed(profile.Entries...); err != nil {
 		return nil, err
 	}

@@ -37,9 +37,9 @@ func sameCodeSet(t *testing.T, a, b []*ecc.Code) bool {
 }
 
 // TestIncrementalMatchesEagerProperty is the golden cross-check: for
-// randomized codes across dataword lengths, SolveIncremental (deferred
-// CEGAR encoding on the persistent backend) must return bit-identical
-// candidate sets to the legacy eager Solve — in the unique case, the
+// randomized codes across dataword lengths, Solve (deferred CEGAR encoding
+// on the persistent backend) must return bit-identical candidate sets to
+// the SolveEager reference encoding — in the unique case, the
 // multi-candidate case (full enumeration of an underdetermined profile)
 // and the UNSAT case.
 func TestIncrementalMatchesEagerProperty(t *testing.T) {
@@ -52,11 +52,11 @@ func TestIncrementalMatchesEagerProperty(t *testing.T) {
 
 			// Unique / fully determined: the {1,2}-CHARGED profile.
 			full := ExactProfile(code, Set12.Patterns(k))
-			eager, err := Solve(ctx, full, opts)
+			eager, err := SolveEager(ctx, full, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			inc, err := SolveIncremental(ctx, full, opts)
+			inc, err := Solve(ctx, full, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,11 +73,11 @@ func TestIncrementalMatchesEagerProperty(t *testing.T) {
 			// Multi-candidate: the 1-CHARGED profile alone typically leaves
 			// several consistent functions; enumerate them all.
 			part := ExactProfile(code, Set1.Patterns(k))
-			eager1, err := Solve(ctx, part, opts)
+			eager1, err := SolveEager(ctx, part, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			inc1, err := SolveIncremental(ctx, part, opts)
+			inc1, err := Solve(ctx, part, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,11 +102,11 @@ func TestIncrementalMatchesEagerProperty(t *testing.T) {
 				}
 			}
 			bad.Entries = append(bad.Entries, Entry{Pattern: flip.Pattern, Possible: flipped})
-			eagerU, err := Solve(ctx, bad, opts)
+			eagerU, err := SolveEager(ctx, bad, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			incU, err := SolveIncremental(ctx, bad, opts)
+			incU, err := Solve(ctx, bad, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +125,7 @@ func TestIncrementalSkipsPatterns(t *testing.T) {
 	k := 16
 	code := ecc.RandomHamming(k, rand.New(rand.NewPCG(7, 7)))
 	prof := ExactProfile(code, Set12.Patterns(k))
-	res, err := SolveIncremental(context.Background(), prof, SolveOptions{ParityBits: code.ParityBits()})
+	res, err := Solve(context.Background(), prof, SolveOptions{ParityBits: code.ParityBits()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestSolveSessionResume(t *testing.T) {
 			len(first.Codes), len(second.Codes))
 	}
 
-	oneShot, err := SolveIncremental(ctx, prof, opts)
+	oneShot, err := Solve(ctx, prof, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestSolveDimacsBackend(t *testing.T) {
 			return rec
 		},
 	}
-	res, err := SolveIncremental(context.Background(), prof, opts)
+	res, err := Solve(context.Background(), prof, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func TestNoisyMatchesExactOnCleanProfile(t *testing.T) {
 
 			// Unique / fully determined.
 			full := ExactProfile(code, Set12.Patterns(k))
-			exact, err := SolveIncremental(ctx, full, opts)
+			exact, err := Solve(ctx, full, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,7 +56,7 @@ func TestNoisyMatchesExactOnCleanProfile(t *testing.T) {
 			// several consistent functions; both engines must enumerate the
 			// same set.
 			part := ExactProfile(code, Set1.Patterns(k))
-			exact1, err := SolveIncremental(ctx, part, opts)
+			exact1, err := Solve(ctx, part, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -22,12 +22,6 @@ type SolveOptions struct {
 	MaxSolutions int
 	// MaxConflicts bounds SAT effort per Solve call (0 = unlimited).
 	MaxConflicts int64
-	// EagerEncode encodes every profile entry up front instead of deferring
-	// multi-CHARGED entries for counterexample-guided refinement. Eager is
-	// the historical Solve behavior; the deferred default usually encodes a
-	// small fraction of the entries (Result.PatternsSkipped reports how
-	// many were never needed).
-	EagerEncode bool
 	// Backend, when set, supplies the SAT backend a solve session builds
 	// on (one fresh backend per session). Nil selects the in-process CDCL
 	// engine; sat.NewDimacs gives an engine that additionally records the
@@ -88,11 +82,11 @@ type Result struct {
 	// Vars and Clauses describe the CNF encoding size.
 	Vars, Clauses int
 	// PatternsUsed counts profile entries actually encoded into the CNF;
-	// PatternsSkipped counts entries the deferred (incremental) engine
-	// never had to materialize. Eager solves use every entry.
+	// PatternsSkipped counts deferred entries the solve never had to
+	// materialize. SolveEager uses every entry.
 	PatternsUsed, PatternsSkipped int
 	// LazyRefinements counts deferred pattern entries materialized because
-	// a candidate model violated them (always zero for eager solves).
+	// a candidate model violated them (always zero for SolveEager).
 	LazyRefinements int
 	// Noise reports the drop-k relaxation outcome of a noisy solve
 	// (SolveOptions.Noisy): entries retained vs dropped, the confidence of
@@ -420,16 +414,4 @@ func (e *encoder) pVars() []int {
 		out = append(out, e.pVar[i]...)
 	}
 	return out
-}
-
-// Solve finds the ECC functions consistent with a miscorrection profile
-// (paper §5.3) with every entry encoded eagerly — the historical entry
-// point, now a thin shim over the incremental engine (see SolveIncremental
-// and SolveSession; the solver instance, with all its learned clauses,
-// persists across the determine phase and the uniqueness blocking-clause
-// loop). Cancelling ctx interrupts the SAT search at its next conflict,
-// restart or 64th decision and returns ctx.Err().
-func Solve(ctx context.Context, profile *Profile, opts SolveOptions) (*Result, error) {
-	opts.EagerEncode = true
-	return SolveIncremental(ctx, profile, opts)
 }

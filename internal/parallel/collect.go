@@ -48,8 +48,9 @@ func (e *Engine) CollectShards(ctx context.Context, n int, collect func(shard in
 // (core.Observe) out one-chip-per-task across the worker pool and merging the
 // observation counts before a single solve (§6.3: same-model chips share an
 // ECC function, so their counts add). With one chip it is core.Recover with
-// the same semantics, except that the report's DiscoveryTime and CollectTime
-// cover the combined parallel phase. The report's discovery fields come from
+// the same semantics. The report's DiscoveryTime is the slowest chip's
+// discovery and CollectTime the rest of the parallel fan-out, so the two add
+// up to the fan-out's wall time. The report's discovery fields come from
 // the first chip; every chip must discover the identical word layout, since
 // counts collected under different layouts refer to different physical bits.
 //
@@ -93,6 +94,11 @@ func (e *Engine) Recover(ctx context.Context, chips []core.Chip, opts core.Recov
 	if err != nil {
 		return rep, fmt.Errorf("parallel: %w", err)
 	}
+	fanOut := time.Since(start)
+	for _, obs := range observations {
+		rep.DiscoveryTime = max(rep.DiscoveryTime, obs.DiscoveryTime)
+	}
+	rep.CollectTime = fanOut - rep.DiscoveryTime
 	rep.CellClasses = observations[0].CellClasses
 	rep.Layout = observations[0].Layout
 	rep.K = observations[0].Layout.K()
@@ -128,7 +134,6 @@ func (e *Engine) Recover(ctx context.Context, chips []core.Chip, opts core.Recov
 	if opts.PerturbProfile != nil {
 		rep.Profile = opts.PerturbProfile(rep.Profile)
 	}
-	rep.CollectTime = time.Since(start)
 
 	start = time.Now()
 	// SolveStage consults opts.SolveCache first: a previously solved

@@ -274,6 +274,37 @@ func TestRecoverMultiChip(t *testing.T) {
 	}
 }
 
+// TestRecoverReportStageTimes: the multi-chip report splits its wall time
+// into stages like core.Recover does — discovery is reported, and the three
+// stage times never add up to more than the call took. This is an ordering
+// check on the accounting, not a speed assertion.
+func TestRecoverReportStageTimes(t *testing.T) {
+	opts := core.DefaultRecoverOptions()
+	opts.Collect = collectOpts()
+	for _, n := range []int{1, 2} {
+		chips := make([]core.Chip, n)
+		for i := range chips {
+			chips[i] = testChip(t, uint64(400+i))
+		}
+		start := time.Now()
+		rep, err := New(2).Recover(context.Background(), chips, opts)
+		elapsed := time.Since(start)
+		if err != nil {
+			t.Fatalf("%d chips: %v", n, err)
+		}
+		if rep.DiscoveryTime <= 0 {
+			t.Fatalf("%d chips: DiscoveryTime = %v, want > 0", n, rep.DiscoveryTime)
+		}
+		if rep.CollectTime < 0 {
+			t.Fatalf("%d chips: CollectTime = %v, want >= 0", n, rep.CollectTime)
+		}
+		if sum := rep.DiscoveryTime + rep.CollectTime + rep.SolveTime; sum > elapsed {
+			t.Fatalf("%d chips: discovery %v + collect %v + solve %v = %v exceeds the call's %v",
+				n, rep.DiscoveryTime, rep.CollectTime, rep.SolveTime, sum, elapsed)
+		}
+	}
+}
+
 func TestRecoverNoChips(t *testing.T) {
 	if _, err := New(1).Recover(context.Background(), nil, core.DefaultRecoverOptions()); err == nil {
 		t.Fatal("empty chip list accepted")

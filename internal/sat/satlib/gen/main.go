@@ -134,6 +134,39 @@ func bruteSat(cnf *sat.CNF) bool {
 	return false
 }
 
+// determineRecorder is a Dimacs backend that also snapshots the CNF handed
+// to its first Solve call: the determine-step formula, before any blocking
+// clause of the uniqueness loop.
+type determineRecorder struct {
+	*sat.Dimacs
+	determine *sat.CNF
+}
+
+func (d *determineRecorder) Solve() (bool, error) {
+	if d.determine == nil {
+		d.determine = d.Snapshot()
+	}
+	return d.Dimacs.Solve()
+}
+
+// solveRecorded runs the eager reference solve (every entry encoded before
+// the first search, so the determine CNF is the whole profile) on a
+// recording backend.
+func solveRecorded(ctx context.Context, prof *core.Profile, maxSolutions int) (*core.Result, *determineRecorder) {
+	var rec *determineRecorder
+	res, err := core.SolveEager(ctx, prof, core.SolveOptions{
+		MaxSolutions: maxSolutions,
+		Backend: func() sat.Backend {
+			rec = &determineRecorder{Dimacs: sat.NewDimacs(nil)}
+			return rec
+		},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res, rec
+}
+
 // genBeer records real BEER uniqueness-loop formulas through the Dimacs
 // backend: a k=8 full-Set12 run (determine CNF = SAT, post-uniqueness
 // final CNF = UNSAT) and a k=16 Set1-only determine CNF (SAT, many
@@ -143,46 +176,17 @@ func genBeer(outDir string) {
 
 	// k=8, full Set12 profile: unique reconstruction, so the post-loop
 	// formula is the uniqueness proof (UNSAT).
-	var rec *sat.Dimacs
-	opts := core.SolveOptions{
-		EagerEncode:  true,
-		MaxSolutions: -1,
-		Backend:      func() sat.Backend { rec = sat.NewDimacs(nil); return rec },
-	}
-	ss, err := core.NewSolveSession(8, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
 	code := ecc.RandomHamming(8, rand.New(rand.NewPCG(0xbee2, 8)))
-	prof := core.ExactProfile(code, core.Set12.Patterns(8))
-	if err := ss.Feed(prof.Entries...); err != nil {
-		log.Fatal(err)
-	}
-	writeInstance(outDir, "beer-k8-determine", rec.Snapshot(), true)
-	res, err := ss.Enumerate(ctx)
-	if err != nil {
-		log.Fatal(err)
-	}
+	res, rec := solveRecorded(ctx, core.ExactProfile(code, core.Set12.Patterns(8)), -1)
 	if !res.Unique {
 		log.Fatalf("beer k=8: expected unique reconstruction, got %d candidates (exhausted=%v)",
 			len(res.Codes), res.Exhausted)
 	}
+	writeInstance(outDir, "beer-k8-determine", rec.determine, true)
 	writeInstance(outDir, "beer-k8-final", rec.Snapshot(), false)
 
 	// k=16, Set1 only: underdetermined, determine CNF is comfortably SAT.
-	var rec16 *sat.Dimacs
-	opts16 := core.SolveOptions{
-		EagerEncode: true,
-		Backend:     func() sat.Backend { rec16 = sat.NewDimacs(nil); return rec16 },
-	}
-	ss16, err := core.NewSolveSession(16, opts16)
-	if err != nil {
-		log.Fatal(err)
-	}
 	code16 := ecc.RandomHamming(16, rand.New(rand.NewPCG(0xbee2, 16)))
-	prof16 := core.ExactProfile(code16, core.Set1.Patterns(16))
-	if err := ss16.Feed(prof16.Entries...); err != nil {
-		log.Fatal(err)
-	}
-	writeInstance(outDir, "beer-k16-set1-determine", rec16.Snapshot(), true)
+	_, rec16 := solveRecorded(ctx, core.ExactProfile(code16, core.Set1.Patterns(16)), 0)
+	writeInstance(outDir, "beer-k16-set1-determine", rec16.determine, true)
 }

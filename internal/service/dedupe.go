@@ -96,9 +96,9 @@ func dedupeKey(spec JobSpec) string {
 		if spec.MaxDrop != nil {
 			maxDrop = strconv.Itoa(*spec.MaxDrop)
 		}
-		return fmt.Sprintf("recover|%s|chips=%d|seed=%d|rounds=%d|win=%d|lazy=%t|plan=%t|verify=%t|fp=%g|fn=%g|nseed=%d|drop=%s",
+		return fmt.Sprintf("recover|%s|chips=%d|seed=%d|rounds=%d|win=%d|plan=%t|verify=%t|fp=%g|fn=%g|nseed=%d|drop=%s",
 			ProfileKey(spec), spec.Chips, spec.Seed, spec.Rounds, spec.MaxWindowMinutes,
-			spec.UseLazySolver, spec.Plan, spec.Verify,
+			spec.Plan, spec.Verify,
 			spec.NoiseFP, spec.NoiseFN, spec.NoiseSeed, maxDrop)
 	case "simulate":
 		// The simulate ProfileKey already canonicalizes every result-affecting

@@ -8,6 +8,51 @@ import (
 	"testing"
 )
 
+// submission is one concurrent POST /api/v1/jobs outcome.
+type submission struct {
+	status JobStatus
+	code   int
+	loc    string
+}
+
+// submitConcurrently releases one POST per payload at the same instant and
+// returns the outcomes in payload order, failing on any transport or
+// decode error or a non-202 answer.
+func submitConcurrently(t *testing.T, url string, payloads ...[]byte) []submission {
+	t.Helper()
+	subs := make([]submission, len(payloads))
+	errs := make([]error, len(payloads))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, payload := range payloads {
+		wg.Add(1)
+		go func(i int, payload []byte) {
+			defer wg.Done()
+			<-start
+			resp, err := http.Post(url+"/api/v1/jobs", "application/json", bytes.NewReader(payload))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			subs[i].code = resp.StatusCode
+			subs[i].loc = resp.Header.Get("Location")
+			errs[i] = json.NewDecoder(resp.Body).Decode(&subs[i].status)
+		}(i, payload)
+	}
+	close(start)
+	wg.Wait()
+	for i, s := range subs {
+		if errs[i] != nil {
+			t.Fatalf("submission %d: %v", i, errs[i])
+		}
+		if s.code != http.StatusAccepted {
+			t.Fatalf("submission %d: status %d, want 202", i, s.code)
+		}
+	}
+	return subs
+}
+
 // TestConcurrentSubmitDedupe proves the single-flight guarantee on the
 // standalone path: N identical concurrent submissions collapse into exactly
 // one execution and one solver invocation, and every submitter receives the
@@ -22,43 +67,14 @@ func TestConcurrentSubmitDedupe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	type submission struct {
-		status JobStatus
-		code   int
-		loc    string
-		err    error
+	payloads := make([][]byte, n)
+	for i := range payloads {
+		payloads[i] = payload
 	}
-	subs := make([]submission, n)
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := range subs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", bytes.NewReader(payload))
-			if err != nil {
-				subs[i].err = err
-				return
-			}
-			defer resp.Body.Close()
-			subs[i].code = resp.StatusCode
-			subs[i].loc = resp.Header.Get("Location")
-			subs[i].err = json.NewDecoder(resp.Body).Decode(&subs[i].status)
-		}(i)
-	}
-	close(start)
-	wg.Wait()
+	subs := submitConcurrently(t, ts.URL, payloads...)
 
 	id := subs[0].status.ID
 	for i, s := range subs {
-		if s.err != nil {
-			t.Fatalf("submission %d: %v", i, s.err)
-		}
-		if s.code != http.StatusAccepted {
-			t.Fatalf("submission %d: status %d, want 202", i, s.code)
-		}
 		if s.status.ID != id {
 			t.Fatalf("submission %d joined job %s, submission 0 got %s — dedupe leaked an execution", i, s.status.ID, id)
 		}
@@ -124,51 +140,47 @@ func TestDedupeDistinguishesSpecs(t *testing.T) {
 		{Type: "recover", Manufacturer: "A", K: 16, Seed: 7},               // different code
 		{Type: "recover", Manufacturer: "B", K: 16, Seed: 7, Verify: true}, // different run shape
 	}
-	ids := make([]string, len(specs))
-	var wg sync.WaitGroup
-	errs := make([]error, len(specs))
-	start := make(chan struct{})
+	payloads := make([][]byte, len(specs))
 	for i, spec := range specs {
-		wg.Add(1)
-		go func(i int, spec JobSpec) {
-			defer wg.Done()
-			payload, err := json.Marshal(spec)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			<-start
-			resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", bytes.NewReader(payload))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer resp.Body.Close()
-			var st JobStatus
-			if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-				errs[i] = err
-				return
-			}
-			ids[i] = st.ID
-		}(i, spec)
+		payload, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads[i] = payload
 	}
-	close(start)
-	wg.Wait()
+	subs := submitConcurrently(t, ts.URL, payloads...)
 
 	seen := make(map[string]int)
-	for i, id := range ids {
-		if errs[i] != nil {
-			t.Fatalf("submission %d: %v", i, errs[i])
+	for i, s := range subs {
+		if prev, dup := seen[s.status.ID]; dup {
+			t.Fatalf("distinct specs %d and %d collapsed into job %s", prev, i, s.status.ID)
 		}
-		if prev, dup := seen[id]; dup {
-			t.Fatalf("distinct specs %d and %d collapsed into job %s", prev, i, id)
-		}
-		seen[id] = i
+		seen[s.status.ID] = i
 	}
 	if hits := srv.metrics.dedupeHits.Value(); hits != 0 {
 		t.Fatalf("dedupe hits = %d on distinct specs, want 0", hits)
 	}
-	for _, id := range ids {
-		waitTerminal(t, ts.URL, id)
+	for _, s := range subs {
+		waitTerminal(t, ts.URL, s.status.ID)
+	}
+}
+
+// TestDedupeIgnoresLazySolverFlag: use_lazy_solver is accepted for
+// compatibility but selects nothing, so concurrent submissions differing
+// only in it are the same work and must share one job.
+func TestDedupeIgnoresLazySolverFlag(t *testing.T) {
+	srv, ts := newTestServer(t)
+
+	subs := submitConcurrently(t, ts.URL,
+		[]byte(`{"type":"recover","manufacturer":"B","k":16,"seed":7,"chips":2}`),
+		[]byte(`{"type":"recover","manufacturer":"B","k":16,"seed":7,"chips":2,"use_lazy_solver":true}`))
+	if subs[0].status.ID != subs[1].status.ID {
+		t.Fatalf("submissions differing only in use_lazy_solver ran as jobs %s and %s", subs[0].status.ID, subs[1].status.ID)
+	}
+	if hits := srv.metrics.dedupeHits.Value(); hits != 1 {
+		t.Fatalf("dedupe hits = %d, want 1", hits)
+	}
+	if final := waitTerminal(t, ts.URL, subs[0].status.ID); final.State != StateSucceeded {
+		t.Fatalf("job finished %s: %s", final.State, final.Error)
 	}
 }

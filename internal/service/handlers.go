@@ -37,7 +37,12 @@ type JobSpec struct {
 	Rounds           int    `json:"rounds,omitempty"`             // window-sweep rounds (default 3)
 	MaxWindowMinutes int    `json:"max_window_minutes,omitempty"` // largest refresh window (default 48)
 	UseAntiRows      bool   `json:"use_anti_rows,omitempty"`
-	UseLazySolver    bool   `json:"use_lazy_solver,omitempty"`
+	// LazySolver is the retired use_lazy_solver flag, accepted and ignored:
+	// every exact solve defers multi-CHARGED entries. It stays decodable so
+	// older clients' submissions are not rejected as unknown fields.
+	//
+	// Deprecated: has no effect.
+	LazySolver bool `json:"use_lazy_solver,omitempty"`
 	// Plan enables the adaptive pattern planner: collection proceeds in
 	// solver-guided batches on a persistent incremental SAT session and
 	// stops as soon as the code is uniquely determined. The result then
@@ -244,9 +249,6 @@ func buildRecoverRunner(spec JobSpec, extraOpts []repro.Option) (runner, error) 
 		}
 		if spec.UseAntiRows {
 			opts = append(opts, repro.WithAntiRows())
-		}
-		if spec.UseLazySolver {
-			opts = append(opts, repro.WithLazySolver())
 		}
 		if spec.Plan {
 			opts = append(opts, repro.WithPlanner())

@@ -147,9 +147,6 @@ func WithMaxRows(n int) Option { return func(p *Pipeline) { p.recover.MaxRows = 
 // anti-cell rows (extension; see core.RecoverOptions.UseAntiRows).
 func WithAntiRows() Option { return func(p *Pipeline) { p.recover.UseAntiRows = true } }
 
-// WithLazySolver switches recovery to the CEGAR-style lazy SAT solver.
-func WithLazySolver() Option { return func(p *Pipeline) { p.recover.UseLazySolver = true } }
-
 // WithPlanner replaces the exhaustive pattern sweep with the adaptive
 // pattern planner (core.Planner): collection proceeds in solver-guided
 // batches feeding one persistent incremental SAT session, and stops — fleet
@@ -359,19 +356,12 @@ func (p *Pipeline) Observe(ctx context.Context, chip Chip) (*core.ChipObservatio
 
 // Solve searches for every ECC function consistent with a miscorrection
 // profile (paper §5.3) under the pipeline's solver configuration,
-// reporting candidate counts via WithProgress.
+// reporting candidate counts via WithProgress. It runs the same solve stage
+// as Recover, minus the solve cache.
 func (p *Pipeline) Solve(ctx context.Context, profile *Profile) (*SolveResult, error) {
-	solveOpts := p.recover.Solve
-	if solveOpts.Progress == nil {
-		solveOpts.Progress = p.recover.Progress
-	}
-	if solveOpts.Noisy != nil {
-		return core.SolveNoisy(ctx, profile, solveOpts)
-	}
-	if p.recover.UseLazySolver {
-		return core.SolveLazy(ctx, profile, solveOpts)
-	}
-	return core.Solve(ctx, profile, solveOpts)
+	opts := p.recover
+	opts.SolveCache = nil
+	return core.SolveStage(ctx, profile, opts)
 }
 
 // Simulate runs an EINSim-style word-level Monte-Carlo experiment sharded

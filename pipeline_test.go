@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/einsim"
 )
 
@@ -71,6 +72,33 @@ func TestPipelineRecover(t *testing.T) {
 	}
 }
 
+// TestPipelineRecoverDefersEncoding: the default recovery path solves with
+// deferred encoding — a {1,2}-CHARGED profile leaves multi-CHARGED entries
+// un-encoded — and still lands on the code the eager reference encoding
+// finds for the same profile.
+func TestPipelineRecoverDefersEncoding(t *testing.T) {
+	ctx := context.Background()
+	rep, err := repro.NewPipeline(repro.WithFastWindows(), repro.WithWorkers(1)).
+		Recover(ctx, repro.SimulatedChip(repro.MfrB, 16, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Result.PatternsSkipped == 0 {
+		t.Fatalf("recovery encoded all %d profile entries; want deferred entries skipped", rep.Result.PatternsUsed)
+	}
+	if !rep.Result.Unique {
+		t.Fatalf("expected unique recovery, got %d candidates", len(rep.Result.Codes))
+	}
+	eager, err := core.SolveEager(ctx, rep.Profile, core.SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !eager.Unique || !rep.Result.Codes[0].EquivalentTo(eager.Codes[0]) {
+		t.Fatalf("recovered code differs from the eager reference solve (eager unique=%v, %d candidates)",
+			eager.Unique, len(eager.Codes))
+	}
+}
+
 // TestPipelineRecoverCancel: cancelling the context mid-collection surfaces
 // context.Canceled through the facade.
 func TestPipelineRecoverCancel(t *testing.T) {
@@ -101,7 +129,6 @@ func TestPipelineOptions(t *testing.T) {
 		repro.WithTemperature(45),
 		repro.WithMaxRows(12),
 		repro.WithAntiRows(),
-		repro.WithLazySolver(),
 		repro.WithThreshold(1e-3, 5),
 		repro.WithParityBits(6),
 		repro.WithSolveBudget(1234),
@@ -114,7 +141,6 @@ func TestPipelineOptions(t *testing.T) {
 		opts.Collect.TempC != 45 ||
 		opts.MaxRows != 12 ||
 		!opts.UseAntiRows ||
-		!opts.UseLazySolver ||
 		opts.ThresholdFraction != 1e-3 ||
 		opts.ThresholdMinCount != 5 ||
 		opts.Solve.ParityBits != 6 ||
