@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 )
 
@@ -54,10 +55,9 @@ type RecoverOptions struct {
 	// PerturbProfile, when set, transforms the thresholded profile before
 	// the solve stage — the injection point for probabilistic observation
 	// models (internal/noise installs per-bit Bernoulli FP-injection /
-	// TP-dropout perturbation here). Applied by Recover and by the
-	// multi-chip parallel recovery alike, after count merging and
-	// thresholding; the planner path does not support it (the planner's
-	// solver consumes entries as collected).
+	// TP-dropout perturbation here). Recover applies it after count
+	// merging and thresholding; the planner path does not support it (the
+	// planner's solver consumes entries as collected).
 	PerturbProfile func(*Profile) *Profile
 	// Progress, when set, receives pipeline events: stage entries and
 	// completions, per-(round, window) collection passes, and solver
@@ -92,93 +92,315 @@ type Report struct {
 	// Plan summarizes the adaptive planner's run (patterns used vs. the
 	// full sweep); nil for exhaustive-sweep recoveries.
 	Plan *PlanInfo
-	// Timing of the three steps.
+	// Timing of the three steps. DiscoveryTime is the discovery phase's
+	// wall time. CollectTime is the collect phase's wall time, or the
+	// planner's summed batch-collect time. SolveTime is the solve time (the
+	// planner's summed batch-solve time on planned runs).
 	DiscoveryTime, CollectTime, SolveTime time.Duration
 }
 
-// ChipObservations is one chip's outcome of the experimental front half of
-// Recover: discovery (§5.1.1-5.1.2) plus raw profile collection (§5.1.3).
-// Same-model chips' observations can be combined by merging Counts (and
-// AntiCounts) before thresholding — the paper's §6.3 parallelization, which
-// internal/parallel exploits.
-type ChipObservations struct {
-	CellClasses [][]CellClass
-	Layout      WordLayout
-	Counts      *Counts
-	// AntiCounts holds inverted-pattern observations from anti-cell rows;
-	// nil unless RecoverOptions.UseAntiRows is set and the chip has any.
-	AntiCounts *Counts
-	// Timing of the two experimental phases.
-	DiscoveryTime, CollectTime time.Duration
+// ForEachFunc runs fn(0..n-1), possibly concurrently, and returns once every
+// call has finished. Its contract is parallel.Engine.ForEach's: every index
+// runs even when some fail, the error returned is the lowest failing
+// index's, and cancelling ctx stops further indices and yields ctx.Err().
+type ForEachFunc func(ctx context.Context, n int, fn func(i int) error) error
+
+// serialForEach is the ForEachFunc Recover uses when it is given none.
+func serialForEach(ctx context.Context, n int, fn func(i int) error) error {
+	var firstErr error
+	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := fn(i); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return firstErr
 }
 
-// Observe runs discovery and raw profile collection against one chip — every
-// experimental step of Recover, with thresholding and solving left to the
-// caller. On error the returned observations carry whatever was gathered up
-// to the failure point. Cancelling ctx returns ctx.Err() at the next
-// collection-pass boundary.
-func Observe(ctx context.Context, chip Chip, opts RecoverOptions) (*ChipObservations, error) {
+// Recover runs the complete BEER methodology (paper §5) against one or more
+// chips of the same model: discover every chip's cell and word layout,
+// collect a miscorrection profile with crafted test patterns, threshold it,
+// and solve for the ECC function. Same-model chips share an ECC function, so
+// their counts add before the one solve (§6.3). With UsePlanner the planner
+// drives collection batch by batch and stops at uniqueness (see Planner).
+//
+// The run has two fan-out phases, each one forEach call with one task per
+// chip (nil forEach runs the tasks serially). The discovery phase finishes
+// on every chip, and every chip must discover chip 0's word layout, before
+// any chip collects: counts collected under different layouts refer to
+// different physical bits. The collect phase runs each sweep on every chip
+// and merges the counts in chip order, so the result is the same for any
+// forEach. Each chip sees the same reads in the same order either way: its
+// discovery, then its collection sweeps. The report's discovery fields come
+// from chip 0.
+//
+// Progress events (opts.Progress) from the two phases are stamped with the
+// chip index and serialized: the callback never runs concurrently with
+// itself for one Recover call. Each chip sends one discover-Done and one
+// collect-Done event; the run ends with one solve-Done event.
+//
+// Cancelling ctx returns ctx.Err() within one collection pass (the refresh
+// pauses dominate real experiments) or at the solver's next conflict/restart.
+func Recover(ctx context.Context, chips []Chip, opts RecoverOptions, forEach ForEachFunc) (*Report, error) {
 	ctx = ctxOrBackground(ctx)
-	obs := &ChipObservations{}
-
-	start := time.Now()
-	opts.Progress.emit(Event{Stage: StageDiscover})
-	classes, rows, layout, err := DiscoverChip(chip, opts)
-	obs.CellClasses = classes
-	if err != nil {
-		return obs, err
+	if len(chips) == 0 {
+		return nil, fmt.Errorf("core: no chips")
 	}
-	obs.Layout = layout
-	obs.DiscoveryTime = time.Since(start)
-	opts.Progress.emit(Event{Stage: StageDiscover, Done: true})
+	if opts.UsePlanner && opts.UseAntiRows {
+		return nil, fmt.Errorf("core: the adaptive planner does not support anti-cell collection")
+	}
+	if forEach == nil {
+		forEach = serialForEach
+	}
+	f := &fleet{chips: chips, opts: opts, forEach: forEach}
+	rep := &Report{}
+	if err := f.discover(ctx, rep); err != nil {
+		return rep, err
+	}
 
-	start = time.Now()
 	collectOpts := opts.Collect
 	if collectOpts.Progress == nil {
 		collectOpts.Progress = opts.Progress
 	}
-	// The offsetter keeps Pass monotonic across the main and anti sweeps:
-	// the anti series continues the main one's pass numbering, with the
-	// total revising upward when it begins.
-	pc := NewCollectPassOffset(collectOpts.Progress)
-	mainOpts := collectOpts
-	mainOpts.Progress = pc.Next(mainOpts)
-	patterns := opts.PatternSet.Patterns(layout.K())
-	obs.Counts, err = CollectCounts(ctx, chip, rows, layout, patterns, mainOpts)
-	if err != nil {
-		return obs, fmt.Errorf("core: collect: %w", err)
+	var res *Result
+	var err error
+	if opts.UsePlanner {
+		res, err = f.plan(ctx, rep, collectOpts)
+	} else {
+		res, err = f.sweepAndSolve(ctx, rep, collectOpts)
 	}
-	if opts.UseAntiRows {
-		anti := AntiRows(obs.CellClasses)
-		if opts.MaxRows > 0 && len(anti) > opts.MaxRows {
-			anti = anti[:opts.MaxRows]
+	if err != nil {
+		return rep, err
+	}
+	rep.Result = res
+	done := Event{
+		Stage: StageSolve, Candidates: len(res.Codes), Done: true,
+		Conflicts: res.Stats.Conflicts, Propagations: res.Stats.Propagations,
+	}
+	if rep.Plan != nil {
+		done.PatternsUsed, done.PatternsPlanned = rep.Plan.PatternsUsed, rep.Plan.PatternsFull
+	}
+	opts.Progress.emit(done)
+	return rep, nil
+}
+
+// fleet is the state of one Recover run: the chips, the rows each one
+// collects from, and their chip-stamped progress streams.
+type fleet struct {
+	chips   []Chip
+	opts    RecoverOptions
+	forEach ForEachFunc
+	layout  WordLayout
+	// rows and anti hold each chip's true-cell and anti-cell collection
+	// rows (anti only with UseAntiRows), capped at MaxRows.
+	rows, anti [][]RowRef
+	// passes counts each chip's collection passes in earlier sweeps.
+	passes []int
+	mu     sync.Mutex // serializes progress events across chips
+}
+
+// stamp returns fn stamped with chip i and serialized with the other
+// chips' events; nil when fn is nil.
+func (f *fleet) stamp(fn ProgressFunc, i int) ProgressFunc {
+	if fn == nil {
+		return nil
+	}
+	return func(ev Event) {
+		ev.Chip = i
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		fn(ev)
+	}
+}
+
+// chipErr names the failing chip in multi-chip runs.
+func (f *fleet) chipErr(i int, err error) error {
+	if len(f.chips) == 1 {
+		return err
+	}
+	return fmt.Errorf("chip %d: %w", i, err)
+}
+
+// discover is the discovery phase: every chip's §5.1 discovery, then the
+// check that all chips share chip 0's word layout.
+func (f *fleet) discover(ctx context.Context, rep *Report) error {
+	n := len(f.chips)
+	classes := make([][][]CellClass, n)
+	layouts := make([]WordLayout, n)
+	f.rows = make([][]RowRef, n)
+	f.passes = make([]int, n)
+	start := time.Now()
+	err := f.forEach(ctx, n, func(i int) error {
+		progress := f.stamp(f.opts.Progress, i)
+		progress.emit(Event{Stage: StageDiscover})
+		var err error
+		classes[i], f.rows[i], layouts[i], err = discoverChip(f.chips[i], f.opts)
+		if err != nil {
+			return f.chipErr(i, err)
 		}
-		if len(anti) > 0 {
-			antiOpts := collectOpts
-			antiOpts.Invert = true
-			antiOpts.Progress = pc.Next(antiOpts)
-			// Anti regions contribute the 1-CHARGED patterns only: those
-			// carry the extra row-parity information, and the much smaller
-			// pattern count keeps per-pattern sample density high enough
-			// that no rare miscorrection goes unobserved (a missed
-			// observation would add a false "impossible" constraint, §5.2).
-			obs.AntiCounts, err = CollectCounts(ctx, chip, anti, layout, OneCharged(layout.K()), antiOpts)
-			if err != nil {
-				return obs, fmt.Errorf("core: anti-cell collect: %w", err)
+		progress.emit(Event{Stage: StageDiscover, Done: true})
+		return nil
+	})
+	rep.DiscoveryTime = time.Since(start)
+	rep.CellClasses = classes[0]
+	if err != nil {
+		return err
+	}
+	f.layout = layouts[0]
+	rep.Layout, rep.K = f.layout, f.layout.K()
+	for i, l := range layouts[1:] {
+		if !l.Equal(f.layout) {
+			return fmt.Errorf("core: chip %d discovered a different word layout than chip 0 (different models?)", i+1)
+		}
+	}
+	if f.opts.UseAntiRows {
+		f.anti = make([][]RowRef, n)
+		for i := range f.anti {
+			f.anti[i] = AntiRows(classes[i])
+			if f.opts.MaxRows > 0 && len(f.anti[i]) > f.opts.MaxRows {
+				f.anti[i] = f.anti[i][:f.opts.MaxRows]
 			}
 		}
 	}
-	obs.CollectTime = time.Since(start)
-	opts.Progress.emit(Event{Stage: StageCollect, Done: true})
-	return obs, nil
+	return nil
 }
 
-// DiscoverChip runs the §5.1.1-5.1.2 discovery steps against one chip:
+// sweep is one collect fan-out: every chip with rows collects patterns
+// over them, and the counts merge in chip order (§6.3: same-model chips'
+// counts add). It returns nil counts when no chip has rows.
+//
+// CollectCounts restarts its pass counters at 1 every sweep, so each
+// chip's events are offset by the passes of its earlier sweeps: Pass stays
+// monotonic across the run and never exceeds Passes, whose total revises
+// upward sweep by sweep.
+func (f *fleet) sweep(ctx context.Context, rows [][]RowRef, patterns []Pattern, opts CollectOptions) (*Counts, error) {
+	counts := make([]*Counts, len(f.chips))
+	err := f.forEach(ctx, len(f.chips), func(i int) error {
+		if len(rows[i]) == 0 {
+			return nil
+		}
+		chipOpts := opts
+		offset := f.passes[i]
+		f.passes[i] += sweepPasses(opts)
+		if progress := f.stamp(opts.Progress, i); progress != nil {
+			chipOpts.Progress = func(ev Event) {
+				ev.Pass += offset
+				ev.Passes += offset
+				progress(ev)
+			}
+		}
+		c, err := CollectCounts(ctx, f.chips[i], rows[i], f.layout, patterns, chipOpts)
+		if err != nil {
+			return f.chipErr(i, err)
+		}
+		counts[i] = c
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var merged *Counts
+	for _, c := range counts {
+		switch {
+		case c == nil:
+		case merged == nil:
+			merged = c
+		default:
+			if err := merged.Merge(c); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return merged, nil
+}
+
+// collectDone reports every chip's collection finished.
+func (f *fleet) collectDone() {
+	for i := range f.chips {
+		f.stamp(f.opts.Progress, i).emit(Event{Stage: StageCollect, Done: true})
+	}
+}
+
+// sweepAndSolve is the exhaustive path: sweep the whole pattern family
+// (plus the anti-cell sweep), threshold, perturb, and solve once.
+func (f *fleet) sweepAndSolve(ctx context.Context, rep *Report, collectOpts CollectOptions) (*Result, error) {
+	start := time.Now()
+	counts, err := f.sweep(ctx, f.rows, f.opts.PatternSet.Patterns(rep.K), collectOpts)
+	if err != nil {
+		return nil, fmt.Errorf("core: collect: %w", err)
+	}
+	rep.Counts = counts
+	var anti *Counts
+	if f.opts.UseAntiRows {
+		antiOpts := collectOpts
+		antiOpts.Invert = true
+		// Anti regions contribute the 1-CHARGED patterns only: those
+		// carry the extra row-parity information, and the much smaller
+		// pattern count keeps per-pattern sample density high enough
+		// that no rare miscorrection goes unobserved (a missed
+		// observation would add a false "impossible" constraint, §5.2).
+		anti, err = f.sweep(ctx, f.anti, OneCharged(rep.K), antiOpts)
+		if err != nil {
+			return nil, fmt.Errorf("core: anti-cell collect: %w", err)
+		}
+	}
+	rep.CollectTime = time.Since(start)
+	f.collectDone()
+
+	opts := f.opts
+	rep.Profile = counts.Threshold(opts.ThresholdFraction, opts.ThresholdMinCount)
+	if anti != nil {
+		rep.Profile = rep.Profile.Append(anti.Threshold(opts.ThresholdFraction, opts.ThresholdMinCount))
+	}
+	if opts.PerturbProfile != nil {
+		rep.Profile = opts.PerturbProfile(rep.Profile)
+	}
+	start = time.Now()
+	res, err := SolveStage(ctx, rep.Profile, opts)
+	rep.SolveTime = time.Since(start)
+	if err != nil {
+		return nil, fmt.Errorf("core: solve: %w", err)
+	}
+	return res, nil
+}
+
+// plan is the planned path: the planner requests pattern batches, each one
+// a sweep across the fleet, and feeds their merged counts to its
+// persistent solver until the code is decided (or the budget is spent).
+// The SolveCache receives the final result; a lookup is impossible because
+// the profile is not known until collected.
+func (f *fleet) plan(ctx context.Context, rep *Report, collectOpts CollectOptions) (*Result, error) {
+	planner, err := NewPlanner(rep.K, f.opts)
+	if err != nil {
+		return nil, err
+	}
+	res, err := planner.Run(ctx, func(ctx context.Context, patterns []Pattern) (*Counts, error) {
+		return f.sweep(ctx, f.rows, patterns, collectOpts)
+	})
+	rep.Counts = planner.Counts()
+	rep.Profile = planner.Profile()
+	info := planner.Info()
+	rep.Plan = &info
+	rep.CollectTime, rep.SolveTime = planner.Times()
+	if err != nil {
+		return nil, fmt.Errorf("core: planned recovery: %w", err)
+	}
+	f.collectDone()
+	if f.opts.SolveCache != nil {
+		f.opts.SolveCache.Store(rep.Profile, res)
+	}
+	return res, nil
+}
+
+// discoverChip runs the §5.1.1-5.1.2 discovery steps against one chip:
 // classify every row's cell polarity, then group region bytes into ECC
-// datawords over the (MaxRows-capped) true-cell rows. Shared by Observe
-// and the planned recovery paths (core and parallel), which need discovery
-// decoupled from collection.
-func DiscoverChip(chip Chip, opts RecoverOptions) (classes [][]CellClass, rows []RowRef, layout WordLayout, err error) {
+// datawords over the (MaxRows-capped) true-cell rows.
+func discoverChip(chip Chip, opts RecoverOptions) (classes [][]CellClass, rows []RowRef, layout WordLayout, err error) {
 	var cacheKey string
 	if opts.DiscoveryCache != nil {
 		if lk, ok := chip.(LayoutKeyer); ok {
@@ -208,155 +430,14 @@ func DiscoverChip(chip Chip, opts RecoverOptions) (classes [][]CellClass, rows [
 	return classes, rows, layout, nil
 }
 
-// fill copies an observation's discovery and collection results into a report.
-func (rep *Report) fill(obs *ChipObservations) {
-	rep.CellClasses = obs.CellClasses
-	rep.Layout = obs.Layout
-	rep.K = obs.Layout.K()
-	rep.Counts = obs.Counts
-	rep.DiscoveryTime = obs.DiscoveryTime
-	rep.CollectTime = obs.CollectTime
-}
-
-// Recover runs the complete BEER methodology against a chip: discover the
-// cell and word layout, collect a miscorrection profile with crafted test
-// patterns, filter it, and solve for the ECC function (paper §5).
-//
-// Cancelling ctx returns ctx.Err() within one collection pass (the refresh
-// pauses dominate real experiments) or at the solver's next conflict/restart.
-func Recover(ctx context.Context, chip Chip, opts RecoverOptions) (*Report, error) {
-	ctx = ctxOrBackground(ctx)
-	if opts.UsePlanner {
-		return RecoverPlanned(ctx, chip, opts)
-	}
-	rep := &Report{}
-	obs, err := Observe(ctx, chip, opts)
-	rep.fill(obs)
-	if err != nil {
-		return rep, err
-	}
-	rep.Profile = obs.Counts.Threshold(opts.ThresholdFraction, opts.ThresholdMinCount)
-	if obs.AntiCounts != nil {
-		rep.Profile = rep.Profile.Append(obs.AntiCounts.Threshold(opts.ThresholdFraction, opts.ThresholdMinCount))
-	}
-	if opts.PerturbProfile != nil {
-		rep.Profile = opts.PerturbProfile(rep.Profile)
-	}
-
-	start := time.Now()
-	res, err := SolveStage(ctx, rep.Profile, opts)
-	rep.SolveTime = time.Since(start)
-	if err != nil {
-		return rep, fmt.Errorf("core: solve: %w", err)
-	}
-	rep.Result = res
-	opts.Progress.emit(Event{Stage: StageSolve, Candidates: len(res.Codes), Done: true})
-	return rep, nil
-}
-
-// CollectPassOffset adapts a collect-progress stream to a run made of
-// several CollectCounts sweeps (the anti-cell sweep after the main one,
-// or the planner's batches): each sweep's pass counters restart at 1, so
-// this wrapper offsets them by the passes of the sweeps already finished —
-// Pass stays monotonic across the whole run and never exceeds Passes,
-// whose total revises upward sweep by sweep.
-type CollectPassOffset struct {
-	base   ProgressFunc
-	offset int
-}
-
-// NewCollectPassOffset wraps base (may be nil) for multi-sweep collection.
-func NewCollectPassOffset(base ProgressFunc) *CollectPassOffset {
-	return &CollectPassOffset{base: base}
-}
-
-// Next returns the progress callback for the next sweep (nil when no base
-// consumer exists) and adds that sweep's pass count to the running offset.
-// sweepOpts must be the CollectOptions the sweep will run with.
-func (pc *CollectPassOffset) Next(sweepOpts CollectOptions) ProgressFunc {
-	base := pc.base
-	offset := pc.offset
-	pc.offset += sweepPasses(sweepOpts)
-	if base == nil {
-		return nil
-	}
-	return func(ev Event) {
-		ev.Pass += offset
-		ev.Passes += offset
-		base(ev)
-	}
-}
-
-// RecoverPlanned is Recover with the adaptive planner in charge of
-// collection (see Planner): discovery runs as usual, then collection
-// proceeds batch by batch with each batch's constraints fed to a
-// persistent incremental solver, stopping the moment the ECC function is
-// uniquely determined (or the Plan budget is spent). Report.Plan records
-// patterns used vs. the full sweep. The SolveCache, if any, receives the
-// final (partial-profile) result; lookups are impossible because the
-// profile is not known until collected.
-func RecoverPlanned(ctx context.Context, chip Chip, opts RecoverOptions) (*Report, error) {
-	ctx = ctxOrBackground(ctx)
-	if opts.UseAntiRows {
-		return nil, fmt.Errorf("core: the adaptive planner does not support anti-cell collection")
-	}
-	rep := &Report{}
-
-	start := time.Now()
-	opts.Progress.emit(Event{Stage: StageDiscover})
-	classes, rows, layout, err := DiscoverChip(chip, opts)
-	rep.CellClasses = classes
-	if err != nil {
-		return rep, err
-	}
-	rep.Layout = layout
-	rep.K = layout.K()
-	rep.DiscoveryTime = time.Since(start)
-	opts.Progress.emit(Event{Stage: StageDiscover, Done: true})
-
-	planner, err := NewPlanner(layout.K(), opts)
-	if err != nil {
-		return rep, err
-	}
-	collectOpts := opts.Collect
-	if collectOpts.Progress == nil {
-		collectOpts.Progress = opts.Progress
-	}
-	pc := NewCollectPassOffset(collectOpts.Progress)
-	res, err := planner.Run(ctx, func(ctx context.Context, patterns []Pattern) (*Counts, error) {
-		batchOpts := collectOpts
-		batchOpts.Progress = pc.Next(batchOpts)
-		return CollectCounts(ctx, chip, rows, layout, patterns, batchOpts)
-	})
-	rep.Counts = planner.Counts()
-	rep.Profile = planner.Profile()
-	info := planner.Info()
-	rep.Plan = &info
-	rep.CollectTime, rep.SolveTime = planner.Times()
-	if err != nil {
-		return rep, fmt.Errorf("core: planned recovery: %w", err)
-	}
-	opts.Progress.emit(Event{Stage: StageCollect, Done: true})
-	rep.Result = res
-	if opts.SolveCache != nil {
-		opts.SolveCache.Store(rep.Profile, res)
-	}
-	opts.Progress.emit(Event{
-		Stage: StageSolve, Candidates: len(res.Codes), Done: true,
-		Conflicts: res.Stats.Conflicts, Propagations: res.Stats.Propagations,
-		PatternsUsed: info.PatternsUsed, PatternsPlanned: info.PatternsFull,
-	})
-	return rep, nil
-}
-
 // SolveStage runs the solve stage of Recover: consult the SolveCache (if
 // any) for a result under the profile's canonical hash, otherwise run Solve
 // (SolveNoisy when Solve.Noisy is set) and offer the result back. A cache
 // hit replays the original Result — including its recorded solver timings
 // — without any SAT invocation; the surrounding Report's SolveTime then
-// measures only the lookup. Shared by core.Recover, parallel.Engine.Recover
-// and Pipeline.Solve, so every exact solve takes the same path and
-// single-chip and multi-chip runs hit the same registry.
+// measures only the lookup. Shared by Recover and Pipeline.Solve, so every
+// exact solve takes the same path and single-chip and multi-chip runs hit
+// the same registry.
 func SolveStage(ctx context.Context, profile *Profile, opts RecoverOptions) (*Result, error) {
 	if opts.Solve.Noisy != nil {
 		// Noisy solves neither consult nor feed the SolveCache: the cache

@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -65,7 +66,7 @@ func TestRecoverCancelMidCollection(t *testing.T) {
 			cancel()
 		}
 	}
-	_, err := core.Recover(ctx, cancelTestChip(t), opts)
+	_, err := core.Recover(ctx, []core.Chip{cancelTestChip(t)}, opts, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Recover returned %v, want context.Canceled", err)
 	}
@@ -78,7 +79,7 @@ func TestRecoverProgressEvents(t *testing.T) {
 	opts := fastOpts()
 	var events []core.Event
 	opts.Progress = func(ev core.Event) { events = append(events, ev) }
-	rep, err := core.Recover(context.Background(), cancelTestChip(t), opts)
+	rep, err := core.Recover(context.Background(), []core.Chip{cancelTestChip(t)}, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,5 +120,119 @@ func TestRecoverProgressEvents(t *testing.T) {
 		if !stageDone[stage] {
 			t.Fatalf("stage %v never reported Done", stage)
 		}
+	}
+}
+
+// goForEach is a core.ForEachFunc that runs every index on its own
+// goroutine, so tests exercise Recover's progress serialization under
+// real concurrency (run with -race).
+func goForEach(ctx context.Context, n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}()
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestRecoverDoneEvents pins the driver's completion contract on every
+// path: each chip sends exactly one discover-Done and one collect-Done
+// event, stamped with its index, and the run sends exactly one solve-Done
+// event carrying the result's solver counters (plus the planner's
+// pattern economy on planned runs).
+func TestRecoverDoneEvents(t *testing.T) {
+	for _, planned := range []bool{false, true} {
+		for _, n := range []int{1, 2} {
+			opts := fastOpts()
+			opts.UsePlanner = planned
+			var mu sync.Mutex
+			done := map[core.Stage]map[int]int{}
+			var solveDone []core.Event
+			opts.Progress = func(ev core.Event) {
+				if !ev.Done {
+					return
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				if done[ev.Stage] == nil {
+					done[ev.Stage] = map[int]int{}
+				}
+				done[ev.Stage][ev.Chip]++
+				if ev.Stage == core.StageSolve {
+					solveDone = append(solveDone, ev)
+				}
+			}
+			chips := make([]core.Chip, n)
+			for i := range chips {
+				chips[i] = ondie.MustNew(ondie.Config{
+					Manufacturer: ondie.MfrB, DataBits: 16, Banks: 1,
+					Rows: 192, RegionsPerRow: 16, Seed: uint64(500 + i),
+				})
+			}
+			rep, err := core.Recover(context.Background(), chips, opts, goForEach)
+			if err != nil {
+				t.Fatalf("planned=%v, %d chips: %v", planned, n, err)
+			}
+			for _, stage := range []core.Stage{core.StageDiscover, core.StageCollect} {
+				if len(done[stage]) != n {
+					t.Fatalf("planned=%v, %d chips: %v Done from chips %v, want one per chip", planned, n, stage, done[stage])
+				}
+				for chip, count := range done[stage] {
+					if chip < 0 || chip >= n || count != 1 {
+						t.Fatalf("planned=%v, %d chips: %v Done counts %v, want one per chip", planned, n, stage, done[stage])
+					}
+				}
+			}
+			if len(solveDone) != 1 {
+				t.Fatalf("planned=%v, %d chips: %d solve-Done events, want 1", planned, n, len(solveDone))
+			}
+			ev := solveDone[0]
+			stats := rep.Result.Stats
+			if ev.Candidates != len(rep.Result.Codes) || ev.Conflicts != stats.Conflicts || ev.Propagations != stats.Propagations {
+				t.Fatalf("planned=%v, %d chips: solve-Done %+v does not carry the result's counters %+v", planned, n, ev, stats)
+			}
+			if stats.Propagations == 0 {
+				t.Fatalf("planned=%v, %d chips: result reports no propagations; test is vacuous", planned, n)
+			}
+			if planned && (ev.PatternsUsed != rep.Plan.PatternsUsed || ev.PatternsPlanned != rep.Plan.PatternsFull) {
+				t.Fatalf("%d chips: solve-Done patterns %d/%d, plan %+v", n, ev.PatternsUsed, ev.PatternsPlanned, rep.Plan)
+			}
+		}
+	}
+}
+
+// TestRecoverRejectsMismatchedFleet: chips of different models discover
+// different word layouts, and Recover must refuse the fleet before any
+// chip pays for a collection sweep.
+func TestRecoverRejectsMismatchedFleet(t *testing.T) {
+	opts := fastOpts()
+	var collectEvents atomic.Int64
+	opts.Progress = func(ev core.Event) {
+		if ev.Stage == core.StageCollect {
+			collectEvents.Add(1)
+		}
+	}
+	chips := []core.Chip{
+		cancelTestChip(t),
+		ondie.MustNew(ondie.Config{Manufacturer: ondie.MfrB, DataBits: 32, Banks: 1, Rows: 192, RegionsPerRow: 16, Seed: 78}),
+	}
+	if _, err := core.Recover(context.Background(), chips, opts, goForEach); err == nil {
+		t.Fatal("a fleet of mixed models was accepted")
+	}
+	if n := collectEvents.Load(); n != 0 {
+		t.Fatalf("%d StageCollect events before the layout check, want 0", n)
 	}
 }

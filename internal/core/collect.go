@@ -29,8 +29,7 @@ type CollectOptions struct {
 	Invert bool
 	// Progress, when set, receives a StageCollect event after every
 	// completed (round, window) pass. Event.Chip is always 0 here;
-	// multi-chip callers (internal/parallel) wrap the func to stamp the
-	// chip index.
+	// Recover wraps the func to stamp the chip index.
 	Progress ProgressFunc
 }
 

@@ -22,14 +22,14 @@
 // (ExactProfile) derived analytically from the retention-error model, used
 // for the correctness evaluation (paper §6.1) without Monte-Carlo noise.
 //
-// Entry points: Recover is the whole methodology against one Chip (with
-// RecoverOptions.UsePlanner it becomes RecoverPlanned, the adaptive
-// collect↔solve loop); Observe is its experimental front half (discovery +
-// collection) for callers that aggregate across chips (internal/parallel
-// does); Solve/SolveSession are the one exact, deferred-encoding solve
-// engine (SolveEager is its eager test reference); Planner interleaves
-// collection with solving and stops at uniqueness; SolveStage is the
-// cache-aware solve used by both exhaustive Recover paths.
+// Entry points: Recover is the one recovery driver — the whole methodology
+// against one chip or a same-model fleet, exhaustive or (with
+// RecoverOptions.UsePlanner) the adaptive collect↔solve loop; its
+// ForEachFunc argument supplies the per-chip fan-out (internal/parallel's
+// Engine.ForEach, or a serial loop); Solve/SolveSession are the one exact,
+// deferred-encoding solve engine (SolveEager is its eager test reference);
+// Planner interleaves collection with solving and stops at uniqueness;
+// SolveStage is the cache-aware solve of Recover's exhaustive path.
 // Profile.Canonical/Profile.Hash define the profile's content address —
 // the key of the recovered-code registry (internal/store) — and SolveCache
 // is the interface through which a registry short-circuits repeated solves

@@ -146,7 +146,7 @@ func TestRecoverEndToEnd(t *testing.T) {
 			opts := core.DefaultRecoverOptions()
 			opts.Collect.Windows = testWindows()
 			opts.Collect.Rounds = 3
-			rep, err := core.Recover(context.Background(), chip, opts)
+			rep, err := core.Recover(context.Background(), []core.Chip{chip}, opts, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +172,7 @@ func TestRecoverRobustToTransientErrors(t *testing.T) {
 	opts.Collect.Windows = testWindows()
 	opts.Collect.Rounds = 3
 	opts.ThresholdMinCount = 3
-	rep, err := core.Recover(context.Background(), chip, opts)
+	rep, err := core.Recover(context.Background(), []core.Chip{chip}, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestRecoverWithAntiRows(t *testing.T) {
 	opts.Collect.Windows = testWindows()
 	opts.Collect.Rounds = 3
 	opts.UseAntiRows = true
-	rep, err := core.Recover(context.Background(), chip, opts)
+	rep, err := core.Recover(context.Background(), []core.Chip{chip}, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,10 @@ package core
 
 import "sync"
 
-// DiscoveredLayout is DiscoverChip's output as one cacheable unit: the
-// per-row cell classification (§5.1.1), the MaxRows-capped true-cell row
-// list, and the dataword layout (§5.1.2). Cached values are shared between
-// recoveries — treat every field as immutable.
+// DiscoveredLayout is one chip's §5.1 discovery outcome as one cacheable
+// unit: the per-row cell classification (§5.1.1), the MaxRows-capped
+// true-cell row list, and the dataword layout (§5.1.2). Cached values are
+// shared between recoveries — treat every field as immutable.
 type DiscoveredLayout struct {
 	CellClasses [][]CellClass
 	Rows        []RowRef
@@ -21,10 +21,10 @@ type LayoutKeyer interface {
 	LayoutKey() string
 }
 
-// DiscoveryCache memoizes DiscoverChip results across recoveries of
+// DiscoveryCache memoizes discovery outcomes across recoveries of
 // identically-configured chips (RecoverOptions.DiscoveryCache). The key is
 // the chip's LayoutKey combined with the discovery-relevant options, built
-// by DiscoverChip. Implementations must be safe for concurrent use.
+// by Recover. Implementations must be safe for concurrent use.
 type DiscoveryCache interface {
 	Lookup(key string) (*DiscoveredLayout, bool)
 	Store(key string, d *DiscoveredLayout)

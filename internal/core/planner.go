@@ -48,8 +48,8 @@ type PlanInfo struct {
 // Feed re-solves an already-hot solver with all learned clauses intact.
 //
 // A Planner is single-goroutine; multi-chip runs parallelize inside the
-// collect callback (parallel.Engine fans each batch out across chips and
-// merges the counts), which is what lets a fleet-wide collection
+// collect callback (Recover fans each batch out across chips and merges
+// the counts), which is what lets a fleet-wide collection
 // short-circuit the moment any batch decides the code.
 type Planner struct {
 	opts    RecoverOptions
@@ -239,7 +239,7 @@ func (p *Planner) Feed(ctx context.Context, counts *Counts) (*Result, error) {
 
 // Run drives the whole collect↔solve loop: request a batch, collect it via
 // the callback, feed the counts, until Done. The callback runs the actual
-// experiment (single chip, or a parallel.Engine fan-out over a fleet) and
+// experiment (single chip, or Recover's fan-out over a fleet) and
 // must honor ctx. Returns the final enumeration result.
 func (p *Planner) Run(ctx context.Context, collect func(ctx context.Context, patterns []Pattern) (*Counts, error)) (*Result, error) {
 	ctx = ctxOrBackground(ctx)

@@ -166,7 +166,7 @@ func TestRecoverPlannedEndToEnd(t *testing.T) {
 	opts.Collect.Rounds = 3
 
 	chipFull := testChip(t, ondie.MfrB, 192, 0)
-	full, err := core.Recover(context.Background(), chipFull, opts)
+	full, err := core.Recover(context.Background(), []core.Chip{chipFull}, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestRecoverPlannedEndToEnd(t *testing.T) {
 
 	opts.UsePlanner = true
 	chipPlanned := testChip(t, ondie.MfrB, 192, 0)
-	planned, err := core.Recover(context.Background(), chipPlanned, opts)
+	planned, err := core.Recover(context.Background(), []core.Chip{chipPlanned}, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestRecoverPlannedRejectsAntiRows(t *testing.T) {
 	opts := core.DefaultRecoverOptions()
 	opts.UsePlanner = true
 	opts.UseAntiRows = true
-	if _, err := core.Recover(context.Background(), testChip(t, ondie.MfrB, 64, 0), opts); err == nil {
+	if _, err := core.Recover(context.Background(), []core.Chip{testChip(t, ondie.MfrB, 64, 0)}, opts, nil); err == nil {
 		t.Fatal("planner + anti rows did not error")
 	}
 }

@@ -87,11 +87,11 @@ type Event struct {
 	Done bool
 }
 
-// ProgressFunc consumes pipeline progress events. Implementations must be
-// safe for concurrent use when the pipeline runs multiple chips in parallel
-// (internal/parallel serializes per-engine-run events, but the same func may
-// be shared across concurrent jobs) and must not block: events are emitted
-// synchronously from the experiment hot path.
+// ProgressFunc consumes pipeline progress events. Recover serializes the
+// events of one run, even when its chips run in parallel, but the same func
+// may be shared across concurrent runs, so implementations must be safe for
+// concurrent use. They must not block: events are emitted synchronously
+// from the experiment hot path.
 type ProgressFunc func(Event)
 
 // emit invokes fn with ev when fn is non-nil.

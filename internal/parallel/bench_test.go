@@ -81,7 +81,7 @@ func BenchmarkParallelCollect(b *testing.B) {
 	e := Default()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.CollectShards(context.Background(), benchCollectChips, func(shard int) (*core.Counts, error) {
+		if _, err := collectMerged(e, benchCollectChips, func(shard int) (*core.Counts, error) {
 			return collectFromChip(benchChip(uint64(shard + 1)))
 		}); err != nil {
 			b.Fatal(err)
@@ -89,7 +89,7 @@ func BenchmarkParallelCollect(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelRecover times the full multi-chip BEER pipeline on the
+// BenchmarkParallelRecover times the full multi-chip BEER recovery on the
 // engine (discovery + collection fan-out, merged counts, one solve).
 func BenchmarkParallelRecover(b *testing.B) {
 	opts := core.DefaultRecoverOptions()
@@ -99,7 +99,7 @@ func BenchmarkParallelRecover(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		chips := []core.Chip{testChip(b, 200), testChip(b, 201)}
-		rep, err := e.Recover(context.Background(), chips, opts)
+		rep, err := core.Recover(context.Background(), chips, opts, e.ForEach)
 		if err != nil {
 			b.Fatal(err)
 		}

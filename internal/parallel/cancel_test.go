@@ -44,7 +44,7 @@ func TestRecoverCancelMidCollection(t *testing.T) {
 	done := make(chan outcome, 1)
 	start := time.Now()
 	go func() {
-		rep, err := e.Recover(ctx, chips, opts)
+		rep, err := core.Recover(ctx, chips, opts, e.ForEach)
 		done <- outcome{rep, err}
 	}()
 

@@ -22,9 +22,9 @@
 // Entry points: New/Default build or share an engine; ForEach is the
 // scheduling primitive (bounded workers, deterministic lowest-index error,
 // full goroutine join even on cancellation); Simulate/SimulateBatch shard
-// EINSim runs; CollectShards and Recover implement the §6.3 multi-chip
-// merge, with Recover also consulting core.RecoverOptions.SolveCache so
-// same-fingerprint chips skip the SAT solve.
+// EINSim runs. The engine only schedules BEER recovery: core.Recover runs
+// the §6.3 multi-chip fan-out and merge on whatever ForEach it is given,
+// so callers pass Engine.ForEach.
 package parallel
 
 import (
@@ -71,7 +71,9 @@ func (e *Engine) InFlight() int { return int(e.inflight.Load()) }
 
 // Runs counts the sharded computations (ForEach calls) the engine has
 // started over its lifetime — the cumulative companion to the InFlight
-// gauge, exported as the beerd_engine_runs_total metric.
+// gauge, exported as the beerd_engine_runs_total metric. A recovery run
+// through core.Recover counts at least two: its discovery phase plus one
+// or more collect phases.
 func (e *Engine) Runs() int64 { return e.runs.Load() }
 
 var (

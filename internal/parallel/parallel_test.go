@@ -185,6 +185,31 @@ func collectFromChip(chip *ondie.Chip) (*core.Counts, error) {
 	return core.CollectCounts(context.Background(), chip, rows, layout, core.OneCharged(layout.K()), collectOpts())
 }
 
+// collectMerged runs n self-contained collection shards across the
+// engine's worker pool and merges their counts in shard order — the §6.3
+// multi-chip merge core.Recover performs, reduced to its scheduling and
+// merge steps.
+func collectMerged(e *Engine, n int, collect func(shard int) (*core.Counts, error)) (*core.Counts, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("no collection shards")
+	}
+	counts := make([]*core.Counts, n)
+	err := e.ForEach(context.Background(), n, func(i int) error {
+		c, err := collect(i)
+		counts[i] = c
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range counts[1:] {
+		if err := counts[0].Merge(c); err != nil {
+			return nil, err
+		}
+	}
+	return counts[0], nil
+}
+
 // TestCollectShardsWorkerCountIndependent: the same set of chips yields the
 // same merged counts — and therefore the identical miscorrection profile — at
 // 1, 2, and 8 workers.
@@ -197,7 +222,7 @@ func TestCollectShardsWorkerCountIndependent(t *testing.T) {
 		for i := range chips {
 			chips[i] = testChip(t, uint64(100+i))
 		}
-		counts, err := New(workers).CollectShards(context.Background(), shards, func(shard int) (*core.Counts, error) {
+		counts, err := collectMerged(New(workers), shards, func(shard int) (*core.Counts, error) {
 			return collectFromChip(chips[shard])
 		})
 		if err != nil {
@@ -228,10 +253,10 @@ func TestCollectShardsWorkerCountIndependent(t *testing.T) {
 
 func TestCollectShardsErrors(t *testing.T) {
 	e := New(2)
-	if _, err := e.CollectShards(context.Background(), 0, nil); err == nil {
+	if _, err := collectMerged(e, 0, nil); err == nil {
 		t.Fatal("zero shards accepted")
 	}
-	_, err := e.CollectShards(context.Background(), 2, func(shard int) (*core.Counts, error) {
+	_, err := collectMerged(e, 2, func(shard int) (*core.Counts, error) {
 		if shard == 1 {
 			return nil, fmt.Errorf("shard down")
 		}
@@ -242,18 +267,18 @@ func TestCollectShardsErrors(t *testing.T) {
 	}
 }
 
-// TestRecoverMultiChip runs the end-to-end parallel pipeline on several
-// same-model chips and checks it still recovers the ground-truth function,
-// independent of worker count.
+// TestRecoverMultiChip runs the end-to-end recovery on several same-model
+// chips through the engine and checks it still recovers the ground-truth
+// function, with merged counts and profile independent of worker count.
 func TestRecoverMultiChip(t *testing.T) {
 	opts := core.DefaultRecoverOptions()
 	opts.Collect = collectOpts()
 	opts.Collect.Rounds = 3
 
-	var wantProfile *core.Profile
+	var want *core.Report
 	for _, workers := range workerCounts {
 		chips := []core.Chip{testChip(t, 200), testChip(t, 201)}
-		rep, err := New(workers).Recover(context.Background(), chips, opts)
+		rep, err := core.Recover(context.Background(), chips, opts, New(workers).ForEach)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -264,49 +289,56 @@ func TestRecoverMultiChip(t *testing.T) {
 		if !rep.Result.Codes[0].EquivalentTo(truth) {
 			t.Fatalf("workers=%d: recovered wrong function", workers)
 		}
-		if wantProfile == nil {
-			wantProfile = rep.Profile
+		if want == nil {
+			want = rep
 			continue
 		}
-		if !wantProfile.Equal(rep.Profile) {
+		if !reflect.DeepEqual(want.Counts, rep.Counts) {
+			t.Fatalf("workers=%d merged counts differ", workers)
+		}
+		if !want.Profile.Equal(rep.Profile) {
 			t.Fatalf("workers=%d profile differs", workers)
 		}
 	}
 }
 
-// TestRecoverReportStageTimes: the multi-chip report splits its wall time
-// into stages like core.Recover does — discovery is reported, and the three
-// stage times never add up to more than the call took. This is an ordering
+// TestRecoverReportStageTimes: the report splits its wall time into
+// stages the same way on every path — planned and exhaustive, one chip
+// and a fleet. Discovery and collection are reported, and the three stage
+// times never add up to more than the call took. This is an ordering
 // check on the accounting, not a speed assertion.
 func TestRecoverReportStageTimes(t *testing.T) {
-	opts := core.DefaultRecoverOptions()
-	opts.Collect = collectOpts()
-	for _, n := range []int{1, 2} {
-		chips := make([]core.Chip, n)
-		for i := range chips {
-			chips[i] = testChip(t, uint64(400+i))
-		}
-		start := time.Now()
-		rep, err := New(2).Recover(context.Background(), chips, opts)
-		elapsed := time.Since(start)
-		if err != nil {
-			t.Fatalf("%d chips: %v", n, err)
-		}
-		if rep.DiscoveryTime <= 0 {
-			t.Fatalf("%d chips: DiscoveryTime = %v, want > 0", n, rep.DiscoveryTime)
-		}
-		if rep.CollectTime < 0 {
-			t.Fatalf("%d chips: CollectTime = %v, want >= 0", n, rep.CollectTime)
-		}
-		if sum := rep.DiscoveryTime + rep.CollectTime + rep.SolveTime; sum > elapsed {
-			t.Fatalf("%d chips: discovery %v + collect %v + solve %v = %v exceeds the call's %v",
-				n, rep.DiscoveryTime, rep.CollectTime, rep.SolveTime, sum, elapsed)
+	for _, planned := range []bool{false, true} {
+		opts := core.DefaultRecoverOptions()
+		opts.Collect = collectOpts()
+		opts.UsePlanner = planned
+		for _, n := range []int{1, 2} {
+			chips := make([]core.Chip, n)
+			for i := range chips {
+				chips[i] = testChip(t, uint64(400+i))
+			}
+			start := time.Now()
+			rep, err := core.Recover(context.Background(), chips, opts, New(2).ForEach)
+			elapsed := time.Since(start)
+			if err != nil {
+				t.Fatalf("planned=%v, %d chips: %v", planned, n, err)
+			}
+			if rep.DiscoveryTime <= 0 {
+				t.Fatalf("planned=%v, %d chips: DiscoveryTime = %v, want > 0", planned, n, rep.DiscoveryTime)
+			}
+			if rep.CollectTime <= 0 {
+				t.Fatalf("planned=%v, %d chips: CollectTime = %v, want > 0", planned, n, rep.CollectTime)
+			}
+			if sum := rep.DiscoveryTime + rep.CollectTime + rep.SolveTime; sum > elapsed {
+				t.Fatalf("planned=%v, %d chips: discovery %v + collect %v + solve %v = %v exceeds the call's %v",
+					planned, n, rep.DiscoveryTime, rep.CollectTime, rep.SolveTime, sum, elapsed)
+			}
 		}
 	}
 }
 
 func TestRecoverNoChips(t *testing.T) {
-	if _, err := New(1).Recover(context.Background(), nil, core.DefaultRecoverOptions()); err == nil {
+	if _, err := core.Recover(context.Background(), nil, core.DefaultRecoverOptions(), New(1).ForEach); err == nil {
 		t.Fatal("empty chip list accepted")
 	}
 }

@@ -18,7 +18,7 @@ func TestRecoverPlannedMultiChip(t *testing.T) {
 	opts.Collect = collectOpts()
 	opts.Collect.Rounds = 3
 
-	full, err := New(2).Recover(context.Background(), []core.Chip{testChip(t, 200), testChip(t, 201)}, opts)
+	full, err := core.Recover(context.Background(), []core.Chip{testChip(t, 200), testChip(t, 201)}, opts, New(2).ForEach)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestRecoverPlannedMultiChip(t *testing.T) {
 	var wantH string
 	for _, workers := range workerCounts {
 		chips := []core.Chip{testChip(t, 200), testChip(t, 201)}
-		rep, err := New(workers).Recover(context.Background(), chips, opts)
+		rep, err := core.Recover(context.Background(), chips, opts, New(workers).ForEach)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -88,7 +88,7 @@ func TestRecoverPlannedProgressMonotonic(t *testing.T) {
 		}
 	}
 	chips := []core.Chip{testChip(t, 210), testChip(t, 211)}
-	rep, err := New(2).Recover(context.Background(), chips, opts)
+	rep, err := core.Recover(context.Background(), chips, opts, New(2).ForEach)
 	if err != nil {
 		t.Fatal(err)
 	}

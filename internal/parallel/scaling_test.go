@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -36,7 +35,7 @@ func TestCollectBitslicedMatchesScalarEngine(t *testing.T) {
 	for i := range scalarChips {
 		scalarChips[i] = scalarTestChip(t, uint64(300+i))
 	}
-	want, err := New(1).CollectShards(context.Background(), shards, func(shard int) (*core.Counts, error) {
+	want, err := collectMerged(New(1), shards, func(shard int) (*core.Counts, error) {
 		return collectFromChip(scalarChips[shard])
 	})
 	if err != nil {
@@ -47,7 +46,7 @@ func TestCollectBitslicedMatchesScalarEngine(t *testing.T) {
 		for i := range chips {
 			chips[i] = testChip(t, uint64(300+i))
 		}
-		got, err := New(workers).CollectShards(context.Background(), shards, func(shard int) (*core.Counts, error) {
+		got, err := collectMerged(New(workers), shards, func(shard int) (*core.Counts, error) {
 			return collectFromChip(chips[shard])
 		})
 		if err != nil {

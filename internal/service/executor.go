@@ -87,7 +87,7 @@ func (e localExecutor) Prepare(spec JobSpec) (Execution, error) {
 		span.SetAttr("job_id", env.JobID)
 		stages := newStageSpans(e.tracer, span.Context(), chips)
 		// Fold raw pipeline events locally, snapshot after every event.
-		// Events for one run are serialized (see Engine.Recover), so the
+		// Events for one run are serialized (see core.Recover), so the
 		// fold needs no extra ordering; the tracker behind env.Report
 		// handles snapshot/read races.
 		p := &progressState{chips: chips}

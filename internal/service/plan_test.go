@@ -84,3 +84,33 @@ func TestPlanRejectsAntiRows(t *testing.T) {
 		t.Fatalf("plan+anti submit: %s: %s", resp.Status, body)
 	}
 }
+
+// TestPlanMultiChipFinishesCollect: a planned fleet job must report every
+// stage finished. Each chip sends its own collect-Done event, and the
+// status fold marks collection done once all chips have.
+func TestPlanMultiChipFinishesCollect(t *testing.T) {
+	_, ts := newTestServer(t)
+	resp, body := do(t, http.MethodPost, ts.URL+"/api/v1/jobs", JobSpec{
+		Type:         "recover",
+		Manufacturer: "B",
+		K:            16,
+		Seed:         7,
+		Chips:        2,
+		Plan:         true,
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %s: %s", resp.Status, body)
+	}
+	st := waitTerminal(t, ts.URL, decode[JobStatus](t, body).ID)
+	if st.State != StateSucceeded {
+		t.Fatalf("job finished %s: %s", st.State, st.Error)
+	}
+	p := st.Progress
+	if !p.Discover.Done || !p.Collect.Done || !p.Solve.Done {
+		t.Fatalf("finished planned fleet job reports unfinished stages: discover=%+v collect=%+v solve=%+v",
+			p.Discover, p.Collect, p.Solve)
+	}
+	if p.Collect.Count == 0 || p.Collect.Count != p.Collect.Total {
+		t.Fatalf("collect progress %+v, want every pass counted", p.Collect)
+	}
+}

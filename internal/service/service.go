@@ -798,7 +798,7 @@ func (s *Server) stateCounts() map[string]int {
 // ever increase, so a poller observing two status snapshots can assert the
 // later one is at least as far along (the beerd smoke test does exactly
 // that). One instance is shared by all chips of a job; events arrive
-// serialized per run (see Engine.Recover) but snapshot reads race with
+// serialized per run (see core.Recover) but snapshot reads race with
 // writes, hence the mutex.
 type progressState struct {
 	mu      sync.Mutex

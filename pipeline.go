@@ -335,8 +335,8 @@ func (p *Pipeline) RecoverOptions() RecoverOptions { return p.recover }
 // same-model chips: discover the cell and dataword layouts, collect a
 // miscorrection profile with crafted test patterns over the refresh-window
 // sweep, filter it, and solve for the ECC function with the uniqueness
-// check. Multiple chips fan out one-per-worker and their observation counts
-// merge before a single solve (§6.3).
+// check. Multiple chips fan out one-per-worker on the pipeline's engine and
+// their observation counts merge before a single solve (§6.3).
 //
 // Cancelling ctx returns ctx.Err() within one collection round; progress is
 // reported via WithProgress.
@@ -344,14 +344,7 @@ func (p *Pipeline) Recover(ctx context.Context, chips ...Chip) (*Report, error) 
 	if len(chips) == 0 {
 		return nil, fmt.Errorf("repro: Recover needs at least one chip")
 	}
-	return p.engine.Recover(ctx, chips, p.recover)
-}
-
-// Observe runs only the experimental front half of recovery against one chip
-// (discovery + raw profile collection), leaving thresholding and solving to
-// the caller — the building block for custom multi-chip aggregation.
-func (p *Pipeline) Observe(ctx context.Context, chip Chip) (*core.ChipObservations, error) {
-	return core.Observe(ctx, chip, p.recover)
+	return core.Recover(ctx, chips, p.recover, p.engine.ForEach)
 }
 
 // Solve searches for every ECC function consistent with a miscorrection

@@ -286,7 +286,7 @@ func FastRecovery() RecoverOptions {
 // — it adds cancellation, progress reporting (WithProgress) and multi-chip
 // fan-out. This shim runs with context.Background() (uncancellable).
 func RecoverECCFunction(chip Chip, opts RecoverOptions) (*Report, error) {
-	return core.Recover(context.Background(), chip, opts)
+	return core.Recover(context.Background(), []Chip{chip}, opts, nil)
 }
 
 // RecoverECCFunctionParallel runs the complete BEER methodology against
@@ -295,7 +295,7 @@ func RecoverECCFunction(chip Chip, opts RecoverOptions) (*Report, error) {
 // Deprecated: Use NewPipeline(WithRecoverOptions(opts)).Recover(ctx,
 // chips...). This shim runs with context.Background() (uncancellable).
 func RecoverECCFunctionParallel(chips []Chip, opts RecoverOptions) (*Report, error) {
-	return parallel.Default().Recover(context.Background(), chips, opts)
+	return core.Recover(context.Background(), chips, opts, parallel.Default().ForEach)
 }
 
 // SolveProfile searches for every ECC function consistent with a
