@@ -8,7 +8,7 @@ GO ?= go
 # the file this expands to, so bench jobs no longer need per-PR edits.
 BENCH_TAG ?= pr6
 
-.PHONY: all build test lint bench bench-baseline bench-gate serve-bench serve-bench-gate fuzz-smoke fmt serve-smoke cluster-smoke solver-regression
+.PHONY: all build test lint bench bench-baseline bench-gate serve-bench serve-bench-gate fuzz-smoke fmt serve-smoke cluster-smoke solver-regression golden
 
 all: build lint test
 
@@ -100,6 +100,12 @@ serve-smoke:
 # invocations (see internal/cluster/smoke.go).
 cluster-smoke:
 	$(GO) run ./cmd/beerd -clustercheck -clustercheck-jobs 8
+
+# Regenerate the recovery-matrix golden file (testdata/recovery_golden.json)
+# from the current code. This is the only way to change it: a changed golden
+# is a behaviour change and has to be argued in CHANGES.md.
+golden:
+	$(GO) test -run TestRecoveryGolden . -update
 
 fmt:
 	gofmt -w .
