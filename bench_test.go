@@ -405,7 +405,7 @@ func benchNoisyRecover(b *testing.B, model *noise.Model) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.SolveNoisy(context.Background(), prof, opts)
+		res, err := core.Solve(context.Background(), prof, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -223,14 +223,33 @@ func main() {
 	}
 
 	if *verify {
-		truth := chip.GroundTruthCode()
-		if rep.Result.Codes[0].EquivalentTo(truth) {
-			fmt.Println("\nVERIFY: matches the chip's secret ECC function (up to parity relabeling)")
-		} else {
-			fmt.Println("\nVERIFY: MISMATCH against ground truth")
+		line, ok := verifyLine(rep.Result, chip.GroundTruthCode())
+		fmt.Println("\n" + line)
+		if !ok {
 			os.Exit(1)
 		}
 	}
+}
+
+// verifyLine checks the recovered candidates against the chip's ground
+// truth and returns the VERIFY line to print. A unique result either
+// matches or not; otherwise the line names the candidate that is the ground
+// truth, or says none is. ok is true exactly when the first candidate, the
+// one printed and exported, matches.
+func verifyLine(res *repro.SolveResult, truth *repro.Code) (line string, ok bool) {
+	ok = len(res.Codes) > 0 && res.Codes[0].EquivalentTo(truth)
+	if res.Unique {
+		if ok {
+			return "VERIFY: matches the chip's secret ECC function (up to parity relabeling)", true
+		}
+		return "VERIFY: MISMATCH against ground truth", false
+	}
+	for i, c := range res.Codes {
+		if c.EquivalentTo(truth) {
+			return fmt.Sprintf("VERIFY: ground truth is candidate %d of %d", i+1, len(res.Codes)), ok
+		}
+	}
+	return fmt.Sprintf("VERIFY: MISMATCH: ground truth is none of the %d candidates", len(res.Codes)), ok
 }
 
 // printProgress renders one pipeline event as a live status line on stderr.

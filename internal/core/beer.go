@@ -29,8 +29,9 @@ type RecoverOptions struct {
 	// UsePlanner replaces the exhaustive pattern sweep with the adaptive
 	// planner (see Planner): collection proceeds in batches that feed a
 	// persistent incremental solver, and stops the moment the ECC function
-	// is uniquely determined or the Plan budget is hit. Incompatible with
-	// UseAntiRows (the planner schedules true-cell patterns only).
+	// is uniquely determined or the Plan budget is hit. Recover rejects it
+	// combined with UseAntiRows (the planner schedules true-cell patterns
+	// only) and with noisy solving (Solve.Noisy or PerturbProfile).
 	UsePlanner bool
 	// Plan tunes the adaptive planner (batch size, pattern budget).
 	Plan PlanOptions
@@ -56,7 +57,7 @@ type RecoverOptions struct {
 	// the solve stage — the injection point for probabilistic observation
 	// models (internal/noise installs per-bit Bernoulli FP-injection /
 	// TP-dropout perturbation here). Recover applies it after count
-	// merging and thresholding; the planner path does not support it (the
+	// merging and thresholding; Recover rejects it with UsePlanner (the
 	// planner's solver consumes entries as collected).
 	PerturbProfile func(*Profile) *Profile
 	// Progress, when set, receives pipeline events: stage entries and
@@ -153,6 +154,9 @@ func Recover(ctx context.Context, chips []Chip, opts RecoverOptions, forEach For
 	}
 	if opts.UsePlanner && opts.UseAntiRows {
 		return nil, fmt.Errorf("core: the adaptive planner does not support anti-cell collection")
+	}
+	if opts.UsePlanner && (opts.Solve.Noisy != nil || opts.PerturbProfile != nil) {
+		return nil, fmt.Errorf("core: the adaptive planner does not support noisy solving or profile perturbation")
 	}
 	if forEach == nil {
 		forEach = serialForEach
@@ -432,25 +436,21 @@ func discoverChip(chip Chip, opts RecoverOptions) (classes [][]CellClass, rows [
 
 // SolveStage runs the solve stage of Recover: consult the SolveCache (if
 // any) for a result under the profile's canonical hash, otherwise run Solve
-// (SolveNoisy when Solve.Noisy is set) and offer the result back. A cache
-// hit replays the original Result — including its recorded solver timings
-// — without any SAT invocation; the surrounding Report's SolveTime then
-// measures only the lookup. Shared by Recover and Pipeline.Solve, so every
-// exact solve takes the same path and single-chip and multi-chip runs hit
-// the same registry.
+// and offer the result back. A cache hit replays the original Result —
+// including its recorded solver timings — without any SAT invocation; the
+// surrounding Report's SolveTime then measures only the lookup. Shared by
+// Recover and Pipeline.Solve, so every solve takes the same path and
+// single-chip and multi-chip runs hit the same registry. Noisy solves
+// (Solve.Noisy) neither consult nor feed the cache: its key is the profile
+// hash alone, and a noisy result also depends on the drop budget and the
+// entry-support scores.
 func SolveStage(ctx context.Context, profile *Profile, opts RecoverOptions) (*Result, error) {
+	cache := opts.SolveCache
 	if opts.Solve.Noisy != nil {
-		// Noisy solves neither consult nor feed the SolveCache: the cache
-		// key is the profile hash alone, and a noisy result additionally
-		// depends on the drop budget and entry-support scores.
-		solveOpts := opts.Solve
-		if solveOpts.Progress == nil {
-			solveOpts.Progress = opts.Progress
-		}
-		return SolveNoisy(ctx, profile, solveOpts)
+		cache = nil
 	}
-	if opts.SolveCache != nil {
-		if res, ok := opts.SolveCache.Lookup(profile); ok {
+	if cache != nil {
+		if res, ok := cache.Lookup(profile); ok {
 			opts.Progress.emit(Event{Stage: StageSolve, Candidates: len(res.Codes)})
 			return res, nil
 		}
@@ -463,8 +463,8 @@ func SolveStage(ctx context.Context, profile *Profile, opts RecoverOptions) (*Re
 	if err != nil {
 		return nil, err
 	}
-	if opts.SolveCache != nil {
-		opts.SolveCache.Store(profile, res)
+	if cache != nil {
+		cache.Store(profile, res)
 	}
 	return res, nil
 }

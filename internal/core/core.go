@@ -26,8 +26,9 @@
 // against one chip or a same-model fleet, exhaustive or (with
 // RecoverOptions.UsePlanner) the adaptive collect↔solve loop; its
 // ForEachFunc argument supplies the per-chip fan-out (internal/parallel's
-// Engine.ForEach, or a serial loop); Solve/SolveSession are the one exact,
-// deferred-encoding solve engine (SolveEager is its eager test reference);
+// Engine.ForEach, or a serial loop); Solve/SolveSession are the one solve
+// engine — exact with deferred encoding, or noisy in guarded mode with
+// SolveOptions.Noisy (SolveEager is the exact mode's eager test reference);
 // Planner interleaves collection with solving and stops at uniqueness;
 // SolveStage is the cache-aware solve of Recover's exhaustive path.
 // Profile.Canonical/Profile.Hash define the profile's content address —

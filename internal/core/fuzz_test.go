@@ -56,7 +56,7 @@ func FuzzNoisyRecover(f *testing.F) {
 			MaxSolutions: 4, // bound enumeration: heavy drops under-determine the code
 			Noisy:        &NoisyOptions{MaxDrop: maxDrop},
 		}
-		res, err := SolveNoisy(context.Background(), prof, opts)
+		res, err := Solve(context.Background(), prof, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,7 +29,7 @@ func TestNoisyMatchesExactOnCleanProfile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			noisy, err := SolveNoisy(ctx, full, noisyOpts)
+			noisy, err := Solve(ctx, full, noisyOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,7 +60,7 @@ func TestNoisyMatchesExactOnCleanProfile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			noisy1, err := SolveNoisy(ctx, part, noisyOpts)
+			noisy1, err := Solve(ctx, part, noisyOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +91,7 @@ func TestNoisyMatchesExactOnCleanProfile(t *testing.T) {
 			bad.Entries = append(bad.Entries, Entry{Pattern: flip.Pattern, Possible: flipped})
 			strict := opts
 			strict.Noisy = &NoisyOptions{MaxDrop: 0}
-			noisyU, err := SolveNoisy(ctx, bad, strict)
+			noisyU, err := Solve(ctx, bad, strict)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,7 +177,7 @@ func TestNoisyDropKRecoversFromFalsePositives(t *testing.T) {
 		MaxSolutions: -1, // dropping entries under-determines the code; enumerate all survivors
 		Noisy:        &NoisyOptions{MaxDrop: 2 * fps, Support: support},
 	}
-	res, err := SolveNoisy(ctx, corruptedProf, opts)
+	res, err := Solve(ctx, corruptedProf, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestNoisyNeverDropsAtZeroBudget(t *testing.T) {
 	prof := ExactProfile(code, Set1.Patterns(k))
 	corruptedProf, _ := injectFalsePositives(t, prof, 2, rng)
 
-	res, err := SolveNoisy(ctx, corruptedProf, SolveOptions{
+	res, err := Solve(ctx, corruptedProf, SolveOptions{
 		ParityBits: code.ParityBits(),
 		Noisy:      &NoisyOptions{MaxDrop: 0},
 	})
@@ -246,5 +246,62 @@ func TestNoisyNeverDropsAtZeroBudget(t *testing.T) {
 	}
 	if res.Noise.Confidence != 0 {
 		t.Fatalf("confidence %v on a failed recovery, want 0", res.Noise.Confidence)
+	}
+}
+
+// TestNoisyProgressEvents pins the guarded solve's event stream: one
+// 0-candidate event per retraction, carrying the dropped count so far,
+// then one event per candidate with the final dropped count and the
+// confidence in the candidates so far. Exact solves leave both fields zero.
+func TestNoisyProgressEvents(t *testing.T) {
+	ctx := context.Background()
+	const k = 16
+	rng := rand.New(rand.NewPCG(2, 9))
+	code := ecc.RandomHamming(k, rng)
+	prof := ExactProfile(code, Set1.Patterns(k))
+	corruptedProf, _ := injectFalsePositives(t, prof, 2, rng)
+
+	var events []Event
+	res, err := Solve(ctx, corruptedProf, SolveOptions{
+		ParityBits:   code.ParityBits(),
+		MaxSolutions: 3,
+		Noisy:        &NoisyOptions{MaxDrop: -1},
+		Progress:     func(ev Event) { events = append(events, ev) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped := res.Noise.Dropped
+	if dropped == 0 || len(res.Codes) == 0 {
+		t.Fatalf("want a relaxed recovery, got %d codes after %d drops", len(res.Codes), dropped)
+	}
+	if len(events) != dropped+len(res.Codes) {
+		t.Fatalf("%d events for %d retractions and %d candidates", len(events), dropped, len(res.Codes))
+	}
+	retained := float64(res.Noise.Retained) / float64(res.Noise.Total)
+	for i, ev := range events {
+		want := Event{Stage: StageSolve, DroppedEntries: i + 1}
+		if i >= dropped {
+			n := i - dropped + 1
+			want = Event{Stage: StageSolve, Candidates: n, DroppedEntries: dropped, Confidence: retained / float64(n)}
+		}
+		if ev.Stage != want.Stage || ev.Candidates != want.Candidates ||
+			ev.DroppedEntries != want.DroppedEntries || ev.Confidence != want.Confidence {
+			t.Fatalf("event %d: got %+v, want candidates=%d dropped=%d confidence=%v",
+				i, ev, want.Candidates, want.DroppedEntries, want.Confidence)
+		}
+	}
+
+	events = nil
+	if _, err := Solve(ctx, prof, SolveOptions{
+		ParityBits: code.ParityBits(),
+		Progress:   func(ev Event) { events = append(events, ev) },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, ev := range events {
+		if ev.DroppedEntries != 0 || ev.Confidence != 0 {
+			t.Fatalf("exact solve event %d carries noise fields: %+v", i, ev)
+		}
 	}
 }

@@ -212,3 +212,43 @@ func TestRecoverPlannedRejectsAntiRows(t *testing.T) {
 		t.Fatal("planner + anti rows did not error")
 	}
 }
+
+// touchCounter is a Chip that counts row reads and writes.
+type touchCounter struct {
+	core.Chip
+	touches int
+}
+
+func (c *touchCounter) ReadRow(bank, row int) []byte {
+	c.touches++
+	return c.Chip.ReadRow(bank, row)
+}
+
+func (c *touchCounter) WriteRow(bank, row int, data []byte) {
+	c.touches++
+	c.Chip.WriteRow(bank, row, data)
+}
+
+// TestRecoverPlannedRejectsNoise: the planner feeds entries as they are
+// collected, so neither a noisy solve nor a profile perturbation has a
+// defined meaning on its path. Recover must refuse both before touching a
+// chip rather than silently run the exact planner.
+func TestRecoverPlannedRejectsNoise(t *testing.T) {
+	for name, set := range map[string]func(*core.RecoverOptions){
+		"noisy":   func(o *core.RecoverOptions) { o.Solve.Noisy = &core.NoisyOptions{MaxDrop: -1} },
+		"perturb": func(o *core.RecoverOptions) { o.PerturbProfile = func(p *core.Profile) *core.Profile { return p } },
+	} {
+		t.Run(name, func(t *testing.T) {
+			opts := core.DefaultRecoverOptions()
+			opts.UsePlanner = true
+			set(&opts)
+			chip := &touchCounter{Chip: testChip(t, ondie.MfrB, 64, 0)}
+			if _, err := core.Recover(context.Background(), []core.Chip{chip}, opts, nil); err == nil {
+				t.Fatal("planner + noise did not error")
+			}
+			if chip.touches != 0 {
+				t.Fatalf("rejected run touched the chip %d times", chip.touches)
+			}
+		})
+	}
+}

@@ -75,7 +75,7 @@ type Event struct {
 	// outside planner runs).
 	PatternsUsed, PatternsPlanned int
 	// DroppedEntries reports noisy-recovery progress (StageSolve events
-	// from a NoisySolveSession): how many profile entries the drop-k
+	// of a guarded-mode solve): how many profile entries the drop-k
 	// relaxation has retracted so far. Monotonic within a run; zero on
 	// exact solves.
 	DroppedEntries int

@@ -27,12 +27,12 @@ type SolveOptions struct {
 	// engine; sat.NewDimacs gives an engine that additionally records the
 	// CNF for export to external solvers.
 	Backend func() sat.Backend
-	// Noisy, when set, routes the solve through the noise-tolerant
-	// NoisySolveSession (see noisy.go): every profile entry becomes
-	// retractable behind a guard literal and a drop-k relaxation loop
-	// retracts the least-supported entries of successive UNSAT cores until
-	// a code is found (or the drop budget is spent). Nil keeps the exact
-	// path, which treats every entry as ground truth.
+	// Noisy, when set, runs the solve session in guarded mode (see
+	// noisy.go): every profile entry becomes retractable behind a guard
+	// literal, and before the first model a drop-k relaxation retracts the
+	// least-supported entries of successive UNSAT cores until a code is
+	// found (or the drop budget is spent). Nil keeps the exact mode, which
+	// treats every entry as ground truth.
 	Noisy *NoisyOptions
 	// Progress, when set, receives a StageSolve event each time the search
 	// finds another candidate code (with the run's cumulative solver
@@ -109,7 +109,7 @@ type encoder struct {
 	// the entry encoders assert (see assert): the clause holds only when
 	// the guard literal is true, so assuming the guard activates the entry
 	// and leaving it unassumed retracts it — the retractable-constraint
-	// primitive NoisySolveSession's drop-k relaxation is built on. Tseitin
+	// primitive the solve session's guarded mode is built on. Tseitin
 	// definitional clauses stay unguarded: they only define auxiliary
 	// variables and are satisfiable under any P assignment, so sharing them
 	// across entries (sigma, rowParity) remains sound.

@@ -80,7 +80,7 @@ const (
 	// probability Config.BitFailProb[i], regardless of value — HARP's
 	// per-bit Bernoulli error model. Heterogeneous per-bit rates produce the
 	// uneven miscorrection-observation counts that the noisy recovery path
-	// (internal/noise, core.SolveNoisy) is built for.
+	// (internal/noise, core.Solve with SolveOptions.Noisy) is built for.
 	ModelPerBitBernoulli
 )
 

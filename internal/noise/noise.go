@@ -16,7 +16,7 @@
 // recovery path — the generator counterpart is einsim's
 // ModelPerBitBernoulli, which injects such errors during Monte-Carlo
 // simulation). SupportFromCounts scores each profile entry's observation
-// support so the drop-k relaxation in core (NoisySolveSession) retracts
+// support so the drop-k relaxation in core (SolveOptions.Noisy) retracts
 // the weakest-supported entries of an UNSAT core first.
 package noise
 

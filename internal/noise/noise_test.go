@@ -193,7 +193,7 @@ func TestPerturbThenNoisySolveRecovers(t *testing.T) {
 	for _, i := range touched {
 		support[i] = 0.2
 	}
-	res, err := core.SolveNoisy(context.Background(), corrupted, core.SolveOptions{
+	res, err := core.Solve(context.Background(), corrupted, core.SolveOptions{
 		ParityBits:   code.ParityBits(),
 		MaxSolutions: -1,
 		Noisy:        &core.NoisyOptions{MaxDrop: -1, Support: support},

@@ -292,12 +292,13 @@ func WithRecoverOptions(opts RecoverOptions) Option {
 
 // WithNoiseModel perturbs the collected miscorrection profile with a
 // per-bit Bernoulli observation-error model (HARP-style false-positive
-// injection and true-positive dropout) before solving, and routes the solve
-// through the noise-tolerant drop-k engine (core.SolveNoisy) with an
-// unlimited drop budget unless WithMaxDrop narrows it. A zero model leaves
-// the profile untouched but still exercises the noisy path — useful to
-// confirm the confidence-1.0 differential property on clean hardware. The
-// adaptive planner (WithPlanner) does not support profile perturbation.
+// injection and true-positive dropout) before solving, and sets
+// core.SolveOptions.Noisy so the solve session runs the drop-k relaxation
+// in guarded mode, with an unlimited drop budget unless WithMaxDrop narrows
+// it. A zero model leaves the profile untouched but still exercises the
+// noisy path — useful to confirm the confidence-1.0 differential property
+// on clean hardware. Recover rejects it combined with the adaptive planner
+// (WithPlanner).
 func WithNoiseModel(m NoiseModel) Option {
 	return func(p *Pipeline) {
 		p.recover.PerturbProfile = m.Perturber()

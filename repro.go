@@ -34,8 +34,8 @@
 // streams stage/round/candidate events to the caller (the CLIs and the beerd
 // job service consume them for live status).
 //
-// The pre-Pipeline one-shot helpers (RecoverECCFunction, SolveProfile,
-// ProfileWord, Simulate, ...) remain as thin deprecated shims that run with
+// The pre-Pipeline one-shot helpers (RecoverECCFunction, ProfileWord,
+// Simulate, ...) remain as thin deprecated shims that run with
 // context.Background(); see README.md for the migration table.
 //
 // See examples/ for complete programs and DESIGN.md for the experiment map.
@@ -296,17 +296,6 @@ func RecoverECCFunction(chip Chip, opts RecoverOptions) (*Report, error) {
 // chips...). This shim runs with context.Background() (uncancellable).
 func RecoverECCFunctionParallel(chips []Chip, opts RecoverOptions) (*Report, error) {
 	return core.Recover(context.Background(), chips, opts, parallel.Default().ForEach)
-}
-
-// SolveProfile searches for every ECC function consistent with a
-// miscorrection profile (paper §5.3).
-//
-// Deprecated: Use NewPipeline(WithParityBits(opts.ParityBits),
-// WithMaxSolutions(opts.MaxSolutions),
-// WithSolveBudget(opts.MaxConflicts)).Solve(ctx, profile), which supports
-// cancellation mid-search. This shim runs with context.Background().
-func SolveProfile(p *Profile, opts core.SolveOptions) (*SolveResult, error) {
-	return core.Solve(context.Background(), p, opts)
 }
 
 // ProfileWord runs BEEP (paper §7.1) against one testable ECC word using a

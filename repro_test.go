@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro"
-	"repro/internal/core"
 	"repro/internal/einsim"
 )
 
@@ -43,7 +42,7 @@ func TestFacadeCodeHelpers(t *testing.T) {
 func TestFacadeProfileAndSolve(t *testing.T) {
 	code := repro.NewHammingCode(11, 7) // full-length (15,11)
 	prof := repro.ExactProfile(code, repro.OneChargedPatterns(11))
-	res, err := repro.SolveProfile(prof, core.SolveOptions{ParityBits: code.ParityBits()})
+	res, err := repro.NewPipeline(repro.WithParityBits(code.ParityBits())).Solve(context.Background(), prof)
 	if err != nil {
 		t.Fatal(err)
 	}
