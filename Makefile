@@ -68,15 +68,17 @@ serve-bench-gate:
 	@rm -f serve-bench.json
 
 # Short coverage-guided fuzz smoke of the SAT solver core, the CNF builder,
-# the bitsliced-vs-scalar ECC differential, and the noisy drop-k solver's
-# recovery-or-clean-UNSAT contract (seed corpora committed under
-# internal/*/testdata/fuzz). CI runs the same four commands.
+# the bitsliced-vs-scalar ECC differential, the noisy drop-k solver's
+# recovery-or-clean-UNSAT contract, the DIMACS round trip and the
+# simulated-read-vs-reference differential (seed corpora committed under
+# internal/*/testdata/fuzz). CI runs the same commands.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSolver -fuzztime 15s ./internal/sat
 	$(GO) test -run '^$$' -fuzz FuzzCNFBuilder -fuzztime 15s ./internal/sat
 	$(GO) test -run '^$$' -fuzz FuzzBitsliced -fuzztime 15s ./internal/ecc
 	$(GO) test -run '^$$' -fuzz FuzzNoisyRecover -fuzztime 15s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDimacsRoundTrip -fuzztime 15s ./internal/sat
+	$(GO) test -run '^$$' -fuzz FuzzReadRowExact -fuzztime 15s ./internal/dram
 
 # Graded SATLIB regression suite (internal/sat/satlib): the committed
 # uf20/uf50/uuf50 + BEER-formula corpus solved under per-grade conflict

@@ -33,6 +33,12 @@ var recoveryMatrix = []string{
 	"-mfr B -k 16 -chips 2 -noise fp=0.002",
 	"-mfr A -k 24 -chips 2 -workers 1",
 	"-mfr C -k 16 -chips 2 -anti",
+	// Boundary fleets: k=24 two-chip profiles that fit no code. They are the
+	// first outcomes to flip when a single simulated read changes.
+	"-mfr B -k 24 -chips 2 -seed 1946690528116488080",
+	"-mfr B -k 24 -chips 2 -seed 2799982268002373081",
+	"-mfr B -k 24 -chips 2 -seed 2351806912278537374",
+	"-mfr A -k 24 -chips 2 -seed 1256848075078949514",
 }
 
 // goldenRecovery is the timing-free outcome of one recovery: the frozen
@@ -50,7 +56,7 @@ type goldenRecovery struct {
 }
 
 // pipelineFor builds the chips and pipeline cmd/beer builds for args, with
-// the CLI's defaults for every flag the matrix leaves out (seed 1, 48-minute
+// the CLI's defaults for every flag the matrix leaves out (-seed 1, 48-minute
 // window sweep, 3 rounds, {1,2}-CHARGED patterns, unlimited drop budget).
 func pipelineFor(args string) ([]repro.Chip, *repro.Pipeline, error) {
 	fs := flag.NewFlagSet("beer", flag.ContinueOnError)
@@ -61,6 +67,7 @@ func pipelineFor(args string) ([]repro.Chip, *repro.Pipeline, error) {
 	anti := fs.Bool("anti", false, "")
 	plan := fs.Bool("plan", false, "")
 	noiseArg := fs.String("noise", "", "")
+	seed := fs.Uint64("seed", 1, "")
 	if err := fs.Parse(strings.Fields(args)); err != nil {
 		return nil, nil, err
 	}
@@ -88,7 +95,7 @@ func pipelineFor(args string) ([]repro.Chip, *repro.Pipeline, error) {
 		model := repro.NoiseModel{FP: fp, Seed: 1}
 		opts = append(opts, repro.WithNoiseModel(model), repro.WithMaxDrop(-1))
 	}
-	return repro.SimulatedChips(repro.Manufacturer(*mfr), *k, *chips, 1), repro.NewPipeline(opts...), nil
+	return repro.SimulatedChips(repro.Manufacturer(*mfr), *k, *chips, *seed), repro.NewPipeline(opts...), nil
 }
 
 // TestRecoveryGolden runs the recovery matrix in-process and compares each

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -27,11 +28,13 @@ func TestVRTJitterBound(t *testing.T) {
 	}
 }
 
-// referenceRead recomputes a row read the way the pre-fast-path code did:
-// every charged cell evaluates its full jittered retention time. readCounter
-// is the value the chip used for that read.
+// referenceRead recomputes a row read the straightforward way, under the
+// chip's own retention model: every charged cell evaluates its full
+// jittered retention time, then the row's cell type maps charges to bits.
+// readCounter is the value the chip used for that read. Transient noise is
+// not modelled; callers use chips without it.
 func referenceRead(c *Chip, bank, row int, charges gf2.Vec, exposure float64, readCounter uint64) gf2.Vec {
-	m := DefaultRetention()
+	m := c.cfg.Retention
 	out := charges.Clone()
 	if exposure > 0 {
 		for _, i := range charges.Support() {
@@ -46,38 +49,188 @@ func referenceRead(c *Chip, bank, row int, charges gf2.Vec, exposure float64, re
 			}
 		}
 	}
+	if c.CellTypeOf(bank, row) == AntiCell {
+		invert(out)
+	}
 	return out
 }
 
-// TestReadRowFastPathExact holds the banded fast path bit-identical to the
+// checkRead reads one row and compares it with referenceRead.
+func checkRead(t testing.TB, c *Chip, bank, row int, what string) {
+	t.Helper()
+	st := &c.rows[bank][row]
+	exposure := c.thermalSeconds - st.writeStamp
+	charges := st.charges.Clone()
+	got := c.ReadRow(bank, row)
+	if want := referenceRead(c, bank, row, charges, exposure, c.readCounter); !got.Equal(want) {
+		t.Fatalf("%s: read of (%d,%d) at exposure %v (read %d) diverges from the reference",
+			what, bank, row, exposure, c.readCounter)
+	}
+}
+
+// TestReadRowFastPathExact holds the fast path bit-identical to the
 // straightforward per-cell jitter evaluation across many reads and decay
 // windows (including heavy-decay ones where most cells sit far outside the
-// jitter band).
+// jitter band), for jitter off, the default jitter and heavy jitter, at
+// several temperatures.
 func TestReadRowFastPathExact(t *testing.T) {
-	c := New(Config{Banks: 1, Rows: 4, CellsPerRow: 256, Seed: 0xfa57})
-	rng := rand.New(rand.NewPCG(5, 6))
-	written := make([]gf2.Vec, 4)
-	for r := range written {
-		v := gf2.NewVec(256)
-		for i := 0; i < 256; i++ {
-			v.Set(i, rng.IntN(4) != 0)
+	for _, sigma := range []float64{0, 0.02, 0.5} {
+		for _, tempC := range []float64{45, 80, 95} {
+			t.Run(fmt.Sprintf("vrt=%v/temp=%v", sigma, tempC), func(t *testing.T) {
+				m := DefaultRetention()
+				m.VRTSigmaLog = sigma
+				c := New(Config{Banks: 1, Rows: 4, CellsPerRow: 256, Seed: 0xfa57, Retention: m})
+				c.SetTemperature(tempC)
+				rng := rand.New(rand.NewPCG(5, 6))
+				for r := 0; r < 4; r++ {
+					v := gf2.NewVec(256)
+					for i := 0; i < 256; i++ {
+						v.Set(i, rng.IntN(4) != 0)
+					}
+					c.WriteRow(0, r, v)
+				}
+				for _, pause := range []time.Duration{0, time.Minute, 10 * time.Minute, 3 * time.Hour, 48 * time.Hour} {
+					c.PauseRefresh(pause)
+					for r := 0; r < 4; r++ {
+						for rep := 0; rep < 5; rep++ {
+							checkRead(t, c, 0, r, fmt.Sprintf("pause %v rep %d", pause, rep))
+						}
+					}
+				}
+			})
 		}
-		written[r] = v
-		c.WriteRow(0, r, v)
 	}
-	for _, pause := range []time.Duration{0, time.Minute, 10 * time.Minute, 3 * time.Hour, 48 * time.Hour} {
-		c.PauseRefresh(pause)
-		for r := 0; r < 4; r++ {
-			for rep := 0; rep < 5; rep++ {
-				exposure := c.thermalSeconds - c.rows[0][r].writeStamp
-				got := c.ReadRow(0, r)
-				want := referenceRead(c, 0, r, c.rows[0][r].charges, exposure, c.readCounter)
-				if !got.Equal(want) {
-					t.Fatalf("pause %v row %d rep %d: fast path diverges from reference", pause, r, rep)
+}
+
+// TestReadRowExactAtRetentionBoundary sets the decay exposure exactly on,
+// and one ulp either side of, a charged cell's retention time — both the
+// fixed retention time and the jittered one the next read will draw — where
+// any approximation in the decay verdict would show.
+func TestReadRowExactAtRetentionBoundary(t *testing.T) {
+	for _, sigma := range []float64{0, 0.02, 0.5} {
+		m := DefaultRetention()
+		m.VRTSigmaLog = sigma
+		c := New(Config{Banks: 1, Rows: 2, CellsPerRow: 200, Seed: 0xb0b, Retention: m})
+		ones := gf2.NewVec(200)
+		for i := 0; i < 200; i++ {
+			ones.Set(i, true)
+		}
+		for row := 0; row < 2; row++ {
+			for cell := 0; cell < 200; cell += 7 {
+				tRet := c.RetentionSecondsOf(0, row, cell)
+				h := stats.HashN(c.cfg.Seed, 0, uint64(row), uint64(cell))
+				for _, base := range []float64{tRet, 0} {
+					for _, step := range []float64{-1, 0, 1} {
+						c.thermalSeconds = 0
+						c.WriteRow(0, row, ones)
+						e := base
+						if base == 0 {
+							// The jittered retention time of the read about
+							// to happen.
+							f := math.Exp(sigma * stats.NormalInv(stats.Uniform01(stats.HashN(h, c.readCounter+1))))
+							e = tRet * f
+						}
+						switch step {
+						case -1:
+							e = math.Nextafter(e, 0)
+						case 1:
+							e = math.Nextafter(e, math.Inf(1))
+						}
+						c.thermalSeconds = e
+						checkRead(t, c, 0, row, fmt.Sprintf("vrt %v cell %d exposure %v", sigma, cell, e))
+					}
 				}
 			}
 		}
 	}
+}
+
+// TestRefreshAllMatchesRetentionRule holds RefreshAll to the plain rule: a
+// charged cell is discharged exactly when its fixed retention time is below
+// the row's exposure (no jitter), across refresh cycles and both cell types.
+func TestRefreshAllMatchesRetentionRule(t *testing.T) {
+	for _, sigma := range []float64{0, 0.02, 0.5} {
+		m := DefaultRetention()
+		m.VRTSigmaLog = sigma
+		c := New(Config{Banks: 2, Rows: 6, CellsPerRow: 150, Seed: 0x5eed, Retention: m, Layout: BlockLayout(2, 1)})
+		rng := rand.New(rand.NewPCG(7, 8))
+		for b := 0; b < 2; b++ {
+			for r := 0; r < 5; r++ { // row 5 stays unwritten
+				v := gf2.NewVec(150)
+				for i := 0; i < 150; i++ {
+					v.Set(i, rng.IntN(3) != 0)
+				}
+				c.WriteRow(b, r, v)
+			}
+		}
+		for _, pause := range []time.Duration{0, 20 * time.Minute, 40 * time.Minute, 3 * time.Hour} {
+			c.PauseRefresh(pause)
+			want := make([][]gf2.Vec, 2)
+			for b := range want {
+				want[b] = make([]gf2.Vec, 5)
+				for r := range want[b] {
+					st := &c.rows[b][r]
+					exposure := c.thermalSeconds - st.writeStamp
+					want[b][r] = st.charges.Clone()
+					for _, i := range st.charges.Support() {
+						if exposure > 0 && c.RetentionSecondsOf(b, r, i) < exposure {
+							want[b][r].Set(i, false)
+						}
+					}
+				}
+			}
+			c.RefreshAll()
+			for b := range want {
+				for r := range want[b] {
+					if !c.rows[b][r].charges.Equal(want[b][r]) {
+						t.Fatalf("vrt %v pause %v: RefreshAll of (%d,%d) diverges from the retention rule", sigma, pause, b, r)
+					}
+					if c.rows[b][r].writeStamp != c.thermalSeconds {
+						t.Fatalf("RefreshAll left (%d,%d) with a stale write stamp", b, r)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzReadRowExact fuzzes chip seed, row width (1-600 cells), stored bits,
+// the pause sequence, temperature and VRT jitter, and checks every read
+// against referenceRead. A pause byte with its top bit set is followed by a
+// RefreshAll, so locked-in decay is fuzzed too.
+func FuzzReadRowExact(f *testing.F) {
+	f.Add(uint64(1), uint16(256), []byte{0xff, 0x0f, 0xaa}, []byte{20, 40, 90}, uint8(80), uint16(20))
+	f.Fuzz(func(t *testing.T, seed uint64, cellSel uint16, bits, pauses []byte, tempSel uint8, vrtSel uint16) {
+		cells := 1 + int(cellSel)%600
+		m := DefaultRetention()
+		m.VRTSigmaLog = float64(vrtSel%1001) / 1000 // 0 .. 1
+		c := New(Config{Banks: 1, Rows: 2, CellsPerRow: cells, Seed: seed, Retention: m, Layout: BlockLayout(1)})
+		c.SetTemperature(20 + float64(tempSel%100))
+		for r := 0; r < 2; r++ {
+			v := gf2.NewVec(cells)
+			for i := 0; i < cells; i++ {
+				if len(bits) > 0 {
+					j := r*cells + i
+					v.Set(i, bits[(j/8)%len(bits)]>>(j%8)&1 == 1)
+				}
+			}
+			c.WriteRow(0, r, v)
+		}
+		if len(pauses) > 16 {
+			pauses = pauses[:16]
+		}
+		for _, p := range pauses {
+			c.PauseRefresh(time.Duration(p&0x7f) * 2 * time.Minute)
+			for r := 0; r < 2; r++ {
+				for rep := 0; rep < 3; rep++ {
+					checkRead(t, c, 0, r, fmt.Sprintf("pause byte %#x", p))
+				}
+			}
+			if p&0x80 != 0 {
+				c.RefreshAll()
+			}
+		}
+	})
 }
 
 // TestReadRowIntoReuse checks that reads through a reused destination match
@@ -97,5 +250,33 @@ func TestReadRowIntoReuse(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm ReadRowInto allocated %v times per read", allocs)
+	}
+}
+
+// BenchmarkReadRow times one decaying row read with the default VRT jitter
+// on a 16-word k=24-sized row (464 cells): sparse rows are 1-CHARGED-like
+// (one charged cell in 29), dense rows fully charged.
+func BenchmarkReadRow(b *testing.B) {
+	const cells = 16 * 29
+	for _, bc := range []struct {
+		name  string
+		every int
+	}{{"sparse", 29}, {"dense", 1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := New(Config{Banks: 1, Rows: 8, CellsPerRow: cells, Seed: 3})
+			v := gf2.NewVec(cells)
+			for i := 0; i < cells; i += bc.every {
+				v.Set(i, true)
+			}
+			for r := 0; r < 8; r++ {
+				c.WriteRow(0, r, v)
+			}
+			c.PauseRefresh(48 * time.Minute)
+			dst := gf2.NewVec(cells)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.ReadRowInto(0, i%8, dst)
+			}
+		})
 	}
 }
