@@ -32,12 +32,21 @@
 // actually talk to. Determinism invariant: two chips built from equal
 // configs exhibit identical cell retention times forever — the substrate
 // carries no global RNG state.
+//
+// Nothing per cell is stored besides its charge. A read visits the row's
+// charged cells only and decides each from its address hash: a shared
+// per-retention-model grid brackets retention time and VRT jitter in the
+// hash domain (see retGrid), so almost every cell costs one hash and two
+// integer compares, and the exact Erfinv/Exp evaluation runs only where a
+// bracket straddles the decay threshold. Every verdict is bit-identical to
+// evaluating the cell's jittered retention time directly.
 package dram
 
 import (
 	"fmt"
 	"math"
 	mathbits "math/bits"
+	"sort"
 	"sync"
 	"time"
 
@@ -171,8 +180,8 @@ type Config struct {
 // vrtJitterBound bounds |NormalInv(Uniform01(h))| for any hash h: Uniform01
 // maps into the open interval [0.5/2^52, 1-0.5/2^52], whose normal quantiles
 // are about +/-8.3. The bound is deliberately slack (see TestVRTJitterBound)
-// so the ReadRow fast path's jitter band stays conservative even against
-// last-ulp rounding in Exp/Erfinv.
+// so the read path's jitter band stays conservative even against last-ulp
+// rounding in Exp/Erfinv.
 const vrtJitterBound = 12.0
 
 // Chip is a simulated DRAM chip storing raw cells. It has no ECC; package
@@ -186,17 +195,13 @@ type Chip struct {
 	// current value and the value at the row's last write.
 	thermalSeconds float64
 	rows           [][]rowState
-	readCounter    uint64
-	// vrtLo/vrtHi bracket the per-read VRT jitter factor exp(VRTSigmaLog*z)
-	// for every reachable z (|z| < vrtJitterBound). ReadRow only evaluates
-	// the exact jitter for cells whose retention time falls inside
-	// [exposure/vrtHi, exposure/vrtLo]; outside the band the decay decision
-	// is provably identical (float multiply and Exp are monotone), which
-	// removes the Exp+Erfinv pair from almost every cell read.
-	vrtLo, vrtHi float64
-	// retKey/ret bind the chip to its shared retention table.
-	retKey retKey
-	ret    *retTable
+	// readCounter numbers the reads; it keys each read's VRT jitter draw.
+	readCounter uint64
+	// grid is the retention model's shared hash-domain bracket table, bound
+	// on the first decaying read or refresh (see retGrid), so building a
+	// chip costs nothing and a process that never decays a row never builds
+	// one.
+	grid *retGrid
 }
 
 type rowState struct {
@@ -204,135 +209,92 @@ type rowState struct {
 	charges gf2.Vec
 	// writeStamp is the chip's thermalSeconds at the time of the write.
 	writeStamp float64
-	// ret points at the row's entry in the process-wide shared retention
-	// table (see retTables), bound on first read. Retention is a pure
-	// function of (seed, address, model), so the entry never invalidates and
-	// is shared by every chip built from an equal config — a serving
-	// workload that re-submits the same job spec re-simulates the same chip,
-	// and the rebuild used to recompute every cell's log-normal draw.
-	ret *rowRet
 }
 
-// retKey identifies a chip's immutable retention universe: every cell's
-// retention time, and therefore every decay mask, is fully determined by it.
-// Layout and TransientBER are deliberately absent — they do not feed the
-// retention hash, so chips of different manufacturers share tables.
-type retKey struct {
-	seed        uint64
-	banks, rows int
-	cellsPerRow int
-	model       RetentionModel
+// gridBits is log2 of the retGrid size: a cell hash h falls in grid cell
+// h >> (64 - gridBits), its top bits.
+const gridBits = 12
+
+// gridGuard widens every retGrid bracket by this relative margin. Hash-to-
+// retention and hash-to-jitter are monotone in h mathematically; the
+// computed Erfinv/Exp chain is monotone only to within a few ulps (~1e-15
+// relative), so a far larger guard makes each bracket hold every hash in
+// its grid cell (TestRetGridBrackets checks this for every cell).
+const gridGuard = 1e-9
+
+// retGrid brackets a retention model in the hash domain. Grid cell g holds
+// every hash whose top gridBits bits equal g; retLo/retHi bound
+// CellRetentionSeconds and fLo/fHi bound jitterFactor over those hashes,
+// because both are monotone in the hash and the bounds are the values at
+// the cell's two end hashes, widened by gridGuard. A read then decides
+// almost every charged cell from one hash and two integer compares (see
+// decay), and evaluates the exact Erfinv/Exp chain only when a bracket
+// straddles the exposure. vrtLo/vrtHi bracket jitterFactor for every hash
+// (1,1 without jitter).
+type retGrid struct {
+	retLo, retHi [1 << gridBits]float64
+	fLo, fHi     [1 << gridBits]float64
+	vrtLo, vrtHi float64
 }
 
-// decayMask is the precomputed verdict of one (row, exposure) pair: cells in
-// decayed lose their charge for every reachable VRT jitter, cells in
-// borderline need the exact per-read jitter draw, and every other cell
-// provably survives. Masks make the common read — every cell far from the
-// decay threshold — a handful of word ops instead of a loop over charged
-// cells.
-type decayMask struct {
-	decayed    []uint64
-	borderline []int32
-}
-
-// maxCachedExposures bounds a row's mask cache. Sweeps use a fixed handful
-// of refresh windows, so the bound exists only to keep a pathological
-// workload (one that never repeats an exposure) from accumulating masks;
-// beyond it, masks are computed per read and not retained.
-const maxCachedExposures = 64
-
-// rowRet is one row's shared retention state: the per-cell retention times
-// and the per-exposure decay masks derived from them.
-type rowRet struct {
-	ret   []float64
-	mu    sync.Mutex
-	masks map[float64]*decayMask
-}
-
-// maskFor returns the row's decay mask for the given exposure, building and
-// caching it on first use. lo/hi are the chip's VRT jitter bounds (1,1 when
-// jitter is disabled).
-func (rr *rowRet) maskFor(exposure float64, m RetentionModel, lo, hi float64) *decayMask {
-	rr.mu.Lock()
-	defer rr.mu.Unlock()
-	if dm, ok := rr.masks[exposure]; ok {
-		return dm
+func newRetGrid(m RetentionModel) *retGrid {
+	g := &retGrid{vrtLo: 1, vrtHi: 1}
+	if vs := m.VRTSigmaLog; vs > 0 {
+		g.vrtLo = math.Exp(vs * -vrtJitterBound)
+		g.vrtHi = math.Exp(vs * vrtJitterBound)
 	}
-	dm := &decayMask{decayed: make([]uint64, (len(rr.ret)+63)/64)}
-	for i, tRet := range rr.ret {
-		if m.VRTSigmaLog > 0 {
-			switch {
-			case tRet*hi < exposure:
-				dm.decayed[i/64] |= 1 << uint(i%64)
-			case tRet*lo >= exposure:
-				// survives for every reachable jitter
-			default:
-				dm.borderline = append(dm.borderline, int32(i))
-			}
-		} else if tRet < exposure {
-			dm.decayed[i/64] |= 1 << uint(i%64)
-		}
+	for i := range g.retLo {
+		lo := uint64(i) << (64 - gridBits)
+		hi := lo | (1<<(64-gridBits) - 1)
+		g.retLo[i] = m.CellRetentionSeconds(lo) * (1 - gridGuard)
+		g.retHi[i] = m.CellRetentionSeconds(hi) * (1 + gridGuard)
+		g.fLo[i] = m.jitterFactor(lo) * (1 - gridGuard)
+		g.fHi[i] = m.jitterFactor(hi) * (1 + gridGuard)
 	}
-	if rr.masks == nil {
-		rr.masks = make(map[float64]*decayMask)
+	// Monotone envelopes: widening a bracket keeps it sound, and
+	// non-decreasing bounds let a read turn its band limits into two grid
+	// cell thresholds (see decay).
+	for i := 1; i < len(g.retHi); i++ {
+		g.retHi[i] = max(g.retHi[i], g.retHi[i-1])
 	}
-	if len(rr.masks) < maxCachedExposures {
-		rr.masks[exposure] = dm
+	for i := len(g.retLo) - 2; i >= 0; i-- {
+		g.retLo[i] = min(g.retLo[i], g.retLo[i+1])
 	}
-	return dm
+	return g
 }
 
-// retTable holds the lazily-built rowRet entries of one retention universe.
-type retTable struct {
-	mu   sync.Mutex
-	rows map[uint32]*rowRet
+// jitterFactor is the VRT scale a read applies to a cell's retention time,
+// for the read's jitter hash h2: exp(VRTSigmaLog * NormalInv(Uniform01(h2))).
+func (m RetentionModel) jitterFactor(h2 uint64) float64 {
+	return math.Exp(m.VRTSigmaLog * stats.NormalInv(stats.Uniform01(h2)))
 }
 
-// rowOf returns the shared entry for a row, building its retention times on
-// first use.
-func (t *retTable) rowOf(key retKey, bank, row int) *rowRet {
-	idx := uint32(bank*key.rows + row)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if rr, ok := t.rows[idx]; ok {
-		return rr
-	}
-	rr := &rowRet{ret: make([]float64, key.cellsPerRow)}
-	for i := range rr.ret {
-		h := stats.HashN(key.seed, uint64(bank), uint64(row), uint64(i))
-		rr.ret[i] = key.model.CellRetentionSeconds(h)
-	}
-	t.rows[idx] = rr
-	return rr
-}
-
-// retTables interns retention tables by chip config, capped at
-// maxRetTables: a serving workload cycles through a small set of simulated
-// chip configs, and the cap bounds memory for everything else. Eviction is
-// safe — chips keep direct pointers to the rowRet entries they already
-// bound, and a re-built table just recomputes the same pure function.
-const maxRetTables = 16
+// maxGrids bounds the process-wide grid set. Building a grid takes under a
+// millisecond and simulations use a handful of retention models, so the
+// bound only keeps a workload that sweeps models (a fuzzer) from holding
+// one 128 KiB grid per model; an evicted grid is rebuilt on demand.
+const maxGrids = 16
 
 var (
-	retTablesMu sync.Mutex
-	retTables   = make(map[retKey]*retTable)
+	gridsMu sync.Mutex
+	grids   = make(map[RetentionModel]*retGrid)
 )
 
-func sharedRetTable(key retKey) *retTable {
-	retTablesMu.Lock()
-	defer retTablesMu.Unlock()
-	if t, ok := retTables[key]; ok {
-		return t
+func sharedGrid(m RetentionModel) *retGrid {
+	gridsMu.Lock()
+	defer gridsMu.Unlock()
+	if g, ok := grids[m]; ok {
+		return g
 	}
-	if len(retTables) >= maxRetTables {
-		for k := range retTables {
-			delete(retTables, k)
+	if len(grids) >= maxGrids {
+		for k := range grids {
+			delete(grids, k)
 			break
 		}
 	}
-	t := &retTable{rows: make(map[uint32]*rowRet)}
-	retTables[key] = t
-	return t
+	g := newRetGrid(m)
+	grids[m] = g
+	return g
 }
 
 // New constructs a chip. Zero-valued retention fields fall back to
@@ -348,16 +310,7 @@ func New(cfg Config) *Chip {
 	if cfg.Retention == (RetentionModel{}) {
 		cfg.Retention = DefaultRetention()
 	}
-	c := &Chip{cfg: cfg, tempC: cfg.Retention.ReferenceTempC, vrtLo: 1, vrtHi: 1}
-	if vs := cfg.Retention.VRTSigmaLog; vs > 0 {
-		c.vrtLo = math.Exp(vs * -vrtJitterBound)
-		c.vrtHi = math.Exp(vs * vrtJitterBound)
-	}
-	c.retKey = retKey{
-		seed: cfg.Seed, banks: cfg.Banks, rows: cfg.Rows,
-		cellsPerRow: cfg.CellsPerRow, model: cfg.Retention,
-	}
-	c.ret = sharedRetTable(c.retKey)
+	c := &Chip{cfg: cfg, tempC: cfg.Retention.ReferenceTempC}
 	c.rows = make([][]rowState, cfg.Banks)
 	for b := range c.rows {
 		c.rows[b] = make([]rowState, cfg.Rows)
@@ -424,16 +377,6 @@ func (c *Chip) WriteRow(bank, row int, bits gf2.Vec) {
 	st.writeStamp = c.thermalSeconds
 }
 
-// retentionOf returns the row's shared retention entry, binding it on first
-// use. The entry comes from the process-wide interned table, so an identical
-// chip built earlier (a re-submitted job spec) has already paid for it.
-func (c *Chip) retentionOf(bank, row int, st *rowState) *rowRet {
-	if st.ret == nil {
-		st.ret = c.ret.rowOf(c.retKey, bank, row)
-	}
-	return st.ret
-}
-
 // ReadRow senses the row's cells, applying any retention decay accumulated
 // since the last write, plus transient read noise, and converts charges back
 // to logical bits. Reading an unwritten row panics: real cells power up in an
@@ -455,38 +398,9 @@ func (c *Chip) ReadRowInto(bank, row int, dst gf2.Vec) gf2.Vec {
 		panic(fmt.Sprintf("dram: ReadRow of never-written row (%d,%d)", bank, row))
 	}
 	c.readCounter++
-	exposure := c.thermalSeconds - st.writeStamp
-	m := c.cfg.Retention
 	dst.CopyFrom(st.charges)
-	if exposure > 0 {
-		rr := c.retentionOf(bank, row, st)
-		// The (row, exposure) decay verdict is precomputed once and shared:
-		// clearing the definite-decay mask replaces the per-charged-cell
-		// retention comparison (and the jitter band classification — see
-		// maskFor) with one word op per 64 cells. Only borderline cells —
-		// those whose verdict genuinely depends on the per-read VRT jitter —
-		// still pay for the exact hash + NormalInv + Exp evaluation, exactly
-		// as the scalar loop did, so results are bit-identical.
-		dm := rr.maskFor(exposure, m, c.vrtLo, c.vrtHi)
-		dw := dst.Words()
-		for wi := range dw {
-			dw[wi] &^= dm.decayed[wi]
-		}
-		if len(dm.borderline) > 0 {
-			cw := st.charges.Words()
-			for _, bi := range dm.borderline {
-				i := int(bi)
-				if cw[i/64]>>uint(i%64)&1 == 0 {
-					continue // only CHARGED cells can decay
-				}
-				h := stats.HashN(c.cfg.Seed, uint64(bank), uint64(row), uint64(i))
-				jitter := stats.NormalInv(stats.Uniform01(stats.HashN(h, c.readCounter)))
-				if rr.ret[i]*math.Exp(m.VRTSigmaLog*jitter) >= exposure {
-					continue
-				}
-				dw[i/64] &^= 1 << uint(i%64)
-			}
-		}
+	if exposure := c.thermalSeconds - st.writeStamp; exposure > 0 {
+		c.decay(dst.Words(), st.charges.Words(), bank, row, exposure, true)
 	}
 	if c.cfg.Layout(bank, row) == AntiCell {
 		invert(dst)
@@ -546,7 +460,8 @@ func (c *Chip) WeakCells(bank, row int, window time.Duration) []int {
 // RefreshAll models re-enabling refresh after a pause: any decay that already
 // happened is locked in (refresh rewrites whatever charge remains), and
 // future reads see no additional decay until refresh is paused again. This
-// is implemented by materializing the decayed charges as the stored state.
+// is implemented by materializing the decayed charges as the stored state,
+// under the plain retention rule (no per-read jitter).
 func (c *Chip) RefreshAll() {
 	for b := 0; b < c.cfg.Banks; b++ {
 		for r := 0; r < c.cfg.Rows; r++ {
@@ -558,18 +473,70 @@ func (c *Chip) RefreshAll() {
 			if exposure <= 0 {
 				continue
 			}
-			ret := c.retentionOf(b, r, st).ret
 			cw := st.charges.Words()
-			for wi, w := range cw {
-				for w != 0 {
-					bit := mathbits.TrailingZeros64(w)
-					w &= w - 1
-					if ret[wi*64+bit] < exposure {
-						cw[wi] &^= 1 << uint(bit)
-					}
+			c.decay(cw, cw, b, r, exposure, false)
+			st.writeStamp = c.thermalSeconds
+		}
+	}
+}
+
+// decay clears in dst every cell of row (bank, row) that loses its charge
+// over exposure reference-temperature seconds. It visits only the set bits
+// of charges, the row's stored charges (dst may alias them). With jitter,
+// each verdict includes the read's VRT draw keyed by readCounter, as a read
+// sees it; without, it is the plain rule retention < exposure.
+//
+// Each verdict equals the exact expression
+//
+//	CellRetentionSeconds(h) * jitterFactor(HashN(h, readCounter)) < exposure
+//
+// bit for bit: the grid brackets (see retGrid) bound both factors, and IEEE
+// multiplication is monotone in each positive argument, so a bracket that
+// lies wholly on one side of the exposure decides the exact product too.
+// Only straddling brackets evaluate the exact expression.
+func (c *Chip) decay(dst, charges []uint64, bank, row int, exposure float64, jitter bool) {
+	if c.grid == nil {
+		c.grid = sharedGrid(c.cfg.Retention)
+	}
+	g, m := c.grid, c.cfg.Retention
+	jitter = jitter && m.VRTSigmaLog > 0
+	lo, hi := 1.0, 1.0
+	if jitter {
+		lo, hi = g.vrtLo, g.vrtHi
+	}
+	// The band limits as grid cell thresholds (retHi and retLo are
+	// non-decreasing): a cell hashed below dies has retHi*hi < exposure and
+	// decays for every reachable jitter; one from lives up has
+	// retLo*lo >= exposure and survives every reachable jitter.
+	dies := uint64(sort.Search(len(g.retHi), func(i int) bool { return g.retHi[i]*hi >= exposure }))
+	lives := uint64(sort.Search(len(g.retLo), func(i int) bool { return g.retLo[i]*lo >= exposure }))
+	// HashN(seed, bank, row, i) == SplitMix64(HashN(seed, bank, row) ^ i).
+	prefix := stats.HashN(c.cfg.Seed, uint64(bank), uint64(row))
+	for wi, w := range charges {
+		for ; w != 0; w &= w - 1 {
+			bit := mathbits.TrailingZeros64(w)
+			h := stats.SplitMix64(prefix ^ uint64(wi<<6|bit))
+			gi := h >> (64 - gridBits)
+			switch {
+			case gi < dies:
+			case gi >= lives:
+				continue
+			case !jitter:
+				if m.CellRetentionSeconds(h) >= exposure {
+					continue
+				}
+			default:
+				h2 := stats.HashN(h, c.readCounter)
+				gj := h2 >> (64 - gridBits)
+				switch {
+				case g.retHi[gi]*g.fHi[gj] < exposure:
+				case g.retLo[gi]*g.fLo[gj] >= exposure:
+					continue
+				case m.CellRetentionSeconds(h)*m.jitterFactor(h2) >= exposure:
+					continue
 				}
 			}
-			st.writeStamp = c.thermalSeconds
+			dst[wi] &^= 1 << uint(bit)
 		}
 	}
 }

@@ -68,6 +68,44 @@ func checkRead(t testing.TB, c *Chip, bank, row int, what string) {
 	}
 }
 
+// TestRetGridBrackets checks the retGrid invariants the read path's
+// verdicts rest on: the retention bounds are non-decreasing, and for every
+// grid cell both end hashes and 64 random interior hashes map inside
+// [retLo, retHi] (retention) and [fLo, fHi] (jitter), with every jitter
+// factor inside [vrtLo, vrtHi].
+func TestRetGridBrackets(t *testing.T) {
+	rng := rand.New(rand.NewPCG(11, 12))
+	for _, sigma := range []float64{0, 0.02, 0.5} {
+		m := DefaultRetention()
+		m.VRTSigmaLog = sigma
+		g := newRetGrid(m)
+		for i := 1; i < len(g.retLo); i++ {
+			if g.retLo[i] < g.retLo[i-1] || g.retHi[i] < g.retHi[i-1] {
+				t.Fatalf("vrt %v: retention bounds decrease at grid cell %d", sigma, i)
+			}
+		}
+		for i := range g.retLo {
+			lo := uint64(i) << (64 - gridBits)
+			hs := []uint64{lo, lo | (1<<(64-gridBits) - 1)}
+			for j := 0; j < 64; j++ {
+				hs = append(hs, lo|rng.Uint64()>>gridBits)
+			}
+			for _, h := range hs {
+				if r := m.CellRetentionSeconds(h); r < g.retLo[i] || r > g.retHi[i] {
+					t.Fatalf("vrt %v cell %d: retention %v of hash %#x outside [%v, %v]", sigma, i, r, h, g.retLo[i], g.retHi[i])
+				}
+				f := m.jitterFactor(h)
+				if f < g.fLo[i] || f > g.fHi[i] {
+					t.Fatalf("vrt %v cell %d: jitter %v of hash %#x outside [%v, %v]", sigma, i, f, h, g.fLo[i], g.fHi[i])
+				}
+				if f < g.vrtLo || f > g.vrtHi {
+					t.Fatalf("vrt %v: jitter %v of hash %#x outside the band [%v, %v]", sigma, f, h, g.vrtLo, g.vrtHi)
+				}
+			}
+		}
+	}
+}
+
 // TestReadRowFastPathExact holds the fast path bit-identical to the
 // straightforward per-cell jitter evaluation across many reads and decay
 // windows (including heavy-decay ones where most cells sit far outside the
@@ -244,7 +282,7 @@ func TestReadRowIntoReuse(t *testing.T) {
 	c.WriteRow(0, 0, v)
 	c.PauseRefresh(20 * time.Minute)
 	dst := gf2.NewVec(128)
-	c.ReadRowInto(0, 0, dst) // warm the retention cache
+	c.ReadRowInto(0, 0, dst) // bind the retention grid
 	allocs := testing.AllocsPerRun(50, func() {
 		c.ReadRowInto(0, 0, dst)
 	})

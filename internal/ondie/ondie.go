@@ -261,11 +261,8 @@ func (c *Chip) WriteRow(bank, row int, data []byte) {
 			phase := w % 2
 			lb := uint64(1) << uint(lane)
 			for b := 0; b < c.dataBytes; b++ {
-				by := data[base+2*b+phase]
-				for bit := 0; by != 0; bit, by = bit+1, by>>1 {
-					if by&1 == 1 {
-						dw[8*b+bit] |= lb
-					}
+				for by := data[base+2*b+phase]; by != 0; by &= by - 1 {
+					dw[8*b+mathbits.TrailingZeros8(by)] |= lb
 				}
 			}
 		}
@@ -316,43 +313,47 @@ func (c *Chip) ReadRowInto(bank, row int, data []byte) []byte {
 		copy(data, c.readRowScalar(bank, row))
 		return data
 	}
-	n, r := c.code.N(), c.code.ParityBits()
+	n, r, k := c.code.N(), c.code.ParityBits(), c.code.K()
 	bc := c.code.Bitsliced()
-	cells := c.sub.ReadRowInto(bank, row, c.cells)
-	cellw := cells.Words()
+	cellw := c.sub.ReadRowInto(bank, row, c.cells).Words()
+	clear(data)
 	c.slab.Reset()
 	for w0 := 0; w0 < c.wordsPerRow; w0 += 64 {
-		lanes := c.wordsPerRow - w0
-		if lanes > 64 {
-			lanes = 64
-		}
+		lanes := min(c.wordsPerRow-w0, 64)
 		cb := c.slab.Alloc(n, lanes)
 		sb := c.slab.Alloc(r, lanes)
 		cbw := cb.Words()
-		for bit := 0; bit < n; bit++ {
-			var rw uint64
-			for lane := 0; lane < lanes; lane++ {
-				cell := c.wordBit(w0+lane, bit)
-				rw |= (cellw[cell>>6] >> (uint(cell) & 63) & 1) << uint(lane)
+		// Transpose from the set bits only: word w0+lane's codeword is the
+		// n cells starting at wordBit(w0+lane, 0), taken 64 at a time.
+		for lane := 0; lane < lanes; lane++ {
+			lb := uint64(1) << uint(lane)
+			cell := c.wordBit(w0+lane, 0)
+			for off := 0; off < n; off += 64 {
+				for m := bitsAt(cellw, cell+off, min(n-off, 64)); m != 0; m &= m - 1 {
+					cbw[off+mathbits.TrailingZeros64(m)] |= lb
+				}
 			}
-			cbw[bit] = rw
 		}
 		bc.Syndrome(cb, sb)
 		bc.Decode(cb, sb, nil)
-		for lane := 0; lane < lanes; lane++ {
-			w := w0 + lane
-			base := (w / 2) * c.RegionBytes()
-			phase := w % 2
-			for b := 0; b < c.dataBytes; b++ {
-				var by byte
-				for bit := 0; bit < 8; bit++ {
-					by |= byte(cbw[8*b+bit]>>uint(lane)&1) << uint(bit)
-				}
-				data[base+2*b+phase] = by
+		for bit := 0; bit < k; bit++ {
+			for m := cbw[bit]; m != 0; m &= m - 1 {
+				w := w0 + mathbits.TrailingZeros64(m)
+				data[(w/2)*c.RegionBytes()+2*(bit/8)+w%2] |= 1 << uint(bit%8)
 			}
 		}
 	}
 	return data
+}
+
+// bitsAt returns the n (1..64) bits of w starting at bit p, lowest first.
+func bitsAt(w []uint64, p, n int) uint64 {
+	i, s := p>>6, uint(p&63)
+	v := w[i] >> s
+	if s != 0 && i+1 < len(w) {
+		v |= w[i+1] << (64 - s)
+	}
+	return v & (^uint64(0) >> uint(64-n))
 }
 
 // readRowScalar is the per-word reference path behind Config.ScalarECC.
