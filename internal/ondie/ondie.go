@@ -243,34 +243,33 @@ func (c *Chip) WriteRow(bank, row int, data []byte) {
 	n, k := c.code.N(), c.code.K()
 	bc := c.code.Bitsliced()
 	cellw := c.cells.Words()
-	for i := range cellw {
-		cellw[i] = 0
-	}
+	clear(cellw)
 	c.slab.Reset()
 	for w0 := 0; w0 < c.wordsPerRow; w0 += 64 {
-		lanes := c.wordsPerRow - w0
-		if lanes > 64 {
-			lanes = 64
-		}
+		lanes := min(c.wordsPerRow-w0, 64)
 		db := c.slab.Alloc(k, lanes)
 		cb := c.slab.Alloc(n, lanes)
 		dw := db.Words()
+		// The code is systematic (codeword bit i < k is data bit i), so
+		// data bytes go straight to their cells; the batch only feeds the
+		// parity computation.
 		for lane := 0; lane < lanes; lane++ {
 			w := w0 + lane
-			base := (w / 2) * c.RegionBytes()
-			phase := w % 2
+			base := (w/2)*c.RegionBytes() + w%2
+			cell := c.wordBit(w, 0)
 			lb := uint64(1) << uint(lane)
 			for b := 0; b < c.dataBytes; b++ {
-				for by := data[base+2*b+phase]; by != 0; by &= by - 1 {
+				by := data[base+2*b]
+				orBitsAt(cellw, cell+8*b, uint64(by))
+				for ; by != 0; by &= by - 1 {
 					dw[8*b+mathbits.TrailingZeros8(by)] |= lb
 				}
 			}
 		}
 		bc.Encode(db, cb)
-		for bit, rw := range cb.Words() {
-			for m := rw; m != 0; m &= m - 1 {
-				lane := mathbits.TrailingZeros64(m)
-				cell := c.wordBit(w0+lane, bit)
+		for bit := k; bit < n; bit++ {
+			for m := cb.Row(bit); m != 0; m &= m - 1 {
+				cell := c.wordBit(w0+mathbits.TrailingZeros64(m), bit)
 				cellw[cell>>6] |= 1 << (uint(cell) & 63)
 			}
 		}
@@ -354,6 +353,15 @@ func bitsAt(w []uint64, p, n int) uint64 {
 		v |= w[i+1] << (64 - s)
 	}
 	return v & (^uint64(0) >> uint(64-n))
+}
+
+// orBitsAt ORs v into w starting at bit p, lowest bit first.
+func orBitsAt(w []uint64, p int, v uint64) {
+	i, s := p>>6, uint(p&63)
+	w[i] |= v << s
+	if s != 0 && v>>(64-s) != 0 {
+		w[i+1] |= v >> (64 - s)
+	}
 }
 
 // readRowScalar is the per-word reference path behind Config.ScalarECC.
