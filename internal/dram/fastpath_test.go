@@ -60,9 +60,8 @@ func checkRead(t testing.TB, c *Chip, bank, row int, what string) {
 	t.Helper()
 	st := &c.rows[bank][row]
 	exposure := c.thermalSeconds - st.writeStamp
-	charges := st.charges.Clone()
 	got := c.ReadRow(bank, row)
-	if want := referenceRead(c, bank, row, charges, exposure, c.readCounter); !got.Equal(want) {
+	if want := referenceRead(c, bank, row, st.charges, exposure, c.readCounter); !got.Equal(want) {
 		t.Fatalf("%s: read of (%d,%d) at exposure %v (read %d) diverges from the reference",
 			what, bank, row, exposure, c.readCounter)
 	}
@@ -157,17 +156,16 @@ func TestReadRowExactAtRetentionBoundary(t *testing.T) {
 			for cell := 0; cell < 200; cell += 7 {
 				tRet := c.RetentionSecondsOf(0, row, cell)
 				h := stats.HashN(c.cfg.Seed, 0, uint64(row), uint64(cell))
-				for _, base := range []float64{tRet, 0} {
-					for _, step := range []float64{-1, 0, 1} {
+				exposures := []func() float64{
+					func() float64 { return tRet },
+					// the jittered retention time the next read draws
+					func() float64 { return tRet * m.jitterFactor(stats.HashN(h, c.readCounter+1)) },
+				}
+				for _, at := range exposures {
+					for _, step := range []int{-1, 0, 1} {
 						c.thermalSeconds = 0
 						c.WriteRow(0, row, ones)
-						e := base
-						if base == 0 {
-							// The jittered retention time of the read about
-							// to happen.
-							f := math.Exp(sigma * stats.NormalInv(stats.Uniform01(stats.HashN(h, c.readCounter+1))))
-							e = tRet * f
-						}
+						e := at()
 						switch step {
 						case -1:
 							e = math.Nextafter(e, 0)
