@@ -69,9 +69,10 @@ serve-bench-gate:
 
 # Short coverage-guided fuzz smoke of the SAT solver core, the CNF builder,
 # the bitsliced-vs-scalar ECC differential, the noisy drop-k solver's
-# recovery-or-clean-UNSAT contract, the DIMACS round trip and the
-# simulated-read-vs-reference differential (seed corpora committed under
-# internal/*/testdata/fuzz). CI runs the same commands.
+# recovery-or-clean-UNSAT contract, the DIMACS round trip, the
+# simulated-read-vs-reference differential and the on-die row codec against
+# its scalar reference (seed corpora committed under internal/*/testdata/fuzz).
+# CI runs the same commands.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSolver -fuzztime 15s ./internal/sat
 	$(GO) test -run '^$$' -fuzz FuzzCNFBuilder -fuzztime 15s ./internal/sat
@@ -79,6 +80,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzNoisyRecover -fuzztime 15s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDimacsRoundTrip -fuzztime 15s ./internal/sat
 	$(GO) test -run '^$$' -fuzz FuzzReadRowExact -fuzztime 15s ./internal/dram
+	$(GO) test -run '^$$' -fuzz FuzzRowCodec -fuzztime 15s ./internal/ondie
 
 # Graded SATLIB regression suite (internal/sat/satlib): the committed
 # uf20/uf50/uuf50 + BEER-formula corpus solved under per-grade conflict

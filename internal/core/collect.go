@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/gf2"
@@ -199,16 +200,21 @@ func CollectCounts(ctx context.Context, chip Chip, rows []RowRef, layout WordLay
 		patBytes[pi] = bs
 	}
 
-	rowData := make([]byte, chip.DataBytesPerRow())
-	// Chips exposing ReadRowInto (ondie.Chip does) read back into one reused
-	// buffer, so the sweep's read loop — rows × windows × rounds iterations —
-	// allocates nothing in steady state. Other Chip implementations fall back
-	// to the allocating ReadRow.
-	readBuf := make([]byte, chip.DataBytesPerRow())
-	readRow := func(bank, row int) []byte { return chip.ReadRow(bank, row) }
-	if into, ok := chip.(rowReader); ok {
-		readRow = func(bank, row int) []byte { return into.ReadRowInto(bank, row, readBuf) }
+	// offs[w*nb+bi] is the row byte offset of row word w's byte bi.
+	nb := k / 8
+	offs := make([]int, 0, wordsPerRow*nb)
+	for region := 0; region < regionsPerRow; region++ {
+		for _, word := range layout.Words {
+			if len(word) != nb {
+				return nil, fmt.Errorf("core: word layout mixes %d- and %d-byte words", nb, len(word))
+			}
+			for _, off := range word {
+				offs = append(offs, region*rb+off)
+			}
+		}
 	}
+	rowData := make([]byte, chip.DataBytesPerRow())
+	readRow := rowReadFunc(chip)
 	pass := 0
 	passes := sweepPasses(opts)
 	for round := 0; round < rounds; round++ {
@@ -217,26 +223,39 @@ func CollectCounts(ctx context.Context, chip Chip, rows []RowRef, layout WordLay
 				return nil, err
 			}
 			// Rotate assignments so pattern p lands on different physical
-			// words each pass (fresh retention-time draws).
+			// words each pass (fresh retention-time draws): the pattern of
+			// row i's word w is (i*wordsPerRow + w + offset) mod
+			// len(patterns), walked below as a running index.
 			offset := pass * 7919 // prime stride decorrelates passes
 			pass++
-			patOf := func(rowIdx, word int) int {
-				return (rowIdx*wordsPerRow + word + offset) % len(patterns)
-			}
-			for ri, rr := range rows {
+			first := offset % len(patterns)
+			pi := first
+			for _, rr := range rows {
 				for w := 0; w < wordsPerRow; w++ {
-					placeWord(rowData, layout, w, patBytes[patOf(ri, w)])
+					for bi, b := range patBytes[pi] {
+						rowData[offs[w*nb+bi]] = b
+					}
+					if pi++; pi == len(patterns) {
+						pi = 0
+					}
 				}
 				chip.WriteRow(rr.Bank, rr.Row, rowData)
 			}
 			chip.PauseRefresh(window)
-			for ri, rr := range rows {
+			pi = first
+			for _, rr := range rows {
 				got := readRow(rr.Bank, rr.Row)
 				for w := 0; w < wordsPerRow; w++ {
-					pi := patOf(ri, w)
 					entry := &counts.Entries[pi]
 					entry.Words++
-					recordWordDiff(entry, got, layout, w, patBytes[pi])
+					for bi, b := range patBytes[pi] {
+						for diff := got[offs[w*nb+bi]] ^ b; diff != 0; diff &= diff - 1 {
+							entry.Errors[8*bi+bits.TrailingZeros8(diff)]++
+						}
+					}
+					if pi++; pi == len(patterns) {
+						pi = 0
+					}
 				}
 			}
 			opts.Progress.emit(Event{
@@ -258,36 +277,14 @@ type rowReader interface {
 	ReadRowInto(bank, row int, data []byte) []byte
 }
 
-// placeWord writes a dataword's bytes into the row buffer per the layout.
-func placeWord(rowData []byte, layout WordLayout, word int, data []byte) {
-	region := word / len(layout.Words)
-	wIn := word % len(layout.Words)
-	base := region * layout.RegionBytes
-	for bi, off := range layout.Words[wIn] {
-		rowData[base+off] = data[bi]
+// rowReadFunc returns chip's row read. Chips exposing ReadRowInto (ondie.Chip
+// does) read into one buffer reused by every call, so a returned row is only
+// valid until the next read; experiment loops then allocate nothing per
+// read. Other Chip implementations fall back to the allocating ReadRow.
+func rowReadFunc(chip Chip) func(bank, row int) []byte {
+	if into, ok := chip.(rowReader); ok {
+		buf := make([]byte, chip.DataBytesPerRow())
+		return func(bank, row int) []byte { return into.ReadRowInto(bank, row, buf) }
 	}
-}
-
-// recordWordDiff compares one word's read-back bytes against the written
-// pattern and bumps per-bit error counts.
-func recordWordDiff(entry *CountEntry, rowData []byte, layout WordLayout, word int, want []byte) {
-	region := word / len(layout.Words)
-	wIn := word % len(layout.Words)
-	base := region * layout.RegionBytes
-	for bi, off := range layout.Words[wIn] {
-		diff := rowData[base+off] ^ want[bi]
-		for ; diff != 0; diff &= diff - 1 {
-			bit := trailingZeros8(diff)
-			entry.Errors[8*bi+bit]++
-		}
-	}
-}
-
-func trailingZeros8(b byte) int {
-	n := 0
-	for b&1 == 0 {
-		b >>= 1
-		n++
-	}
-	return n
+	return chip.ReadRow
 }

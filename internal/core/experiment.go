@@ -103,11 +103,12 @@ func countErrorsUnder(chip Chip, fill byte, pause time.Duration) [][]int {
 		}
 	}
 	chip.PauseRefresh(pause)
+	readRow := rowReadFunc(chip)
 	errs := make([][]int, chip.Banks())
 	for b := range errs {
 		errs[b] = make([]int, chip.Rows())
 		for r := range errs[b] {
-			got := chip.ReadRow(b, r)
+			got := readRow(b, r)
 			count := 0
 			for i, by := range got {
 				diff := by ^ data[i]
@@ -222,11 +223,13 @@ func DiscoverWordLayout(chip Chip, rows []RowRef, opts LayoutOptions) (WordLayou
 	union := func(a, b int) { parent[find(a)] = find(b) }
 
 	rowBytes := chip.DataBytesPerRow()
+	data := make([]byte, rowBytes)
+	readRow := rowReadFunc(chip)
 	for off := 0; off < rb; off++ {
 		// Charge the whole byte at offset `off` in every region of every
 		// row. Eight charged cells reach far more error syndromes than one,
 		// so miscorrections land throughout the word containing the byte.
-		data := make([]byte, rowBytes)
+		clear(data)
 		for base := 0; base+rb <= rowBytes; base += rb {
 			data[base+off] = 0xFF
 		}
@@ -240,7 +243,7 @@ func DiscoverWordLayout(chip Chip, rows []RowRef, opts LayoutOptions) (WordLayou
 		// transient errors that would otherwise merge unrelated words.
 		cooc := make([]int, rb)
 		for _, rr := range rows {
-			got := chip.ReadRow(rr.Bank, rr.Row)
+			got := readRow(rr.Bank, rr.Row)
 			for i := range got {
 				if got[i] != data[i] {
 					cooc[i%rb]++

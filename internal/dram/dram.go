@@ -177,13 +177,6 @@ type Config struct {
 	TransientBER float64
 }
 
-// vrtJitterBound bounds |NormalInv(Uniform01(h))| for any hash h: Uniform01
-// maps into the open interval [0.5/2^52, 1-0.5/2^52], whose normal quantiles
-// are about +/-8.3. The bound is deliberately slack (see TestVRTJitterBound)
-// so the read path's jitter band stays conservative even against last-ulp
-// rounding in Exp/Erfinv.
-const vrtJitterBound = 12.0
-
 // Chip is a simulated DRAM chip storing raw cells. It has no ECC; package
 // ondie layers on-die ECC on top.
 type Chip struct {
@@ -229,8 +222,8 @@ const gridGuard = 1e-9
 // the cell's two end hashes, widened by gridGuard. A read then decides
 // almost every charged cell from one hash and two integer compares (see
 // decay), and evaluates the exact Erfinv/Exp chain only when a bracket
-// straddles the exposure. vrtLo/vrtHi bracket jitterFactor for every hash
-// (1,1 without jitter).
+// straddles the exposure. vrtLo/vrtHi, the minimum fLo and maximum fHi over
+// the grid, bracket jitterFactor for every hash.
 type retGrid struct {
 	retLo, retHi [1 << gridBits]float64
 	fLo, fHi     [1 << gridBits]float64
@@ -238,11 +231,7 @@ type retGrid struct {
 }
 
 func newRetGrid(m RetentionModel) *retGrid {
-	g := &retGrid{vrtLo: 1, vrtHi: 1}
-	if vs := m.VRTSigmaLog; vs > 0 {
-		g.vrtLo = math.Exp(vs * -vrtJitterBound)
-		g.vrtHi = math.Exp(vs * vrtJitterBound)
-	}
+	g := &retGrid{vrtLo: math.Inf(1), vrtHi: math.Inf(-1)}
 	for i := range g.retLo {
 		lo := uint64(i) << (64 - gridBits)
 		hi := lo | (1<<(64-gridBits) - 1)
@@ -250,6 +239,8 @@ func newRetGrid(m RetentionModel) *retGrid {
 		g.retHi[i] = m.CellRetentionSeconds(hi) * (1 + gridGuard)
 		g.fLo[i] = m.jitterFactor(lo) * (1 - gridGuard)
 		g.fHi[i] = m.jitterFactor(hi) * (1 + gridGuard)
+		g.vrtLo = min(g.vrtLo, g.fLo[i])
+		g.vrtHi = max(g.vrtHi, g.fHi[i])
 	}
 	// Monotone envelopes: widening a bracket keeps it sound, and
 	// non-decreasing bounds let a read turn its band limits into two grid

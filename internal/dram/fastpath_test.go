@@ -11,20 +11,22 @@ import (
 	"repro/internal/stats"
 )
 
-// TestVRTJitterBound proves the constant the ReadRow fast path leans on:
-// Uniform01 never reaches 0 or 1, so the normal quantile of any hash is
-// strictly inside (-vrtJitterBound, vrtJitterBound). The extreme hashes give
-// the extreme quantiles (Uniform01 depends monotonically on h>>12).
+// TestVRTJitterBound checks the jitter band the read path leans on at its
+// ends: Uniform01 never reaches 0 or 1, so the extreme hashes have finite
+// normal quantiles, and their jitter factors (the extremes over all hashes,
+// as jitterFactor is monotone in h>>12) lie inside [vrtLo, vrtHi].
 func TestVRTJitterBound(t *testing.T) {
-	lo := stats.NormalInv(stats.Uniform01(0))
-	hi := stats.NormalInv(stats.Uniform01(^uint64(0)))
-	if math.IsInf(lo, 0) || math.IsInf(hi, 0) || math.IsNaN(lo) || math.IsNaN(hi) {
-		t.Fatalf("extreme quantiles not finite: %v, %v", lo, hi)
-	}
-	// Leave a wide margin: the band argument tolerates rounding slop only
-	// because the bound is far outside the reachable range (~8.3).
-	if lo <= -vrtJitterBound+2 || hi >= vrtJitterBound-2 {
-		t.Fatalf("jitter bound too tight: reachable range [%v, %v] vs bound %v", lo, hi, vrtJitterBound)
+	for _, sigma := range []float64{0.02, 0.5} {
+		m := DefaultRetention()
+		m.VRTSigmaLog = sigma
+		g := newRetGrid(m)
+		lo, hi := m.jitterFactor(0), m.jitterFactor(^uint64(0))
+		if math.IsInf(lo, 0) || math.IsInf(hi, 0) || math.IsNaN(lo) || math.IsNaN(hi) || lo == 0 {
+			t.Fatalf("vrt %v: extreme jitter factors not finite and positive: %v, %v", sigma, lo, hi)
+		}
+		if lo < g.vrtLo || hi > g.vrtHi {
+			t.Fatalf("vrt %v: extreme jitter factors [%v, %v] outside the band [%v, %v]", sigma, lo, hi, g.vrtLo, g.vrtHi)
+		}
 	}
 }
 

@@ -144,7 +144,13 @@ func (c *Code) ColumnOfSyndrome(s gf2.Vec) int {
 	if s.Len() != c.n-c.k {
 		panic(fmt.Sprintf("ecc: syndrome length %d, want %d", s.Len(), c.n-c.k))
 	}
-	if j, ok := c.colBySyndrome[s.Uint64()]; ok {
+	return c.ColumnOfPackedSyndrome(s.Uint64())
+}
+
+// ColumnOfPackedSyndrome is ColumnOfSyndrome for a syndrome packed into a
+// uint64 (bit i = parity row i, as BitCodec.Column packs H columns).
+func (c *Code) ColumnOfPackedSyndrome(s uint64) int {
+	if j, ok := c.colBySyndrome[s]; ok {
 		return j
 	}
 	return -1

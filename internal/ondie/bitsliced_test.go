@@ -10,9 +10,10 @@ import (
 	"repro/internal/dram"
 )
 
-// TestBitslicedRowsMatchScalar holds the bitsliced WriteRow/ReadRow path
-// byte-identical to the scalar per-word reference across dataword lengths
-// (n > 64 from k=64 on), more than 64 words per row (two batch chunks),
+// TestBitslicedRowsMatchScalar holds the default WriteRow/ReadRow path (the
+// word-at-a-time codec over packed H columns) byte-identical to the
+// Config.ScalarECC reference across dataword lengths (n > 64 from k=64 on,
+// so words span several 64-bit cell chunks), more than 64 words per row,
 // all three manufacturers (C has anti-cell rows), decay and transient
 // noise. Rows hold all-zero, all-one, random and 1-CHARGED data, and each
 // is read several times after each decaying pause. Identical seeds give
@@ -71,7 +72,7 @@ func TestBitslicedRowsMatchScalar(t *testing.T) {
 							got := fast.ReadRow(0, r)
 							want := ref.ReadRow(0, r)
 							if !bytes.Equal(got, want) {
-								t.Fatalf("pass %d row %d rep %d: bitsliced read diverges from scalar", pass, r, rep)
+								t.Fatalf("pass %d row %d rep %d: read diverges from scalar", pass, r, rep)
 							}
 						}
 					}
@@ -82,7 +83,8 @@ func TestBitslicedRowsMatchScalar(t *testing.T) {
 }
 
 // TestWriteRowSteadyStateAllocs pins the per-chip-scratch property: warm row
-// writes allocate nothing, warm reads allocate only the returned bytes.
+// writes and ReadRowInto calls allocate nothing, and ReadRow allocates only
+// the returned bytes.
 func TestWriteRowSteadyStateAllocs(t *testing.T) {
 	c := MustNew(Config{Manufacturer: MfrB, DataBits: 16, Banks: 1, Rows: 4, RegionsPerRow: 4, Seed: 3})
 	data := make([]byte, c.DataBytesPerRow())
@@ -97,10 +99,14 @@ func TestWriteRowSteadyStateAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, func() { c.ReadRow(0, 0) }); allocs > 1 {
 		t.Fatalf("warm ReadRow allocated %v times per call; want only the result slice", allocs)
 	}
+	c.PauseRefresh(40 * time.Minute) // decay and correct on every read
+	if allocs := testing.AllocsPerRun(50, func() { c.ReadRowInto(0, 0, data) }); allocs != 0 {
+		t.Fatalf("warm ReadRowInto allocated %v times per call", allocs)
+	}
 }
 
-// TestManyWordsPerRow exercises the >64-words-per-row chunking (two ragged
-// batch chunks per row).
+// TestManyWordsPerRow checks a row of more than 64 words against the scalar
+// reference.
 func TestManyWordsPerRow(t *testing.T) {
 	cfg := Config{Manufacturer: MfrB, DataBits: 8, Banks: 1, Rows: 2, RegionsPerRow: 40, Seed: 11}
 	fast := MustNew(cfg)
@@ -118,13 +124,12 @@ func TestManyWordsPerRow(t *testing.T) {
 	fast.PauseRefresh(30 * time.Minute)
 	ref.PauseRefresh(30 * time.Minute)
 	if got, want := fast.ReadRow(0, 1), ref.ReadRow(0, 1); !bytes.Equal(got, want) {
-		t.Fatal("chunked bitsliced read diverges from scalar")
+		t.Fatal("read of a >64-word row diverges from scalar")
 	}
 }
 
-// BenchmarkReadRowInto times one decaying k=24 row read through the
-// bitsliced codec (16 regions, the simulated chips' row shape), alternating
-// all-one and random rows.
+// BenchmarkReadRowInto times one decaying k=24 row read (16 regions, the
+// simulated chips' row shape), alternating all-one and random rows.
 func BenchmarkReadRowInto(b *testing.B) {
 	c := MustNew(Config{Manufacturer: MfrB, DataBits: 24, Banks: 1, Rows: 8, RegionsPerRow: 16, Seed: 5})
 	rng := rand.New(rand.NewPCG(2, 3))
@@ -144,4 +149,72 @@ func BenchmarkReadRowInto(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.ReadRowInto(0, i%8, data)
 	}
+}
+
+// BenchmarkWriteRow times one k=24 row write (16 regions) of words with one
+// or two charged data bits, as a Set12 collection sweep writes them.
+func BenchmarkWriteRow(b *testing.B) {
+	c := MustNew(Config{Manufacturer: MfrB, DataBits: 24, Banks: 1, Rows: 8, RegionsPerRow: 16, Seed: 5})
+	rng := rand.New(rand.NewPCG(4, 5))
+	rows := make([][]byte, 8)
+	for r := range rows {
+		data := make([]byte, c.DataBytesPerRow())
+		for w := 0; w < c.WordsPerRow(); w++ {
+			for i := 1 + rng.IntN(2); i > 0; i-- {
+				bit := rng.IntN(24)
+				data[(w/2)*c.RegionBytes()+2*(bit/8)+w%2] |= 1 << uint(bit%8)
+			}
+		}
+		rows[r] = data
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.WriteRow(0, i%8, rows[i%8])
+	}
+}
+
+// FuzzRowCodec holds the default row codec byte-identical to the
+// Config.ScalarECC reference over fuzzed row data, dataword lengths,
+// manufacturers, refresh pauses and transient noise: both chips get the
+// same writes and, after every pause, the same repeated reads.
+func FuzzRowCodec(f *testing.F) {
+	f.Add([]byte{0xff, 0x01, 0x80}, uint8(2), uint8(1), []byte{40, 90}, uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, kSel, mfrSel uint8, pauses []byte, berSel uint8) {
+		cfg := Config{
+			Manufacturer:  []Manufacturer{MfrA, MfrB, MfrC}[int(mfrSel)%3],
+			DataBits:      []int{8, 16, 24, 32, 64, 128}[int(kSel)%6],
+			Banks:         1,
+			Rows:          4, // manufacturer C alternates true and anti rows
+			RegionsPerRow: 3,
+			Seed:          uint64(kSel)<<8 | uint64(mfrSel),
+			TransientBER:  []float64{0, 1e-4, 1e-3, 1e-2}[int(berSel)%4],
+		}
+		fast := MustNew(cfg)
+		cfg.ScalarECC = true
+		ref := MustNew(cfg)
+		row := make([]byte, fast.DataBytesPerRow())
+		for r := 0; r < fast.Rows(); r++ {
+			if len(data) > 0 {
+				for i := range row {
+					row[i] = data[(r*len(row)+i)%len(data)]
+				}
+			}
+			fast.WriteRow(0, r, row)
+			ref.WriteRow(0, r, row)
+		}
+		if len(pauses) > 8 {
+			pauses = pauses[:8]
+		}
+		for _, p := range pauses {
+			fast.PauseRefresh(time.Duration(p) * time.Minute)
+			ref.PauseRefresh(time.Duration(p) * time.Minute)
+			for r := 0; r < fast.Rows(); r++ {
+				for rep := 0; rep < 2; rep++ {
+					if got, want := fast.ReadRowInto(0, r, row), ref.ReadRow(0, r); !bytes.Equal(got, want) {
+						t.Fatalf("pause %d min, row %d, rep %d: read %x, scalar reference %x", p, r, rep, got, want)
+					}
+				}
+			}
+		}
+	})
 }

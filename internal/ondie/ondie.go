@@ -72,9 +72,10 @@ type Config struct {
 	TransientBER float64
 	// Code overrides the manufacturer's secret ECC function (testing only).
 	Code *ecc.Code
-	// ScalarECC routes WriteRow/ReadRow through the scalar per-word
-	// Encode/Decode reference path instead of the bitsliced batch codec
-	// (testing only: determinism tests hold the two paths byte-identical).
+	// ScalarECC routes WriteRow/ReadRow through the reference path, which
+	// encodes and decodes every word with ecc.Code.Encode/Decode over
+	// gf2.Vec values, instead of the packed-column word codec (testing
+	// only: determinism tests hold the two paths byte-identical).
 	ScalarECC bool
 }
 
@@ -101,11 +102,11 @@ type Chip struct {
 	code        *ecc.Code // the secret on-die ECC function
 	wordsPerRow int
 	dataBytes   int // bytes per dataword (k/8)
-	// Bitsliced row scratch. A Chip is stateful and not safe for concurrent
-	// use (each parallel shard owns its chips), so per-chip buffers make
-	// row writes and reads allocation-free in the steady state.
-	cells gf2.Vec // wordsPerRow * n substrate cells
-	slab  gf2.Slab
+	// cells is the row's wordsPerRow * n substrate cells, scratch for
+	// WriteRow and ReadRowInto. A Chip is stateful and not safe for
+	// concurrent use (each parallel shard owns its chips), so one per-chip
+	// buffer keeps row writes and reads allocation-free.
+	cells gf2.Vec
 }
 
 // New constructs a simulated chip.
@@ -227,11 +228,17 @@ func (c *Chip) PauseRefresh(d time.Duration) { c.sub.PauseRefresh(d) }
 // wordBit maps (word, bit-in-codeword) to the substrate cell index.
 func (c *Chip) wordBit(word, bit int) int { return word*c.code.N() + bit }
 
+// wordBase returns the row byte offset of word w's first data byte: region
+// w/2, interleaving phase w%2 (its byte b sits at wordBase(w)+2*b).
+func (c *Chip) wordBase(w int) int { return (w/2)*c.RegionBytes() + w%2 }
+
 // WriteRow encodes and stores a full row of data bytes.
 // len(data) must equal DataBytesPerRow.
 //
-// The row's words are encoded through the bitsliced batch codec, up to 64
-// words per chunk, into a per-chip cell buffer — no allocation per write.
+// Words are encoded one at a time into a per-chip cell buffer, with no
+// allocation per write. The code is systematic (codeword bit i < k is data
+// bit i), so data bytes go straight to their cells, and the parity bits are
+// the XOR of the H columns of the set data bits.
 func (c *Chip) WriteRow(bank, row int, data []byte) {
 	if len(data) != c.DataBytesPerRow() {
 		panic(fmt.Sprintf("ondie: WriteRow got %d bytes, want %d", len(data), c.DataBytesPerRow()))
@@ -240,39 +247,24 @@ func (c *Chip) WriteRow(bank, row int, data []byte) {
 		c.writeRowScalar(bank, row, data)
 		return
 	}
-	n, k := c.code.N(), c.code.K()
+	k := c.code.K()
 	bc := c.code.Bitsliced()
 	cellw := c.cells.Words()
 	clear(cellw)
-	c.slab.Reset()
-	for w0 := 0; w0 < c.wordsPerRow; w0 += 64 {
-		lanes := min(c.wordsPerRow-w0, 64)
-		db := c.slab.Alloc(k, lanes)
-		cb := c.slab.Alloc(n, lanes)
-		dw := db.Words()
-		// The code is systematic (codeword bit i < k is data bit i), so
-		// data bytes go straight to their cells; the batch only feeds the
-		// parity computation.
-		for lane := 0; lane < lanes; lane++ {
-			w := w0 + lane
-			base := (w/2)*c.RegionBytes() + w%2
-			cell := c.wordBit(w, 0)
-			lb := uint64(1) << uint(lane)
-			for b := 0; b < c.dataBytes; b++ {
-				by := data[base+2*b]
-				orBitsAt(cellw, cell+8*b, uint64(by))
-				for ; by != 0; by &= by - 1 {
-					dw[8*b+mathbits.TrailingZeros8(by)] |= lb
-				}
+	for w := 0; w < c.wordsPerRow; w++ {
+		base, cell := c.wordBase(w), c.wordBit(w, 0)
+		var parity uint64
+		for off := 0; off < k; off += 64 {
+			var v uint64 // data bits off .. off+63
+			for b := min(k, off+64)/8 - 1; b >= off/8; b-- {
+				v = v<<8 | uint64(data[base+2*b])
+			}
+			orBitsAt(cellw, cell+off, v)
+			for ; v != 0; v &= v - 1 {
+				parity ^= bc.Column(off + mathbits.TrailingZeros64(v))
 			}
 		}
-		bc.Encode(db, cb)
-		for bit := k; bit < n; bit++ {
-			for m := cb.Row(bit); m != 0; m &= m - 1 {
-				cell := c.wordBit(w0+mathbits.TrailingZeros64(m), bit)
-				cellw[cell>>6] |= 1 << (uint(cell) & 63)
-			}
-		}
+		orBitsAt(cellw, cell+k, parity)
 	}
 	c.sub.WriteRow(bank, row, c.cells)
 }
@@ -292,8 +284,7 @@ func (c *Chip) writeRowScalar(bank, row int, data []byte) {
 	c.sub.WriteRow(bank, row, cells)
 }
 
-// ReadRow reads, ECC-decodes, and de-interleaves a full row. Decoding runs
-// through the bitsliced batch codec over a per-chip cell buffer; only the
+// ReadRow reads, ECC-decodes, and de-interleaves a full row. Only the
 // returned byte slice is allocated. Collection loops that read millions of
 // rows should use ReadRowInto with a reused buffer instead.
 func (c *Chip) ReadRow(bank, row int) []byte {
@@ -302,7 +293,12 @@ func (c *Chip) ReadRow(bank, row int) []byte {
 
 // ReadRowInto is ReadRow writing into caller-owned storage: data must have
 // length DataBytesPerRow, is fully overwritten, and is returned. With a
-// reused buffer the bitsliced read path allocates nothing in steady state.
+// reused buffer a read allocates nothing.
+//
+// Each word is decoded on its own: the syndrome is the XOR of the H columns
+// of its set cells, and a nonzero syndrome blindly flips the bit whose
+// column it equals (none for an unmatched syndrome of a shortened code),
+// exactly as ecc.Code.Decode does.
 func (c *Chip) ReadRowInto(bank, row int, data []byte) []byte {
 	if len(data) != c.DataBytesPerRow() {
 		panic(fmt.Sprintf("ondie: ReadRowInto buffer length %d, row holds %d bytes",
@@ -312,34 +308,27 @@ func (c *Chip) ReadRowInto(bank, row int, data []byte) []byte {
 		copy(data, c.readRowScalar(bank, row))
 		return data
 	}
-	n, r, k := c.code.N(), c.code.ParityBits(), c.code.K()
+	n, k := c.code.N(), c.code.K()
 	bc := c.code.Bitsliced()
 	cellw := c.sub.ReadRowInto(bank, row, c.cells).Words()
-	clear(data)
-	c.slab.Reset()
-	for w0 := 0; w0 < c.wordsPerRow; w0 += 64 {
-		lanes := min(c.wordsPerRow-w0, 64)
-		cb := c.slab.Alloc(n, lanes)
-		sb := c.slab.Alloc(r, lanes)
-		cbw := cb.Words()
-		// Transpose from the set bits only: word w0+lane's codeword is the
-		// n cells starting at wordBit(w0+lane, 0), taken 64 at a time.
-		for lane := 0; lane < lanes; lane++ {
-			lb := uint64(1) << uint(lane)
-			cell := c.wordBit(w0+lane, 0)
-			for off := 0; off < n; off += 64 {
-				for m := bitsAt(cellw, cell+off, min(n-off, 64)); m != 0; m &= m - 1 {
-					cbw[off+mathbits.TrailingZeros64(m)] |= lb
-				}
+	for w := 0; w < c.wordsPerRow; w++ {
+		base, cell := c.wordBase(w), c.wordBit(w, 0)
+		var synd uint64
+		for off := 0; off < n; off += 64 {
+			v := bitsAt(cellw, cell+off, min(n-off, 64))
+			for m := v; m != 0; m &= m - 1 {
+				synd ^= bc.Column(off + mathbits.TrailingZeros64(m))
+			}
+			for b := off / 8; b < min(k, off+64)/8; b++ {
+				data[base+2*b] = byte(v)
+				v >>= 8
 			}
 		}
-		bc.Syndrome(cb, sb)
-		bc.Decode(cb, sb, nil)
-		for bit := 0; bit < k; bit++ {
-			for m := cbw[bit]; m != 0; m &= m - 1 {
-				w := w0 + mathbits.TrailingZeros64(m)
-				data[(w/2)*c.RegionBytes()+2*(bit/8)+w%2] |= 1 << uint(bit%8)
-			}
+		if synd == 0 {
+			continue
+		}
+		if j := c.code.ColumnOfPackedSyndrome(synd); uint(j) < uint(k) { // j = -1: no match
+			data[base+2*(j/8)] ^= 1 << uint(j%8)
 		}
 	}
 	return data

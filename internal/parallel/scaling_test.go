@@ -8,9 +8,9 @@ import (
 	"repro/internal/ondie"
 )
 
-// scalarTestChip mirrors testChip but forces the per-word scalar ECC path,
-// giving a reference engine that shares the substrate seed (and therefore the
-// exact decay behavior) with the bitsliced chips.
+// scalarTestChip mirrors testChip but forces the Config.ScalarECC reference
+// path, giving a reference engine that shares the substrate seed (and
+// therefore the exact decay behavior) with the default chips.
 func scalarTestChip(t testing.TB, seed uint64) *ondie.Chip {
 	t.Helper()
 	return ondie.MustNew(ondie.Config{
@@ -25,10 +25,11 @@ func scalarTestChip(t testing.TB, seed uint64) *ondie.Chip {
 }
 
 // TestCollectBitslicedMatchesScalarEngine is the cross-layer determinism
-// guarantee the bitsliced refactor must uphold: fanning collection out over
-// bitsliced chips at 1, 2, and 8 workers produces merged counts bit-identical
-// to a serial run over scalar-ECC chips with the same seeds. Any divergence
-// isolates a codec bug, since identical seeds give identical substrate decay.
+// guarantee for the default on-die row codec (word at a time over packed H
+// columns): fanning collection out over default chips at 1, 2, and 8
+// workers produces merged counts bit-identical to a serial run over
+// scalar-ECC chips with the same seeds. Any divergence isolates a codec bug,
+// since identical seeds give identical substrate decay.
 func TestCollectBitslicedMatchesScalarEngine(t *testing.T) {
 	const shards = 3
 	scalarChips := make([]*ondie.Chip, shards)
@@ -53,7 +54,7 @@ func TestCollectBitslicedMatchesScalarEngine(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d: bitsliced merged counts diverge from the scalar engine", workers)
+			t.Fatalf("workers=%d: merged counts diverge from the scalar engine", workers)
 		}
 	}
 	var observed int64
