@@ -85,13 +85,12 @@ fuzz-smoke:
 # Graded SATLIB regression suite (internal/sat/satlib): the committed
 # uf20/uf50/uuf50 + BEER-formula corpus solved under per-grade conflict
 # budgets with checked-in pass thresholds (grading.json — the ratchet), plus
-# the differential CDCL/portfolio/external backend agreement tests. External
-# solvers (kissat, cadical) are exercised when installed and skipped
-# cleanly otherwise; the test binary's own re-exec solver always runs.
+# the unbudgeted differential run of the in-process CDCL engine and its
+# recording Dimacs wrapper against the corpus ground truth.
 solver-regression:
-	$(GO) test -race -v -run 'TestSolverGraded|TestDifferentialBackends|TestPortfolioOnBeerFormulas|TestGradingRatchetSane|TestCorpusWellFormed' ./internal/sat/satlib
+	$(GO) test -race -v -run 'TestSolverGraded|TestDifferentialBackends|TestGradingRatchetSane|TestCorpusWellFormed' ./internal/sat/satlib
 
-# Boot an ephemeral beerd, submit 8 concurrent FastRecovery jobs against
+# Boot an ephemeral beerd, submit 8 concurrent fast-window jobs against
 # simulated MfrB chips, assert monotonic per-stage progress and that every
 # recovered H matches ground truth (see internal/service/smoke.go).
 serve-smoke:

@@ -21,7 +21,6 @@ import (
 	"repro/internal/gf2"
 	"repro/internal/noise"
 	"repro/internal/ondie"
-	"repro/internal/sat"
 )
 
 // benchFigure times one full regeneration of a registered table or figure.
@@ -78,10 +77,11 @@ func BenchmarkWordLayout(b *testing.B) {
 // BenchmarkRecoverEndToEnd times the complete BEER pipeline on a simulated
 // chip (discovery + collection + SAT solve).
 func BenchmarkRecoverEndToEnd(b *testing.B) {
+	pipe := repro.NewPipeline(repro.WithFastWindows())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		chip := repro.SimulatedChip(repro.MfrB, 16, uint64(i))
-		rep, err := repro.RecoverECCFunction(chip, repro.FastRecovery())
+		rep, err := pipe.Recover(context.Background(), chip)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -95,10 +95,11 @@ func BenchmarkRecoverEndToEnd(b *testing.B) {
 // collection fans out across same-model chips on the parallel engine and the
 // merged counts feed one solve (paper §6.3).
 func BenchmarkParallelRecoverEndToEnd(b *testing.B) {
+	pipe := repro.NewPipeline(repro.WithFastWindows())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		chips := repro.SimulatedChips(repro.MfrB, 16, 2, uint64(2*i))
-		rep, err := repro.RecoverECCFunctionParallel(chips, repro.FastRecovery())
+		rep, err := pipe.Recover(context.Background(), chips...)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -431,19 +432,12 @@ func BenchmarkNoisyRecoverPBEM75(b *testing.B) {
 	benchNoisyRecover(b, &m)
 }
 
-// --- Single-engine vs. portfolio backend pair (PR 8) ---
-// BenchmarkSolveBackendCDCL / BenchmarkSolveBackendPortfolio bound the
-// portfolio's overhead on the seed-configuration profile (k=16,
-// {1,2}-CHARGED): racing three differently-seeded in-process CDCL engines
-// costs goroutine setup plus redundant work by the losers, and the gate
-// keeps that within the ordinary regression threshold of the
-// single-engine entry. External competitors are deliberately absent —
-// process spawn costs would swamp the comparison and CI machines may not
-// carry solver binaries.
-func benchSolveBackend(b *testing.B, factory func() sat.Backend) {
-	b.Helper()
+// BenchmarkSolveBackendCDCL times the solve stage alone on the in-process
+// CDCL backend over the seed-configuration profile (k=16, {1,2}-CHARGED):
+// encode, search and the uniqueness loop, with no collection in front.
+func BenchmarkSolveBackendCDCL(b *testing.B) {
 	code, prof := benchProfile()
-	opts := core.SolveOptions{ParityBits: code.ParityBits(), Backend: factory}
+	opts := core.SolveOptions{ParityBits: code.ParityBits()}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -455,16 +449,4 @@ func benchSolveBackend(b *testing.B, factory func() sat.Backend) {
 			b.Fatalf("solve not unique (%d candidates)", len(res.Codes))
 		}
 	}
-}
-
-func BenchmarkSolveBackendCDCL(b *testing.B) { benchSolveBackend(b, nil) }
-
-func BenchmarkSolveBackendPortfolio(b *testing.B) {
-	benchSolveBackend(b, func() sat.Backend {
-		p, err := sat.DefaultPortfolio(3)
-		if err != nil {
-			panic(err)
-		}
-		return p
-	})
 }

@@ -11,8 +11,6 @@
 //	beer -mfr B -k 16 -progress            # live per-stage status on stderr
 //	beer -mfr B -k 16 -noise fp=0.002 -verify  # corrupt the profile, recover with drop-k + confidence
 //	beer -mfr B -k 16 -noise fp=0.001,fn=0.01 -max-drop 16 -verify
-//	beer -mfr B -k 16 -solver "kissat -q" -verify       # every solve shells out to kissat
-//	beer -mfr B -k 16 -portfolio 3 -solver "cadical -q" # race 3 seeded CDCL engines vs. cadical
 //
 // -noise also accepts the HARP observation-model presets pbem25..pbem100
 // (per-bit true-positive dropout of 75%..0%); the aggressive presets
@@ -71,9 +69,6 @@ func main() {
 		noiseArg = flag.String("noise", "", "perturb the observed profile with an observation-error model: pbem25|pbem50|pbem75|pbem100 or fp=X,fn=Y (extension)")
 		noiseSd  = flag.Uint64("noise-seed", 1, "noise-model perturbation seed")
 		maxDrop  = flag.Int("max-drop", -1, "drop-k budget for noise-tolerant solving (0 = none, negative = unlimited); implies the noisy solver when -noise is set")
-		solver   = flag.String("solver", "", `external DIMACS solver argv, e.g. "kissat -q" or "beersat" (extension)`)
-		solverTO = flag.Duration("solver-timeout", 2*time.Minute, "wall-clock budget per external solver invocation; a timed-out run is killed and discarded")
-		portN    = flag.Int("portfolio", 0, "race N differently-seeded in-process CDCL engines (plus -solver, if set) per solve; first answer wins (extension)")
 	)
 	flag.Parse()
 
@@ -144,11 +139,6 @@ func main() {
 	}
 	if *progress {
 		opts = append(opts, repro.WithProgress(printProgress))
-	}
-	if backend, err := solverBackendOption(*solver, *solverTO, *portN); err != nil {
-		fatal(err)
-	} else if backend != nil {
-		opts = append(opts, backend)
 	}
 	pipe := repro.NewPipeline(opts...)
 
@@ -265,37 +255,6 @@ func printProgress(ev repro.ProgressEvent) {
 	default:
 		fmt.Fprintf(os.Stderr, "[chip %d] %s: started\n", ev.Chip, ev.Stage)
 	}
-}
-
-// solverBackendOption turns the -solver/-solver-timeout/-portfolio flags
-// into a pipeline option, or nil when neither flag asks for a non-default
-// backend. Binaries are validated up front (repro.NewExternalBackend /
-// NewPortfolioBackend) so a typo'd solver name fails at startup rather
-// than silently degrading to the in-process engine mid-run.
-func solverBackendOption(argv string, timeout time.Duration, portfolio int) (repro.Option, error) {
-	var externals []repro.ExternalSolverConfig
-	if argv != "" {
-		fields := strings.Fields(argv)
-		externals = append(externals, repro.ExternalSolverConfig{
-			Argv:    fields,
-			Timeout: timeout,
-		})
-	}
-	switch {
-	case portfolio > 0:
-		factory, err := repro.NewPortfolioBackend(portfolio, externals...)
-		if err != nil {
-			return nil, fmt.Errorf("-portfolio: %w", err)
-		}
-		return repro.WithSolverBackend(factory), nil
-	case len(externals) == 1:
-		factory, err := repro.NewExternalBackend(externals[0])
-		if err != nil {
-			return nil, fmt.Errorf("-solver: %w", err)
-		}
-		return repro.WithSolverBackend(factory), nil
-	}
-	return nil, nil
 }
 
 // parseNoise turns the -noise argument into a model: a HARP PBEM preset

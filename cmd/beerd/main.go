@@ -14,7 +14,6 @@
 //	beerd -max-jobs 4                    # admission cap: 429 + Retry-After when saturated
 //	beerd -selfcheck                     # ephemeral server + smoke suite, then exit
 //	beerd -clustercheck                  # 1 coordinator + 2 worker processes + kill-one smoke, then exit
-//	beerd -portfolio 3 -solver "kissat -q"  # recovery solves race 3 CDCL engines vs. kissat
 //
 // API (full schemas in docs/API.md; see internal/service and
 // internal/cluster):
@@ -85,9 +84,6 @@ func main() {
 		advert   = flag.String("advertise", "", "base URL the coordinator should dispatch to (worker role; default http://127.0.0.1:<port>)")
 		workerID = flag.String("worker-id", "", "stable worker identity on the hash ring (default: random)")
 		maxJobs  = flag.Int("max-jobs", 0, "admission cap on concurrently executing jobs (0 = unlimited)")
-		solver   = flag.String("solver", "", `external DIMACS solver argv for recovery solves, e.g. "kissat -q" (standalone/worker roles)`)
-		solverTO = flag.Duration("solver-timeout", 2*time.Minute, "wall-clock budget per external solver invocation; timed-out runs are killed and discarded")
-		portN    = flag.Int("portfolio", 0, "race N in-process CDCL engines (plus -solver, if set) per recovery solve; first answer wins")
 		drain    = flag.Duration("drain-timeout", 45*time.Second, "how long shutdown waits for in-flight jobs before cancelling them")
 		beat     = flag.Duration("heartbeat", cluster.DefaultHeartbeatEvery, "cluster heartbeat interval (coordinator hands it to workers)")
 		ttl      = flag.Duration("ttl", cluster.DefaultTTL, "cluster liveness TTL (coordinator role)")
@@ -139,15 +135,6 @@ func main() {
 	opts := []service.Option{service.WithStore(st), service.WithObservability(hub)}
 	if *maxJobs > 0 {
 		opts = append(opts, service.WithMaxConcurrent(*maxJobs))
-	}
-	if solverOpt, err := solverBackendOption(*solver, *solverTO, *portN); err != nil {
-		fatal(logger, err)
-	} else if solverOpt != nil {
-		// Backend selection is a per-process deployment choice: it applies
-		// to jobs this process executes locally (standalone and worker
-		// roles). A coordinator dispatches jobs elsewhere, so its workers
-		// each pick their own backend from their own flags.
-		opts = append(opts, service.WithSolverOptions(solverOpt))
 	}
 
 	if *selfcheck {
@@ -316,36 +303,6 @@ func shutdown(logger *slog.Logger, srv *service.Server, httpSrv *http.Server, ag
 	}
 	srv.Close()
 	logger.Info("bye")
-}
-
-// solverBackendOption turns the -solver/-solver-timeout/-portfolio flags
-// into a recovery-pipeline option, or nil when the defaults apply. The
-// external binaries are validated up front so a typo'd solver name fails
-// at daemon startup instead of silently degrading every job to the
-// in-process engine.
-func solverBackendOption(argv string, timeout time.Duration, portfolio int) (repro.Option, error) {
-	var externals []repro.ExternalSolverConfig
-	if argv != "" {
-		externals = append(externals, repro.ExternalSolverConfig{
-			Argv:    strings.Fields(argv),
-			Timeout: timeout,
-		})
-	}
-	switch {
-	case portfolio > 0:
-		factory, err := repro.NewPortfolioBackend(portfolio, externals...)
-		if err != nil {
-			return nil, fmt.Errorf("-portfolio: %w", err)
-		}
-		return repro.WithSolverBackend(factory), nil
-	case len(externals) == 1:
-		factory, err := repro.NewExternalBackend(externals[0])
-		if err != nil {
-			return nil, fmt.Errorf("-solver: %w", err)
-		}
-		return repro.WithSolverBackend(factory), nil
-	}
-	return nil, nil
 }
 
 // defaultAdvertise derives a dialable loopback URL from the bound listener

@@ -3,6 +3,7 @@ package repro_test
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"repro"
 )
@@ -33,4 +34,37 @@ func ExampleNewPipeline() {
 	// unique: true
 	// candidates: 1
 	// matches ground truth: true
+}
+
+// ExampleNewDimacsBackend records the constraint system a solve builds and
+// exports it as DIMACS CNF, the input format of Z3, kissat and CaDiCaL. The
+// recording backend delegates every solve to the in-process engine, so the
+// answer is the same as without it.
+func ExampleNewDimacsBackend() {
+	code := repro.Hamming74()
+	patterns := append(repro.OneChargedPatterns(4), repro.TwoChargedPatterns(4)...)
+	profile := repro.ExactProfile(code, patterns)
+
+	var rec *repro.DimacsBackend
+	pipe := repro.NewPipeline(repro.WithSolverBackend(func() repro.SolverBackend {
+		rec = repro.NewDimacsBackend()
+		return rec
+	}))
+	result, err := pipe.Solve(context.Background(), profile)
+	if err != nil {
+		fmt.Println("solve:", err)
+		return
+	}
+	var cnf strings.Builder
+	if err := rec.WriteDIMACS(&cnf); err != nil {
+		fmt.Println("export:", err)
+		return
+	}
+	fmt.Println("unique:", result.Unique)
+	fmt.Println("matches ground truth:", result.Codes[0].EquivalentTo(code))
+	fmt.Println("DIMACS header:", strings.HasPrefix(cnf.String(), "p cnf "))
+	// Output:
+	// unique: true
+	// matches ground truth: true
+	// DIMACS header: true
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,6 +53,30 @@ func TestDrainedWorkerCountersFoldIntoFleet(t *testing.T) {
 	}
 	if got.Invocations < want.Invocations {
 		t.Fatalf("healthz fleet_solver lost the drained worker: %+v < %+v", got, want)
+	}
+}
+
+// TestHeartbeatWithPortfolioEraSolverDecodes: workers that raced a SAT
+// portfolio reported "races" in their heartbeat's solver block. The field
+// is gone; the coordinator must still accept such a heartbeat and fold the
+// counters it does know into the fleet totals.
+func TestHeartbeatWithPortfolioEraSolverDecodes(t *testing.T) {
+	tc := startTestCluster(t)
+	tc.coord.Registry().Register(WorkerInfo{ID: "old", URL: "http://127.0.0.1:1"})
+	body := `{"id":"old","running":0,"in_flight":0,"codes":0,` +
+		`"solver":{"invocations":2,"cache_hits":1,"conflicts":40,"propagations":900,` +
+		`"learned":30,"restarts":1,"races":3,"noisy_recoveries":0,"entries_dropped":0}}`
+	resp, err := http.Post(tc.ts.URL+PathHeartbeat, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("heartbeat with solver.races: %s", resp.Status)
+	}
+	want := service.SolverTotals{Invocations: 2, CacheHits: 1, Conflicts: 40, Propagations: 900, Learned: 30, Restarts: 1}
+	if got := tc.coord.Registry().FleetSolver(); got != want {
+		t.Fatalf("fleet solver totals = %+v, want %+v", got, want)
 	}
 }
 

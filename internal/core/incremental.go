@@ -191,8 +191,6 @@ func (ss *SolveSession) event(candidates int) Event {
 		Conflicts:      stats.Conflicts,
 		Propagations:   stats.Propagations,
 		LearnedClauses: stats.Learnt,
-		Races:          stats.Races,
-		Competitors:    stats.Competitors,
 	}
 	if ss.guarded() {
 		ev.DroppedEntries = len(ss.dropped)

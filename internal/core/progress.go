@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"time"
-
-	"repro/internal/sat"
 )
 
 // Stage identifies one phase of the BEER pipeline (paper §5). Progress
@@ -61,14 +59,6 @@ type Event struct {
 	// within a run — beerd folds them into its monotonic progress stream
 	// and /healthz solver totals.
 	Conflicts, Propagations, LearnedClauses int64
-	// Races counts portfolio-backend solver races so far (zero on
-	// single-engine backends). Monotonic within a run, like the counters
-	// above.
-	Races int64
-	// Competitors carries the portfolio backend's per-competitor win/loss/
-	// timeout records at emission time (nil on single-engine backends).
-	// The slice is a snapshot owned by the event — consumers may retain it.
-	Competitors []sat.CompetitorStat
 	// PatternsUsed and PatternsPlanned report adaptive-planner progress:
 	// how many test patterns have been collected and fed to the solver so
 	// far, out of the full family the exhaustive sweep would use (zero

@@ -369,7 +369,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 
 // CounterVec is a family of counters keyed by label values. Children are
 // created on first use and live forever (label cardinality is expected to
-// be small and bounded: job types, stages, competitor names).
+// be small and bounded: job types, stages, states).
 type CounterVec struct {
 	name   string
 	labels []string

@@ -164,7 +164,7 @@ func dimacsLit(l Lit) int {
 // Snapshot returns the recorded formula as a CNF value: the live variable
 // count, a shallow view of the recorded clauses (valid until the next Add),
 // and the most recent solve's assumptions. This is the export surface the
-// external backend, the corpus generator and WriteDIMACS share.
+// corpus generator and WriteDIMACS share.
 func (d *Dimacs) Snapshot() *CNF {
 	return &CNF{
 		Vars:        d.NumVars(),

@@ -105,8 +105,8 @@ func (c *CNF) Feed(b Builder) {
 
 // Satisfied reports whether assignment (indexed by variable) satisfies
 // every clause, and returns the first violated clause otherwise — the
-// model-verification primitive the external backend and the differential
-// tests use to distrust solver output.
+// model-verification primitive the differential tests use to distrust
+// solver output.
 func (c *CNF) Satisfied(assignment []bool) (ok bool, violated []Lit) {
 	litVal := func(l Lit) bool {
 		v := l.Var()

@@ -20,10 +20,10 @@
 // are single-goroutine: one Solver must never be shared across concurrent
 // solves.
 //
-// The Backend interface (backend.go) abstracts the solving surface so
-// higher layers can swap engines: *Solver is the default in-process CDCL
-// backend, and Dimacs is a recording backend that exports the accumulated
-// CNF in DIMACS format for external solvers.
+// The Backend interface (backend.go) is the solving surface higher layers
+// build on: *Solver is the one engine, and Dimacs is a recording wrapper
+// that delegates to it and exports the accumulated CNF in DIMACS format
+// for external tools.
 package sat
 
 import (
@@ -114,32 +114,6 @@ type Stats struct {
 	Propagations int64
 	Learnt       int64
 	Restarts     int64
-
-	// ExternalRuns and ExternalTimeouts count external-process solver
-	// invocations and how many of them were killed at the wall-clock
-	// deadline (every timed-out run's answer is discarded, HARP-style).
-	// Zero on the in-process engine.
-	ExternalRuns     int64
-	ExternalTimeouts int64
-
-	// Races counts portfolio solve races (one per Solve /
-	// SolveUnderAssumptions call on a Portfolio backend); Competitors
-	// grades each racer's outcomes. Empty off the portfolio backend. The
-	// slice is a fresh copy on every Statistics() call — safe to retain.
-	Races       int64
-	Competitors []CompetitorStat
-}
-
-// CompetitorStat is one portfolio competitor's cumulative race record.
-// Wins counts races this competitor answered first; Losses races where it
-// was cancelled or beaten; Timeouts races it lost to its own wall-clock
-// deadline; Errors races it exited with any other error.
-type CompetitorStat struct {
-	Name     string
-	Wins     int64
-	Losses   int64
-	Timeouts int64
-	Errors   int64
 }
 
 // Solver is a reusable CDCL SAT solver. The zero value is not usable; call

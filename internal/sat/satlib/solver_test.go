@@ -2,26 +2,10 @@ package satlib
 
 import (
 	"errors"
-	"os"
 	"testing"
-	"time"
 
 	"repro/internal/sat"
 )
-
-// TestMain doubles the test binary as a real command-line DIMACS solver:
-// with BEER_SAT_SOLVER=1 in the environment it runs sat.SolverMain on its
-// arguments instead of the test suite. The external-backend differential
-// tests below point sat.ExternalConfig at os.Args[0] with that variable
-// set, which exercises the full process-spawning path — temp-file export,
-// argv assembly, output parsing, exit-code handling — without requiring
-// kissat or cadical to be installed.
-func TestMain(m *testing.M) {
-	if os.Getenv("BEER_SAT_SOLVER") == "1" {
-		os.Exit(sat.SolverMain(os.Args[1:], os.Stdout, os.Stderr))
-	}
-	os.Exit(m.Run())
-}
 
 // TestCorpusWellFormed pins the corpus composition: every grade present,
 // with at least one SAT and one UNSAT instance somewhere, and every BEER
@@ -103,76 +87,31 @@ func TestSolverGraded(t *testing.T) {
 	}
 }
 
-// selfSolverConfig points the external backend at this test binary in
-// solver mode (see TestMain).
-func selfSolverConfig(t *testing.T) sat.ExternalConfig {
-	t.Helper()
-	return sat.ExternalConfig{
-		Argv:    []string{os.Args[0]},
-		Name:    "self",
-		Env:     []string{"BEER_SAT_SOLVER=1"},
-		Timeout: 2 * time.Minute,
-		Dir:     t.TempDir(),
-	}
-}
-
-// realSolverConfigs lists conventionally-behaved external solvers to
-// include in the differential when installed (missing ones are skipped —
-// sat.ErrSolverNotFound — so solver-less CI stays green).
-func realSolverConfigs() []sat.ExternalConfig {
-	return []sat.ExternalConfig{
-		{Argv: []string{"kissat", "-q"}, Timeout: 2 * time.Minute},
-		{Argv: []string{"cadical", "-q"}, Timeout: 2 * time.Minute},
-	}
-}
-
-// TestDifferentialBackends runs every corpus instance through the
-// in-process CDCL engine, the portfolio, the external backend re-execing
-// this binary, and any installed real solvers — all must agree with the
-// corpus ground truth, and every SAT model must check out against the
-// original clauses.
+// TestDifferentialBackends runs every corpus instance, unbudgeted, through
+// the in-process CDCL engine and through the recording Dimacs wrapper
+// around it. Both must agree with the corpus ground truth, every SAT model
+// must check out against the original clauses, and the wrapper must have
+// recorded every clause it was fed: recording never changes an answer.
 func TestDifferentialBackends(t *testing.T) {
-	if testing.Short() {
-		t.Skip("differential suite spawns processes per instance")
-	}
 	insts, err := Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	type backendCase struct {
+	cases := []struct {
 		name string
-		make func() (sat.Backend, error)
+		make func() sat.Backend
+	}{
+		{"cdcl", func() sat.Backend { return sat.New() }},
+		{"dimacs", func() sat.Backend { return sat.NewDimacs(nil) }},
 	}
-	cases := []backendCase{
-		{"cdcl", func() (sat.Backend, error) { return sat.New(), nil }},
-		{"portfolio", func() (sat.Backend, error) { return sat.NewPortfolio() }},
-		{"external-self", func() (sat.Backend, error) { return sat.NewExternal(selfSolverConfig(t)) }},
-	}
-	for _, cfg := range realSolverConfigs() {
-		cfg := cfg
-		cases = append(cases, backendCase{
-			"external-" + cfg.Argv[0],
-			func() (sat.Backend, error) { return sat.NewExternal(cfg) },
-		})
-	}
-
 	for _, bc := range cases {
 		t.Run(bc.name, func(t *testing.T) {
-			probe, err := bc.make()
-			if errors.Is(err, sat.ErrSolverNotFound) {
-				t.Skipf("solver not installed: %v", err)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			_ = probe
 			for _, in := range insts {
-				b, err := bc.make()
-				if err != nil {
-					t.Fatal(err)
-				}
+				b := bc.make()
 				in.CNF.Feed(b)
+				if d, ok := b.(*sat.Dimacs); ok && d.NumClauses() != len(in.CNF.Clauses) {
+					t.Fatalf("%s: recorded %d clauses, fed %d", in.Name, d.NumClauses(), len(in.CNF.Clauses))
+				}
 				isSat, err := b.Solve()
 				if err != nil {
 					t.Fatalf("%s: %v", in.Name, err)
@@ -187,57 +126,6 @@ func TestDifferentialBackends(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestPortfolioOnBeerFormulas drives the portfolio (CDCL seeds + the
-// self-solver external competitor) through the recorded BEER formulas and
-// checks the race bookkeeping: every race has exactly one winner and the
-// cumulative per-competitor tallies account for every start.
-func TestPortfolioOnBeerFormulas(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns external solver processes")
-	}
-	insts, err := Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, in := range ByGrade(insts)["beer"] {
-		p, err := sat.DefaultPortfolio(2, selfSolverConfig(t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := len(p.CompetitorNames()); got != 3 {
-			t.Fatalf("%s: want 3 competitors, got %v", in.Name, p.CompetitorNames())
-		}
-		in.CNF.Feed(p)
-		isSat, err := p.Solve()
-		if err != nil {
-			t.Fatalf("%s: %v", in.Name, err)
-		}
-		if isSat != in.Expect {
-			t.Fatalf("%s: portfolio says sat=%v, corpus says sat=%v", in.Name, isSat, in.Expect)
-		}
-		if isSat {
-			if ok, cl := in.CNF.Satisfied(p.Model()); !ok {
-				t.Fatalf("%s: portfolio model violates clause %v", in.Name, cl)
-			}
-		}
-		stats := p.Statistics()
-		if stats.Races != 1 {
-			t.Fatalf("%s: races = %d, want 1", in.Name, stats.Races)
-		}
-		var wins, accounted int64
-		for _, cs := range stats.Competitors {
-			wins += cs.Wins
-			accounted += cs.Wins + cs.Losses + cs.Timeouts + cs.Errors
-		}
-		if wins != 1 {
-			t.Fatalf("%s: %d winners in 1 race: %+v", in.Name, wins, stats.Competitors)
-		}
-		if accounted > 3 {
-			t.Fatalf("%s: %d outcomes from 3 competitors: %+v", in.Name, accounted, stats.Competitors)
-		}
 	}
 }
 

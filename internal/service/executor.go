@@ -214,7 +214,6 @@ func (t *progressTracker) update(p ProgressStatus) {
 	c.Solver.Conflicts = max(c.Solver.Conflicts, p.Solver.Conflicts)
 	c.Solver.Propagations = max(c.Solver.Propagations, p.Solver.Propagations)
 	c.Solver.Learned = max(c.Solver.Learned, p.Solver.Learned)
-	c.Solver.Races = max(c.Solver.Races, p.Solver.Races)
 	c.Solver.PatternsUsed = max(c.Solver.PatternsUsed, p.Solver.PatternsUsed)
 	c.Solver.PatternsPlanned = max(c.Solver.PatternsPlanned, p.Solver.PatternsPlanned)
 	c.Solver.EntriesDropped = max(c.Solver.EntriesDropped, p.Solver.EntriesDropped)

@@ -284,8 +284,6 @@ func buildRecoverRunner(spec JobSpec, extraOpts []repro.Option) (runner, error) 
 				Learned:         report.Result.Stats.Learnt,
 				Restarts:        report.Result.Stats.Restarts,
 				PatternsSkipped: report.Result.PatternsSkipped,
-				Races:           report.Result.Stats.Races,
-				Competitors:     competitorReports(report.Result.Stats.Competitors),
 			},
 		}}
 		if report.Plan != nil {
@@ -453,44 +451,13 @@ type NoiseReport struct {
 
 // SolverStats reports the SAT engine's work for one recovery: cumulative
 // conflicts, propagations, learnt clauses and restarts, plus how many
-// profile entries the incremental engine never had to encode. Portfolio
-// runs additionally report how many solver races were held and each
-// competitor's record.
+// profile entries the incremental engine never had to encode.
 type SolverStats struct {
-	Conflicts       int64              `json:"conflicts"`
-	Propagations    int64              `json:"propagations"`
-	Learned         int64              `json:"learned"`
-	Restarts        int64              `json:"restarts"`
-	PatternsSkipped int                `json:"patterns_skipped,omitempty"`
-	Races           int64              `json:"races,omitempty"`
-	Competitors     []CompetitorReport `json:"competitors,omitempty"`
-}
-
-// CompetitorReport is one portfolio competitor's cumulative record: how
-// many races it won, lost (another competitor answered first, or it was
-// cancelled), timed out, or failed outright.
-type CompetitorReport struct {
-	Name     string `json:"name"`
-	Wins     int64  `json:"wins"`
-	Losses   int64  `json:"losses"`
-	Timeouts int64  `json:"timeouts,omitempty"`
-	Errors   int64  `json:"errors,omitempty"`
-}
-
-// competitorReports converts the engine's per-competitor records to the
-// wire type.
-func competitorReports(stats []repro.CompetitorStat) []CompetitorReport {
-	if len(stats) == 0 {
-		return nil
-	}
-	out := make([]CompetitorReport, len(stats))
-	for i, c := range stats {
-		out[i] = CompetitorReport{
-			Name: c.Name, Wins: c.Wins, Losses: c.Losses,
-			Timeouts: c.Timeouts, Errors: c.Errors,
-		}
-	}
-	return out
+	Conflicts       int64 `json:"conflicts"`
+	Propagations    int64 `json:"propagations"`
+	Learned         int64 `json:"learned"`
+	Restarts        int64 `json:"restarts"`
+	PatternsSkipped int   `json:"patterns_skipped,omitempty"`
 }
 
 // SimulateResult reports a finished simulation job.
@@ -543,7 +510,6 @@ type SolverProgress struct {
 	Conflicts       int64   `json:"conflicts,omitempty"`
 	Propagations    int64   `json:"propagations,omitempty"`
 	Learned         int64   `json:"learned,omitempty"`
-	Races           int64   `json:"races,omitempty"`
 	PatternsUsed    int     `json:"patterns_used,omitempty"`
 	PatternsPlanned int     `json:"patterns_planned,omitempty"`
 	EntriesDropped  int64   `json:"entries_dropped,omitempty"`
@@ -771,13 +737,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			"patterns_skipped": totals.PatternsSkipped,
 			"noisy_recoveries": noisyJobs,
 			"entries_dropped":  entriesDropped,
-			"races":            totals.Races,
 		},
-	}
-	// Portfolio runs additionally expose fleet-lifetime per-competitor
-	// records; solver-less deployments keep the payload unchanged.
-	if len(totals.Competitors) > 0 {
-		payload["portfolio"] = totals.Competitors
 	}
 	if s.maxJobs > 0 {
 		payload["max_concurrent"] = s.maxJobs

@@ -33,7 +33,6 @@ type serverMetrics struct {
 	solverConflicts *obs.Counter
 	solverProps     *obs.Counter
 	solverLearned   *obs.Counter
-	solverRaces     *obs.Counter
 	patternsUsed    *obs.Counter
 
 	cacheLookups *obs.Counter
@@ -42,8 +41,6 @@ type serverMetrics struct {
 
 	noisyRecoveries *obs.Counter
 	entriesDropped  *obs.Counter
-
-	portfolioOutcomes *obs.CounterVec // competitor, outcome
 
 	storeSeconds *obs.HistogramVec // op
 	sseStreams   *obs.Counter
@@ -76,8 +73,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Cumulative SAT propagations reported by the live progress stream."),
 		solverLearned: r.Counter("beerd_solver_learned_clauses_total",
 			"Cumulative learnt clauses reported by the live progress stream."),
-		solverRaces: r.Counter("beerd_solver_races_total",
-			"Portfolio solver races held."),
 		patternsUsed: r.Counter("beerd_planner_patterns_total",
 			"Test patterns collected (planned subset or full sweep)."),
 		cacheLookups: r.Counter("beerd_solve_cache_lookups_total",
@@ -90,9 +85,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Recoveries that ran the confidence-weighted drop-k solver."),
 		entriesDropped: r.Counter("beerd_noise_entries_dropped_total",
 			"Profile entries retracted as inconsistent by the drop-k solver."),
-		portfolioOutcomes: r.CounterVec("beerd_portfolio_outcomes_total",
-			"Portfolio competitor race outcomes, by competitor and outcome (win|loss|timeout|error).",
-			"competitor", "outcome"),
 		storeSeconds: r.HistogramVec("beerd_store_op_seconds",
 			"Store backend operation latency in seconds, by op.", nil, "op"),
 		sseStreams: r.Counter("beerd_sse_streams_total",
@@ -143,14 +135,13 @@ func (m *serverMetrics) observeProgress(before, after ProgressStatus) {
 	m.solverConflicts.Add(after.Solver.Conflicts - before.Solver.Conflicts)
 	m.solverProps.Add(after.Solver.Propagations - before.Solver.Propagations)
 	m.solverLearned.Add(after.Solver.Learned - before.Solver.Learned)
-	m.solverRaces.Add(after.Solver.Races - before.Solver.Races)
 	m.patternsUsed.Add(int64(after.Solver.PatternsUsed - before.Solver.PatternsUsed))
 	m.entriesDropped.Add(after.Solver.EntriesDropped - before.Solver.EntriesDropped)
 }
 
 // observeFinished records one terminal job: completion counters, duration,
 // and — for successful recoveries — the per-stage latency histograms and
-// portfolio outcomes from the result.
+// the noisy-recovery count from the result.
 func (m *serverMetrics) observeFinished(jobType string, state State, started, finished time.Time, result *JobResult) {
 	if jobType == "" {
 		jobType = "unknown"
@@ -168,14 +159,6 @@ func (m *serverMetrics) observeFinished(jobType string, state State, started, fi
 	if rec.Noise != nil {
 		m.noisyRecoveries.Inc()
 	}
-	if rec.Solver != nil {
-		for _, comp := range rec.Solver.Competitors {
-			m.portfolioOutcomes.With(comp.Name, "win").Add(comp.Wins)
-			m.portfolioOutcomes.With(comp.Name, "loss").Add(comp.Losses)
-			m.portfolioOutcomes.With(comp.Name, "timeout").Add(comp.Timeouts)
-			m.portfolioOutcomes.With(comp.Name, "error").Add(comp.Errors)
-		}
-	}
 }
 
 // SolverTotals is a snapshot of the server's cumulative solver-side
@@ -191,7 +174,6 @@ type SolverTotals struct {
 	Propagations    int64 `json:"propagations"`
 	Learned         int64 `json:"learned"`
 	Restarts        int64 `json:"restarts"`
-	Races           int64 `json:"races"`
 	NoisyRecoveries int64 `json:"noisy_recoveries"`
 	EntriesDropped  int64 `json:"entries_dropped"`
 }
@@ -207,7 +189,6 @@ func (t *SolverTotals) Add(o SolverTotals) {
 	t.Propagations += o.Propagations
 	t.Learned += o.Learned
 	t.Restarts += o.Restarts
-	t.Races += o.Races
 	t.NoisyRecoveries += o.NoisyRecoveries
 	t.EntriesDropped += o.EntriesDropped
 }
@@ -224,7 +205,6 @@ func (s *Server) SolverTotals() SolverTotals {
 		Propagations:    totals.Propagations,
 		Learned:         totals.Learned,
 		Restarts:        totals.Restarts,
-		Races:           totals.Races,
 		NoisyRecoveries: noisyJobs,
 		EntriesDropped:  dropped,
 	}

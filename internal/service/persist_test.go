@@ -114,6 +114,87 @@ func TestRestartPreservesCompletedJobs(t *testing.T) {
 	}
 }
 
+// TestRestartReplaysPortfolioEraResult: job records written by a server
+// that raced a SAT portfolio carry "races" and "competitors" in their
+// result's solver block. The fields no longer exist; a server booting over
+// such a store must still replay the job with its recovered code intact.
+func TestRestartReplaysPortfolioEraResult(t *testing.T) {
+	dir := t.TempDir()
+
+	srv1 := New(repro.NewEngine(2), WithStore(fileStore(t, dir)))
+	ts1 := httptest.NewServer(srv1.Handler())
+	resp, body := do(t, http.MethodPost, ts1.URL+"/api/v1/jobs", JobSpec{
+		Type: "recover", Manufacturer: "B", K: 8, Seed: 3, Verify: true,
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %s: %s", resp.Status, body)
+	}
+	id := decode[JobStatus](t, body).ID
+	if final := waitTerminal(t, ts1.URL, id); final.State != StateSucceeded {
+		t.Fatalf("job finished %s: %s", final.State, final.Error)
+	}
+	_, body = do(t, http.MethodGet, ts1.URL+"/api/v1/jobs/"+id+"/result", nil)
+	original := decode[JobResult](t, body)
+	if original.Recover == nil || original.Recover.Code == "" || original.Recover.Solver == nil {
+		t.Fatalf("result carries no code or solver block: %s", body)
+	}
+	ts1.Close()
+	srv1.Close()
+
+	// Rewrite the record the way a portfolio-era server persisted it.
+	st := fileStore(t, dir)
+	rec, ok, err := st.GetJob(id)
+	if err != nil || !ok {
+		t.Fatalf("GetJob(%s) = %v, %v", id, ok, err)
+	}
+	var result map[string]any
+	if err := json.Unmarshal(rec.Result, &result); err != nil {
+		t.Fatal(err)
+	}
+	recoverBlock, _ := result["recover"].(map[string]any)
+	solver, ok := recoverBlock["solver"].(map[string]any)
+	if !ok {
+		t.Fatalf("stored result has no recover.solver block: %s", rec.Result)
+	}
+	solver["races"] = 3
+	solver["competitors"] = []map[string]any{
+		{"name": "cdcl-0", "wins": 2, "losses": 1},
+		{"name": "kissat", "wins": 1, "losses": 1, "timeouts": 1},
+	}
+	if rec.Result, err = json.Marshal(result); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(rec.Result), `"races":3`) {
+		t.Fatalf("crafted record lacks the portfolio fields: %s", rec.Result)
+	}
+	if err := st.PutJob(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2 := New(repro.NewEngine(2), WithStore(fileStore(t, dir)))
+	ts2 := httptest.NewServer(srv2.Handler())
+	t.Cleanup(func() { ts2.Close(); srv2.Close() })
+	resp, body = do(t, http.MethodGet, ts2.URL+"/api/v1/jobs/"+id, nil)
+	if resp.StatusCode != http.StatusOK || decode[JobStatus](t, body).State != StateSucceeded {
+		t.Fatalf("replayed job status: %s: %s", resp.Status, body)
+	}
+	resp, body = do(t, http.MethodGet, ts2.URL+"/api/v1/jobs/"+id+"/result", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("replayed result: %s: %s", resp.Status, body)
+	}
+	restored := decode[JobResult](t, body)
+	if restored.Recover == nil ||
+		restored.Recover.Code != original.Recover.Code ||
+		restored.Recover.ProfileHash != original.Recover.ProfileHash ||
+		restored.Recover.Solver == nil ||
+		*restored.Recover.Solver != *original.Recover.Solver {
+		t.Fatalf("replayed result differs:\n%+v\nvs\n%+v", restored.Recover, original.Recover)
+	}
+}
+
 // TestRestartResumesInterruptedJob kills a server mid-job (graceful Close,
 // which persists in-flight jobs as still running) and checks that a new
 // server on the same store re-runs the job to completion.

@@ -63,9 +63,9 @@ type Server struct {
 	tier     repro.SolveCache
 	solve    solveCounter
 	maxJobs  int
-	// solverOpts are extra pipeline options (external/portfolio SAT
-	// backend selection) appended to every locally-executed recovery job;
-	// see WithSolverOptions.
+	// solverOpts are extra pipeline options (typically a SAT backend
+	// factory) appended to every locally-executed recovery job; see
+	// WithSolverOptions.
 	solverOpts []repro.Option
 	// hub and metrics are the observability plane: hub (never nil after
 	// New) carries the metrics registry behind GET /metrics, the span ring
@@ -168,12 +168,11 @@ func WithMaxConcurrent(n int) Option { return func(s *Server) { s.maxJobs = n } 
 // half of registry sync).
 func WithSolveCacheTier(c repro.SolveCache) Option { return func(s *Server) { s.tier = c } }
 
-// WithSolverOptions appends extra pipeline options — typically
-// repro.WithExternalSolver, repro.WithPortfolioSolver or a custom
+// WithSolverOptions appends extra pipeline options — typically a
 // repro.WithSolverBackend factory — to every recovery job this server
-// executes locally (what `beerd -solver`/`-portfolio` wires up). The
-// options apply only to local execution: a cluster coordinator dispatches
-// specs, and each worker's own WithSolverOptions decides its backend.
+// executes locally. The options apply only to local execution: a cluster
+// coordinator dispatches specs, and each worker's own WithSolverOptions
+// decides its backend.
 func WithSolverOptions(opts ...repro.Option) Option {
 	return func(s *Server) { s.solverOpts = append(s.solverOpts, opts...) }
 }
@@ -264,9 +263,6 @@ func (c *solveCounter) counters() (invocations, cacheHits int64) {
 }
 
 // addStats folds one finished recovery's solver counters into the totals.
-// Portfolio competitor records accumulate by name, so the /healthz
-// "portfolio" block reports fleet-lifetime win/loss/timeout tallies even
-// though each job builds its own racing backend.
 func (c *solveCounter) addStats(s *SolverStats) {
 	if s == nil {
 		return
@@ -278,23 +274,6 @@ func (c *solveCounter) addStats(s *SolverStats) {
 	c.stats.Learned += s.Learned
 	c.stats.Restarts += s.Restarts
 	c.stats.PatternsSkipped += s.PatternsSkipped
-	c.stats.Races += s.Races
-	for _, comp := range s.Competitors {
-		found := false
-		for i := range c.stats.Competitors {
-			if c.stats.Competitors[i].Name == comp.Name {
-				c.stats.Competitors[i].Wins += comp.Wins
-				c.stats.Competitors[i].Losses += comp.Losses
-				c.stats.Competitors[i].Timeouts += comp.Timeouts
-				c.stats.Competitors[i].Errors += comp.Errors
-				found = true
-				break
-			}
-		}
-		if !found {
-			c.stats.Competitors = append(c.stats.Competitors, comp)
-		}
-	}
 }
 
 // addNoise folds one finished noisy recovery's drop-k outcome into the
@@ -316,14 +295,11 @@ func (c *solveCounter) noisyTotals() (noisyJobs, entriesDropped int64) {
 	return c.noisyJobs, c.entriesDropped
 }
 
-// totals returns the accumulated solver work (competitor records deep
-// copied — addStats keeps mutating the originals).
+// totals returns the accumulated solver work.
 func (c *solveCounter) totals() SolverStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := c.stats
-	out.Competitors = append([]CompetitorReport(nil), c.stats.Competitors...)
-	return out
+	return c.stats
 }
 
 // countingCache wraps a job's store-backed solve cache with the server-wide
@@ -844,7 +820,6 @@ func (p *progressState) observe(ev repro.ProgressEvent) {
 		p.solver.Conflicts = max(p.solver.Conflicts, ev.Conflicts)
 		p.solver.Propagations = max(p.solver.Propagations, ev.Propagations)
 		p.solver.Learned = max(p.solver.Learned, ev.LearnedClauses)
-		p.solver.Races = max(p.solver.Races, ev.Races)
 		p.solver.PatternsUsed = max(p.solver.PatternsUsed, ev.PatternsUsed)
 		p.solver.PatternsPlanned = max(p.solver.PatternsPlanned, ev.PatternsPlanned)
 		p.solver.EntriesDropped = max(p.solver.EntriesDropped, int64(ev.DroppedEntries))

@@ -84,7 +84,7 @@ type SmokeConfig struct {
 }
 
 // Smoke is the beerd end-to-end acceptance check (make serve-smoke / CI):
-// it submits N concurrent FastRecovery-style jobs against simulated
+// it submits N concurrent fast-window jobs against simulated
 // manufacturer-B chips, polls every job's status asserting that the reported
 // per-stage progress only ever advances, fetches all results, and verifies
 // that every job recovered the chips' secret ECC function (the server

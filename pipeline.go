@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/einsim"
 	"repro/internal/parallel"
-	"repro/internal/sat"
 )
 
 // Progress types, re-exported from internal/core. A ProgressFunc passed via
@@ -130,9 +129,8 @@ func WithTemperature(celsius float64) Option {
 	return func(p *Pipeline) { p.recover.Collect.TempC = celsius }
 }
 
-// WithFastWindows tunes the sweep for small simulated chips (the
-// configuration FastRecovery used to return): the canonical sweep up to 48
-// minutes, three rounds.
+// WithFastWindows tunes the sweep for small simulated chips: the canonical
+// sweep up to 48 minutes, three rounds.
 func WithFastWindows() Option {
 	return func(p *Pipeline) {
 		p.recover.Collect.Windows = sweepTo(48)
@@ -170,45 +168,6 @@ func WithPlanOptions(opts PlanOptions) Option {
 // backends additionally records every CNF for export to external solvers.
 func WithSolverBackend(factory func() SolverBackend) Option {
 	return func(p *Pipeline) { p.recover.Solve.Backend = factory }
-}
-
-// WithExternalSolver routes every recovery solve through an external
-// DIMACS solver process (kissat, cadical, this repo's cmd/beersat, ...).
-// The binary is resolved per solve session; when it cannot be found the
-// pipeline silently falls back to the in-process CDCL engine — the
-// degradation contract that keeps solver-less environments working. Use
-// NewExternalBackend directly to surface ErrSolverNotFound instead (the
-// CLIs validate up front that way).
-func WithExternalSolver(cfg ExternalSolverConfig) Option {
-	return func(p *Pipeline) {
-		p.recover.Solve.Backend = func() SolverBackend {
-			ext, err := sat.NewExternal(cfg)
-			if err != nil {
-				return sat.New()
-			}
-			return ext
-		}
-	}
-}
-
-// WithPortfolioSolver races nCDCL differently-seeded in-process CDCL
-// engines (minimum 1; the first is the vanilla deterministic engine)
-// against one external competitor per config on every recovery solve; the
-// first definitive answer wins and the losers are cancelled. External
-// solvers whose binaries cannot be found are silently left out, so the
-// portfolio degrades to the in-process engines alone. Per-competitor
-// win/loss/timeout records surface in Result.Stats, progress events and
-// beerd's /healthz.
-func WithPortfolioSolver(nCDCL int, externals ...ExternalSolverConfig) Option {
-	return func(p *Pipeline) {
-		p.recover.Solve.Backend = func() SolverBackend {
-			pf, err := sat.DefaultPortfolio(nCDCL, externals...)
-			if err != nil {
-				return sat.New()
-			}
-			return pf
-		}
-	}
 }
 
 // WithThreshold configures the §5.2 miscorrection filter: minFraction is the

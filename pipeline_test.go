@@ -12,8 +12,8 @@ import (
 	"repro/internal/einsim"
 )
 
-// TestPipelineRecover runs the new functional-options API end to end and
-// checks it agrees with the deprecated struct-options shim.
+// TestPipelineRecover runs the functional-options API end to end over two
+// chips and checks the recovered function and the progress stream.
 func TestPipelineRecover(t *testing.T) {
 	var (
 		mu     sync.Mutex
@@ -38,15 +38,6 @@ func TestPipelineRecover(t *testing.T) {
 	}
 	if !rep.Result.Codes[0].EquivalentTo(repro.GroundTruth(repro.SimulatedChip(repro.MfrB, 16, 9))) {
 		t.Fatal("pipeline recovered the wrong function")
-	}
-
-	// The deprecated shim must still produce an equivalent function.
-	legacy, err := repro.RecoverECCFunction(repro.SimulatedChip(repro.MfrB, 16, 9), repro.FastRecovery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !legacy.Result.Codes[0].EquivalentTo(rep.Result.Codes[0]) {
-		t.Fatal("deprecated shim and pipeline disagree")
 	}
 
 	mu.Lock()
@@ -154,7 +145,7 @@ func TestPipelineOptions(t *testing.T) {
 	called := false
 	pipe = repro.NewPipeline(
 		repro.WithProgress(func(repro.ProgressEvent) { called = true }),
-		repro.WithRecoverOptions(repro.FastRecovery()),
+		repro.WithRecoverOptions(repro.NewPipeline(repro.WithFastWindows()).RecoverOptions()),
 	)
 	got := pipe.RecoverOptions()
 	if got.Collect.Rounds != 3 {

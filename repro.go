@@ -34,21 +34,15 @@
 // streams stage/round/candidate events to the caller (the CLIs and the beerd
 // job service consume them for live status).
 //
-// The pre-Pipeline one-shot helpers (RecoverECCFunction, ProfileWord,
-// Simulate, ...) remain as thin deprecated shims that run with
-// context.Background(); see README.md for the migration table.
-//
 // See examples/ for complete programs and DESIGN.md for the experiment map.
 package repro
 
 import (
-	"context"
 	"math/rand/v2"
 
 	"repro/internal/beep"
 	"repro/internal/core"
 	"repro/internal/ecc"
-	"repro/internal/einsim"
 	"repro/internal/noise"
 	"repro/internal/ondie"
 	"repro/internal/parallel"
@@ -132,61 +126,6 @@ type DimacsBackend = sat.Dimacs
 // recovery solves use by default.
 func NewSolverBackend() SolverBackend { return sat.New() }
 
-// ExternalSolverConfig configures an external-process DIMACS solver
-// backend (WithExternalSolver, WithPortfolioSolver, NewExternalBackend):
-// the solver argv, a display name, the per-invocation wall-clock timeout
-// after which the process is killed and its answer discarded, and the
-// scratch directory for exported CNF files.
-type ExternalSolverConfig = sat.ExternalConfig
-
-// CompetitorStat is one portfolio competitor's cumulative win/loss/
-// timeout/error record (SolveResult stats, progress events, /healthz).
-type CompetitorStat = sat.CompetitorStat
-
-// ErrSolverNotFound reports that an external solver binary could not be
-// resolved on PATH. NewExternalBackend and NewPortfolioBackend surface it
-// for up-front validation; WithExternalSolver and WithPortfolioSolver
-// instead degrade silently to the in-process engine.
-var ErrSolverNotFound = sat.ErrSolverNotFound
-
-// NewExternalBackend validates an external solver configuration (the
-// binary must resolve now) and returns a backend factory for
-// WithSolverBackend. Unlike WithExternalSolver there is no silent
-// fallback: a missing binary is an ErrSolverNotFound here.
-func NewExternalBackend(cfg ExternalSolverConfig) (func() SolverBackend, error) {
-	if _, err := sat.NewExternal(cfg); err != nil {
-		return nil, err
-	}
-	return func() SolverBackend {
-		ext, err := sat.NewExternal(cfg)
-		if err != nil {
-			return sat.New() // binary vanished since validation; degrade
-		}
-		return ext
-	}, nil
-}
-
-// NewPortfolioBackend validates a portfolio configuration and returns a
-// backend factory for WithSolverBackend: nCDCL in-process CDCL engines
-// (minimum 1) racing the configured external solvers. External binaries
-// that do not resolve are reported once here (ErrSolverNotFound) so
-// callers can decide; use WithPortfolioSolver for the skip-silently
-// behavior.
-func NewPortfolioBackend(nCDCL int, externals ...ExternalSolverConfig) (func() SolverBackend, error) {
-	for _, cfg := range externals {
-		if _, err := sat.NewExternal(cfg); err != nil {
-			return nil, err
-		}
-	}
-	return func() SolverBackend {
-		pf, err := sat.DefaultPortfolio(nCDCL, externals...)
-		if err != nil {
-			return sat.New()
-		}
-		return pf
-	}, nil
-}
-
 // NewDimacsBackend returns a recording backend over the default in-process
 // engine: solves behave identically, and the CNF every solve accumulated
 // can be exported with WriteDIMACS for external SAT solvers.
@@ -266,72 +205,3 @@ func NewEngine(workers int) *Engine { return parallel.New(workers) }
 
 // DefaultEngine returns the shared parallel experiment engine.
 func DefaultEngine() *Engine { return parallel.Default() }
-
-// FastRecovery returns recovery options tuned for small simulated chips.
-//
-// Deprecated: Use NewPipeline(WithFastWindows()) — the Pipeline carries the
-// same configuration plus a context and progress stream. FastRecovery
-// remains for callers still on the struct-options shims.
-func FastRecovery() RecoverOptions {
-	opts := core.DefaultRecoverOptions()
-	opts.Collect.Windows = sweepTo(48)
-	opts.Collect.Rounds = 3
-	return opts
-}
-
-// RecoverECCFunction runs the complete BEER methodology (paper §5) against
-// any Chip with the legacy struct options.
-//
-// Deprecated: Use NewPipeline(WithRecoverOptions(opts)).Recover(ctx, chip)
-// — it adds cancellation, progress reporting (WithProgress) and multi-chip
-// fan-out. This shim runs with context.Background() (uncancellable).
-func RecoverECCFunction(chip Chip, opts RecoverOptions) (*Report, error) {
-	return core.Recover(context.Background(), []Chip{chip}, opts, nil)
-}
-
-// RecoverECCFunctionParallel runs the complete BEER methodology against
-// several chips of the same model on the default engine.
-//
-// Deprecated: Use NewPipeline(WithRecoverOptions(opts)).Recover(ctx,
-// chips...). This shim runs with context.Background() (uncancellable).
-func RecoverECCFunctionParallel(chips []Chip, opts RecoverOptions) (*Report, error) {
-	return core.Recover(context.Background(), chips, opts, parallel.Default().ForEach)
-}
-
-// ProfileWord runs BEEP (paper §7.1) against one testable ECC word using a
-// known (typically BEER-recovered) code.
-//
-// Deprecated: Use NewPipeline(WithBEEPOptions(opts)).ProfileWord(ctx, code,
-// word, seed). This shim runs with context.Background().
-func ProfileWord(code *Code, word beep.WordTester, opts BEEPOptions, seed uint64) *BEEPOutcome {
-	prof := beep.NewProfiler(code, opts, rand.New(rand.NewPCG(seed, 0xBEEB)))
-	out, err := prof.Run(context.Background(), word)
-	if err != nil {
-		// Unreachable: Background() never cancels and Run has no other
-		// error path.
-		panic(err)
-	}
-	return out
-}
-
-// Simulate runs an EINSim-style word-level Monte-Carlo experiment serially
-// (used for the paper's Figure 1 and secondary-ECC co-design studies,
-// §7.2.1).
-//
-// Deprecated: Use NewPipeline().Simulate(ctx, cfg, seed). The Pipeline form
-// shards across the engine's worker pool (bit-identical for any worker
-// count, but drawn from different streams than this serial shim); keep the
-// shim only where stream-exact compatibility with old serial results
-// matters.
-func Simulate(cfg einsim.Config, seed uint64) (*einsim.Result, error) {
-	return einsim.Run(cfg, rand.New(rand.NewPCG(seed, 0x51E)))
-}
-
-// SimulateParallel is Simulate sharded across the default engine's worker
-// pool.
-//
-// Deprecated: Use NewPipeline().Simulate(ctx, cfg, seed) — identical
-// results, plus cancellation. This shim runs with context.Background().
-func SimulateParallel(cfg einsim.Config, seed uint64) (*einsim.Result, error) {
-	return parallel.Default().Simulate(context.Background(), cfg, seed)
-}

@@ -10,7 +10,7 @@ import (
 
 func TestFacadeQuickstartFlow(t *testing.T) {
 	chip := repro.SimulatedChip(repro.MfrA, 16, 3)
-	rep, err := repro.RecoverECCFunction(chip, repro.FastRecovery())
+	rep, err := repro.NewPipeline(repro.WithFastWindows()).Recover(context.Background(), chip)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,9 +54,13 @@ func TestFacadeProfileAndSolve(t *testing.T) {
 func TestFacadeBEEP(t *testing.T) {
 	code := repro.NewHammingCode(26, 9)
 	word := repro.SimulatedWord(code, []int{2, 9, 20}, 1.0, 4)
-	out := repro.ProfileWord(code, word, repro.BEEPOptions{
+	pipe := repro.NewPipeline(repro.WithBEEPOptions(repro.BEEPOptions{
 		Passes: 2, TrialsPerPattern: 1, WorstCaseNeighbors: true,
-	}, 5)
+	}))
+	out, err := pipe.ProfileWord(context.Background(), code, word, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range out.Identified {
 		if c != 2 && c != 9 && c != 20 {
 			t.Fatalf("false positive cell %d", c)
@@ -68,7 +72,7 @@ func TestFacadeBEEP(t *testing.T) {
 }
 
 func TestFacadeSimulate(t *testing.T) {
-	res, err := repro.Simulate(einsim.Config{
+	res, err := repro.NewPipeline(repro.WithWorkers(1)).Simulate(context.Background(), einsim.Config{
 		Code:    repro.Hamming74(),
 		Pattern: einsim.PatternAllOnes,
 		Model:   einsim.ModelUniform,
@@ -91,7 +95,7 @@ func TestFacadeSimulateParallel(t *testing.T) {
 		RBER:    1e-2,
 		Words:   20000,
 	}
-	res, err := repro.SimulateParallel(cfg, 6)
+	res, err := repro.NewPipeline().Simulate(context.Background(), cfg, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +114,7 @@ func TestFacadeSimulateParallel(t *testing.T) {
 
 func TestFacadeRecoverParallel(t *testing.T) {
 	chips := repro.SimulatedChips(repro.MfrA, 16, 2, 3)
-	rep, err := repro.RecoverECCFunctionParallel(chips, repro.FastRecovery())
+	rep, err := repro.NewPipeline(repro.WithFastWindows()).Recover(context.Background(), chips...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,14 +9,12 @@ import (
 // defaultKeys are the benchmarks the CI gate enforces: the figure sweeps the
 // bitsliced core is meant to keep fast, the end-to-end recovery pipeline,
 // the serial/parallel collection pair, the exact-vs-PBEM_75 noisy
-// drop-k solve pair, the single-engine-vs-portfolio backend pair, and the
-// metrics hot path (contended counter/histogram updates — the cost every
-// instrumented solve pays). All run long enough at -benchtime 1x that a 30%
-// ns/op move is a real regression, not scheduler noise, and bytes/op is
-// deterministic for all of them (the portfolio entry included: loser
-// cancellation lands at a conflict-check boundary, so its allocation
-// profile repeats; the metrics entry does fixed work per iteration for the
-// same reason).
+// drop-k solve pair, the solve stage alone on the in-process CDCL backend,
+// and the metrics hot path (contended counter/histogram updates — the cost
+// every instrumented solve pays). All run long enough at -benchtime 1x that
+// a 30% ns/op move is a real regression, not scheduler noise, and bytes/op
+// is deterministic for all of them (the metrics entry does fixed work per
+// iteration for the same reason).
 var defaultKeys = []string{
 	"BenchmarkFig8",
 	"BenchmarkFig9",
@@ -26,7 +24,6 @@ var defaultKeys = []string{
 	"BenchmarkNoisyRecoverExact",
 	"BenchmarkNoisyRecoverPBEM75",
 	"BenchmarkSolveBackendCDCL",
-	"BenchmarkSolveBackendPortfolio",
 	"BenchmarkMetricsHotPath",
 }
 
@@ -55,15 +52,6 @@ type compareOptions struct {
 	// Tolerance because wall-clock throughput of a 25-second loaded run
 	// varies more across CI hosts than single-benchmark ns/op.
 	ServeTolerance float64
-	// PortfolioGrace bounds SolveBackendPortfolio ns/op at PortfolioGrace *
-	// SolveBackendCDCL ns/op within the new run. The ratio is
-	// machine-independent (both legs run the same profile on the same host),
-	// so it catches a portfolio that stops racing — losers no longer
-	// cancelled, competitors serialized behind a lock — even when absolute
-	// timings drift between baseline and CI hosts. The margin is wide
-	// because honest racing of three engines on a starved runner legally
-	// costs several times the single engine. Zero disables the check.
-	PortfolioGrace float64
 }
 
 type compareReport struct {
@@ -189,19 +177,6 @@ func compare(old, new *Baseline, opts compareOptions) compareReport {
 				rep.Failures = append(rep.Failures,
 					fmt.Sprintf("BenchmarkParallelCollect is %.2fx SerialCollect (grace %.2fx): parallel collection stopped scaling",
 						ratio, opts.PairGrace))
-			}
-		}
-	}
-	if opts.PortfolioGrace > 0 {
-		cdcl, okC := newBy["BenchmarkSolveBackendCDCL"]
-		port, okP := newBy["BenchmarkSolveBackendPortfolio"]
-		if okC && okP && cdcl.NsPerOp > 0 {
-			ratio := port.NsPerOp / cdcl.NsPerOp
-			fmt.Fprintf(&sb, "backend pair: portfolio/cdcl ns ratio %.2f (grace %.2f)\n", ratio, opts.PortfolioGrace)
-			if ratio > opts.PortfolioGrace {
-				rep.Failures = append(rep.Failures,
-					fmt.Sprintf("BenchmarkSolveBackendPortfolio is %.2fx SolveBackendCDCL (grace %.2fx): the portfolio stopped racing",
-						ratio, opts.PortfolioGrace))
 			}
 		}
 	}

@@ -56,7 +56,6 @@ func main() {
 	serveKeys := flag.String("serve-key", "", "comma-separated serving benchmarks gated direction-aware on their custom metrics (jobs/sec must not drop, p99-ms must not grow)")
 	serveTolerance := flag.Float64("serve-tolerance", 0.50, "fractional move allowed on serving keys (down in jobs/sec, up in p99-ms)")
 	pairGrace := flag.Float64("collect-pair-grace", 1.25, "max allowed ParallelCollect/SerialCollect ns ratio (slack for single-CPU hosts)")
-	portGrace := flag.Float64("portfolio-pair-grace", 10.0, "max allowed SolveBackendPortfolio/SolveBackendCDCL ns ratio (0 disables)")
 	flag.Parse()
 
 	in, err := readBaseline(os.Stdin)
@@ -91,7 +90,6 @@ func main() {
 		ServeKeys:      strings.Split(*serveKeys, ","),
 		ServeTolerance: *serveTolerance,
 		PairGrace:      *pairGrace,
-		PortfolioGrace: *portGrace,
 	})
 	os.Stdout.WriteString(rep.Table)
 	if len(rep.Failures) > 0 {
