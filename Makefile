@@ -70,14 +70,16 @@ serve-bench-gate:
 # Short coverage-guided fuzz smoke of the SAT solver core, the CNF builder,
 # the bitsliced-vs-scalar ECC differential, the noisy drop-k solver's
 # recovery-or-clean-UNSAT contract, the DIMACS round trip, the
-# simulated-read-vs-reference differential and the on-die row codec against
-# its scalar reference (seed corpora committed under internal/*/testdata/fuzz).
+# simulated-read-vs-reference differential, the on-die row codec against
+# its scalar reference and collection counting against its byte-wise
+# reference (seed corpora committed under internal/*/testdata/fuzz).
 # CI runs the same commands.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSolver -fuzztime 15s ./internal/sat
 	$(GO) test -run '^$$' -fuzz FuzzCNFBuilder -fuzztime 15s ./internal/sat
 	$(GO) test -run '^$$' -fuzz FuzzBitsliced -fuzztime 15s ./internal/ecc
 	$(GO) test -run '^$$' -fuzz FuzzNoisyRecover -fuzztime 15s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzCollectCounts -fuzztime 15s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDimacsRoundTrip -fuzztime 15s ./internal/sat
 	$(GO) test -run '^$$' -fuzz FuzzReadRowExact -fuzztime 15s ./internal/dram
 	$(GO) test -run '^$$' -fuzz FuzzRowCodec -fuzztime 15s ./internal/ondie

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"time"
@@ -169,9 +170,11 @@ func CollectCounts(ctx context.Context, chip Chip, rows []RowRef, layout WordLay
 	chip.SetTemperature(opts.TempC)
 
 	rb := layout.RegionBytes
-	regionsPerRow := chip.DataBytesPerRow() / rb
+	rowBytes := chip.DataBytesPerRow()
+	regionsPerRow := rowBytes / rb
 	wordsPerRegion := len(layout.Words)
 	wordsPerRow := regionsPerRow * wordsPerRegion
+	np := len(patterns)
 
 	counts := &Counts{K: k}
 	for _, p := range patterns {
@@ -182,13 +185,13 @@ func CollectCounts(ctx context.Context, chip Chip, rows []RowRef, layout WordLay
 		})
 	}
 
-	// Precompute each pattern's dataword bytes. In a true-cell region the
-	// CHARGED bits are written as logical 1; in an anti-cell region
-	// (opts.Invert) the whole dataword is complemented so the same cells
-	// end up CHARGED.
-	patBytes := make([][]byte, len(patterns))
+	// Pattern p's dataword bytes. In a true-cell region the CHARGED bits
+	// are written as logical 1; in an anti-cell region (opts.Invert) the
+	// whole dataword is complemented so the same cells end up CHARGED.
+	nb := k / 8
+	patBytes := make([]byte, np*nb)
 	for pi, p := range patterns {
-		bs := make([]byte, k/8)
+		bs := patBytes[pi*nb : (pi+1)*nb]
 		for _, bit := range p.Charged() {
 			bs[bit/8] |= 1 << uint(bit%8)
 		}
@@ -197,23 +200,43 @@ func CollectCounts(ctx context.Context, chip Chip, rows []RowRef, layout WordLay
 				bs[i] = ^bs[i]
 			}
 		}
-		patBytes[pi] = bs
 	}
 
-	// offs[w*nb+bi] is the row byte offset of row word w's byte bi.
-	nb := k / 8
-	offs := make([]int, 0, wordsPerRow*nb)
-	for region := 0; region < regionsPerRow; region++ {
-		for _, word := range layout.Words {
-			if len(word) != nb {
-				return nil, fmt.Errorf("core: word layout mixes %d- and %d-byte words", nb, len(word))
-			}
-			for _, off := range word {
-				offs = append(offs, region*rb+off)
+	// images[p*rb:(p+1)*rb] is region image p: a region whose word w holds
+	// pattern (p+w) mod np, placed by the layout. Patterns are handed to a
+	// row's words round-robin, so every region of every written row is one
+	// of these images.
+	images := make([]byte, np*rb)
+	for w, word := range layout.Words {
+		if len(word) != nb {
+			return nil, fmt.Errorf("core: word layout mixes %d- and %d-byte words", nb, len(word))
+		}
+		for p := range np {
+			pb := patBytes[(p+w)%np*nb:]
+			for bi, off := range word {
+				images[p*rb+off] = pb[bi]
 			}
 		}
 	}
-	rowData := make([]byte, chip.DataBytesPerRow())
+
+	// byteWord is the inverse of the layout over a row: row byte i belongs
+	// to row word byteWord[i]>>8 and holds its data bits from byteWord[i]&0xFF
+	// up; -1 marks bytes that no word covers (never written, never counted).
+	byteWord := make([]int32, rowBytes)
+	for i := range byteWord {
+		byteWord[i] = -1
+	}
+	for region := range regionsPerRow {
+		for w, word := range layout.Words {
+			for bi, off := range word {
+				byteWord[region*rb+off] = int32((region*wordsPerRegion+w)<<8 | 8*bi)
+			}
+		}
+	}
+
+	// written holds every row as the current pass wrote it; reads are
+	// compared against it directly.
+	written := make([]byte, len(rows)*rowBytes)
 	readRow := rowReadFunc(chip)
 	pass := 0
 	passes := sweepPasses(opts)
@@ -224,39 +247,47 @@ func CollectCounts(ctx context.Context, chip Chip, rows []RowRef, layout WordLay
 			}
 			// Rotate assignments so pattern p lands on different physical
 			// words each pass (fresh retention-time draws): the pattern of
-			// row i's word w is (i*wordsPerRow + w + offset) mod
-			// len(patterns), walked below as a running index.
+			// row i's word w is (first + i*wordsPerRow + w) mod np, so row
+			// i's region g is image (start + g*wordsPerRegion) mod np with
+			// start = (first + i*wordsPerRow) mod np.
 			offset := pass * 7919 // prime stride decorrelates passes
 			pass++
-			first := offset % len(patterns)
-			pi := first
-			for _, rr := range rows {
-				for w := 0; w < wordsPerRow; w++ {
-					for bi, b := range patBytes[pi] {
-						rowData[offs[w*nb+bi]] = b
-					}
-					if pi++; pi == len(patterns) {
-						pi = 0
-					}
+			first := offset % np
+			start := first
+			for i, rr := range rows {
+				row := written[i*rowBytes : (i+1)*rowBytes]
+				for g := range regionsPerRow {
+					p := (start + g*wordsPerRegion) % np
+					copy(row[g*rb:(g+1)*rb], images[p*rb:(p+1)*rb])
 				}
-				chip.WriteRow(rr.Bank, rr.Row, rowData)
+				chip.WriteRow(rr.Bank, rr.Row, row)
+				start = (start + wordsPerRow) % np
 			}
 			chip.PauseRefresh(window)
-			pi = first
-			for _, rr := range rows {
+			start = first
+			for i, rr := range rows {
 				got := readRow(rr.Bank, rr.Row)
-				for w := 0; w < wordsPerRow; w++ {
-					entry := &counts.Entries[pi]
-					entry.Words++
-					for bi, b := range patBytes[pi] {
-						for diff := got[offs[w*nb+bi]] ^ b; diff != 0; diff &= diff - 1 {
-							entry.Errors[8*bi+bits.TrailingZeros8(diff)]++
+				row := written[i*rowBytes : (i+1)*rowBytes]
+				for o := 0; o < rowBytes; o += 8 {
+					for diff := load64(got, o) ^ load64(row, o); diff != 0; diff &= diff - 1 {
+						t := bits.TrailingZeros64(diff)
+						if wb := byteWord[o+t/8]; wb >= 0 {
+							entry := &counts.Entries[(start+int(wb>>8))%np]
+							entry.Errors[int(wb&0xFF)+t%8]++
 						}
 					}
-					if pi++; pi == len(patterns) {
-						pi = 0
-					}
 				}
+				start = (start + wordsPerRow) % np
+			}
+			// The pass handed len(rows)*wordsPerRow words round-robin from
+			// pattern first: every pattern got the same share, and the
+			// remainder went to the patterns right after first.
+			perPass := len(rows) * wordsPerRow
+			for j := range counts.Entries {
+				counts.Entries[j].Words += int64(perPass / np)
+			}
+			for j := range perPass % np {
+				counts.Entries[(first+j)%np].Words++
 			}
 			opts.Progress.emit(Event{
 				Stage:  StageCollect,
@@ -287,4 +318,18 @@ func rowReadFunc(chip Chip) func(bank, row int) []byte {
 		return func(bank, row int) []byte { return into.ReadRowInto(bank, row, buf) }
 	}
 	return chip.ReadRow
+}
+
+// load64 returns the 8 bytes of b from offset o as a little-endian word;
+// bytes past the end of b read as zero, so rows whose size is not a
+// multiple of 8 compare their tail like any other chunk.
+func load64(b []byte, o int) uint64 {
+	if o+8 <= len(b) {
+		return binary.LittleEndian.Uint64(b[o:])
+	}
+	var v uint64
+	for i := len(b) - 1; i >= o; i-- {
+		v = v<<8 | uint64(b[i])
+	}
+	return v
 }

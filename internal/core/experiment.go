@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 )
 
@@ -110,11 +111,8 @@ func countErrorsUnder(chip Chip, fill byte, pause time.Duration) [][]int {
 		for r := range errs[b] {
 			got := readRow(b, r)
 			count := 0
-			for i, by := range got {
-				diff := by ^ data[i]
-				for ; diff != 0; diff &= diff - 1 {
-					count++
-				}
+			for o := 0; o < len(got); o += 8 {
+				count += bits.OnesCount64(load64(got, o) ^ load64(data, o))
 			}
 			errs[b][r] = count
 		}
@@ -244,9 +242,11 @@ func DiscoverWordLayout(chip Chip, rows []RowRef, opts LayoutOptions) (WordLayou
 		cooc := make([]int, rb)
 		for _, rr := range rows {
 			got := readRow(rr.Bank, rr.Row)
-			for i := range got {
-				if got[i] != data[i] {
-					cooc[i%rb]++
+			for o := 0; o < len(got); o += 8 {
+				for diff := load64(got, o) ^ load64(data, o); diff != 0; {
+					i := bits.TrailingZeros64(diff) / 8
+					cooc[(o+i)%rb]++
+					diff &^= 0xFF << (8 * i)
 				}
 			}
 		}

@@ -72,28 +72,46 @@ func TestDiscoverCellLayoutMixed(t *testing.T) {
 	}
 }
 
+// TestDiscoverWordLayout checks discovery against the chip's ground truth,
+// on 64-byte rows and on 18-byte rows (k=24, three regions), whose reads
+// end in a chunk shorter than 8 bytes.
 func TestDiscoverWordLayout(t *testing.T) {
-	chip := testChip(t, ondie.MfrA, 48, 0)
-	classes := core.DiscoverCellLayout(chip, core.DefaultLayoutOptions())
-	rows := core.TrueRows(classes)
-	layout, err := core.DiscoverWordLayout(chip, rows, core.DefaultLayoutOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(layout.Words) != 2 {
-		t.Fatalf("found %d words per region, want 2", len(layout.Words))
-	}
-	if layout.K() != 16 {
-		t.Fatalf("discovered k=%d, want 16", layout.K())
-	}
-	// Ground truth: even offsets belong to word 0, odd to word 1, in
-	// ascending order.
-	for w, group := range layout.Words {
-		for bi, off := range group {
-			wantWord, wantByte := chip.GroundTruthWordOfRegionByte(off)
-			if wantWord != w || wantByte != bi {
-				t.Fatalf("offset %d assigned (word %d, byte %d), ground truth (%d, %d)",
-					off, w, bi, wantWord, wantByte)
+	for _, shape := range []struct{ k, regions int }{{16, 16}, {24, 3}} {
+		chip, err := ondie.New(ondie.Config{
+			Manufacturer:  ondie.MfrA,
+			DataBits:      shape.k,
+			Banks:         1,
+			Rows:          48,
+			RegionsPerRow: shape.regions,
+			Seed:          0xBEE5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		classes := core.DiscoverCellLayout(chip, core.DefaultLayoutOptions())
+		rows := core.TrueRows(classes)
+		if len(rows) != chip.Rows() {
+			t.Fatalf("k=%d: %d of %d rows classified true (manufacturer A)", shape.k, len(rows), chip.Rows())
+		}
+		layout, err := core.DiscoverWordLayout(chip, rows, core.DefaultLayoutOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(layout.Words) != 2 {
+			t.Fatalf("k=%d: found %d words per region, want 2", shape.k, len(layout.Words))
+		}
+		if layout.K() != shape.k {
+			t.Fatalf("discovered k=%d, want %d", layout.K(), shape.k)
+		}
+		// Ground truth: even offsets belong to word 0, odd to word 1, in
+		// ascending order.
+		for w, group := range layout.Words {
+			for bi, off := range group {
+				wantWord, wantByte := chip.GroundTruthWordOfRegionByte(off)
+				if wantWord != w || wantByte != bi {
+					t.Fatalf("k=%d: offset %d assigned (word %d, byte %d), ground truth (%d, %d)",
+						shape.k, off, w, bi, wantWord, wantByte)
+				}
 			}
 		}
 	}

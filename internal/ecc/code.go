@@ -22,6 +22,7 @@ package ecc
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"strings"
 
@@ -34,9 +35,11 @@ type Code struct {
 	n, k int
 	p    gf2.Mat // (n-k) x k block of H over the data bits
 	h    gf2.Mat // cached H = [P | I]
-	// colBySyndrome maps a syndrome (packed into uint64) to the codeword bit
-	// position whose H column equals it, used by syndrome decoding.
-	colBySyndrome map[uint64]int
+	// colOf[s] is the codeword bit position whose H column, packed into an
+	// integer (bit i = parity row i), equals syndrome s, or -1 when no
+	// column does (s = 0, or an unused syndrome of a shortened code). It has
+	// 2^(n-k) entries and drives syndrome decoding.
+	colOf []int16
 	// bits is the precomputed bitsliced batch codec (see Bitsliced).
 	bits *BitCodec
 }
@@ -44,6 +47,11 @@ type Code struct {
 // ErrNotSEC is wrapped by New when the parity-check block does not describe a
 // single-error-correcting code.
 var ErrNotSEC = fmt.Errorf("ecc: parity-check matrix is not single-error-correcting")
+
+// MaxParityBits is the most parity-check rows a code may have: syndrome
+// decoding looks syndromes up in a 2^r-entry table. On-die ECC designs use
+// r <= 8 (k <= 247).
+const MaxParityBits = 16
 
 // New builds a code from the P block of a standard-form parity-check matrix
 // H = [P | I]. It validates the SEC (minimum distance >= 3) requirements:
@@ -54,10 +62,19 @@ func New(p gf2.Mat) (*Code, error) {
 	if r < 1 || k < 1 {
 		return nil, fmt.Errorf("ecc: invalid shape %dx%d for P", r, k)
 	}
-	if r > 64 {
-		return nil, fmt.Errorf("ecc: %d parity bits exceed the supported maximum of 64", r)
+	if r > MaxParityBits {
+		return nil, fmt.Errorf("ecc: %d parity bits exceed the supported maximum of %d", r, MaxParityBits)
 	}
-	seen := make(map[uint64]int, k)
+	if k+r > math.MaxInt16 {
+		return nil, fmt.Errorf("ecc: codeword length %d exceeds the supported maximum of %d", k+r, math.MaxInt16)
+	}
+	colOf := make([]int16, 1<<r)
+	for s := range colOf {
+		colOf[s] = -1
+	}
+	for i := 0; i < r; i++ {
+		colOf[1<<i] = int16(k + i) // parity column i of the identity block
+	}
 	for j := 0; j < k; j++ {
 		col := p.Col(j)
 		if col.Weight() < 2 {
@@ -65,17 +82,13 @@ func New(p gf2.Mat) (*Code, error) {
 				ErrNotSEC, j, col.Weight())
 		}
 		key := col.Uint64()
-		if prev, dup := seen[key]; dup {
+		if prev := colOf[key]; prev >= 0 {
 			return nil, fmt.Errorf("%w: data columns %d and %d are identical", ErrNotSEC, prev, j)
 		}
-		seen[key] = j
+		colOf[key] = int16(j)
 	}
-	c := &Code{n: k + r, k: k, p: p.Clone()}
+	c := &Code{n: k + r, k: k, p: p.Clone(), colOf: colOf}
 	c.h = c.p.HStack(gf2.Identity(r))
-	c.colBySyndrome = make(map[uint64]int, c.n)
-	for j := 0; j < c.n; j++ {
-		c.colBySyndrome[c.h.Col(j).Uint64()] = j
-	}
 	c.bits = newBitCodec(c)
 	return c, nil
 }
@@ -118,8 +131,7 @@ func (c *Code) Column(j int) gf2.Vec { return c.h.Col(j) }
 // a column, i.e. n == 2^(n-k) - 1. Non-full-length codes are "shortened"
 // (paper §4.2.4) and need the 2-CHARGED patterns for unique recovery.
 func (c *Code) FullLength() bool {
-	r := uint(c.n - c.k)
-	return r < 64 && uint64(c.n) == (uint64(1)<<r)-1
+	return c.n == len(c.colOf)-1 // 2^r - 1: every nonzero syndrome is a column
 }
 
 // Encode expands a k-bit dataword into an n-bit codeword [d | P*d].
@@ -148,10 +160,11 @@ func (c *Code) ColumnOfSyndrome(s gf2.Vec) int {
 }
 
 // ColumnOfPackedSyndrome is ColumnOfSyndrome for a syndrome packed into a
-// uint64 (bit i = parity row i, as BitCodec.Column packs H columns).
+// uint64 (bit i = parity row i, as BitCodec.Column packs H columns): one
+// table load.
 func (c *Code) ColumnOfPackedSyndrome(s uint64) int {
-	if j, ok := c.colBySyndrome[s]; ok {
-		return j
+	if s < uint64(len(c.colOf)) {
+		return int(c.colOf[s])
 	}
 	return -1
 }

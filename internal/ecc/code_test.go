@@ -1,7 +1,9 @@
 package ecc
 
 import (
+	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -157,6 +159,21 @@ func TestNewRejectsInvalidP(t *testing.T) {
 			t.Errorf("%s: New accepted an invalid P block", tc.name)
 		}
 	}
+	// A 17-row P is a valid SEC block but outgrows the syndrome table.
+	p := gf2.NewMat(MaxParityBits+1, 2)
+	for i := 0; i < p.Rows(); i++ {
+		p.Set(i, 0, true)
+		p.Set(i, 1, i%2 == 0)
+	}
+	_, err := New(p)
+	if err == nil || !strings.Contains(err.Error(), "17 parity bits exceed the supported maximum of 16") {
+		t.Errorf("New(17-row P) = %v, want the parity-bit limit error", err)
+	}
+	// The table stores columns as int16, so n may not exceed 32767.
+	_, err = New(gf2.NewMat(MaxParityBits, math.MaxInt16-MaxParityBits+1))
+	if err == nil || !strings.Contains(err.Error(), "codeword length 32768 exceeds") {
+		t.Errorf("New(n=32768) = %v, want the codeword-length limit error", err)
+	}
 }
 
 func TestMinParityBits(t *testing.T) {
@@ -256,11 +273,39 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestColumnOfSyndromeRoundTrip checks the syndrome table exhaustively:
+// every packed syndrome resolves to the H column equal to it, or to -1
+// when a column scan finds none, for every construction at full-length
+// (k = 4, 11, 26, 57, 120) and shortened dataword lengths.
 func TestColumnOfSyndromeRoundTrip(t *testing.T) {
-	c := SequentialHamming(26)
-	for j := 0; j < c.N(); j++ {
-		if got := c.ColumnOfSyndrome(c.Column(j)); got != j {
-			t.Fatalf("column %d resolved to %d", j, got)
+	rng := rand.New(rand.NewPCG(22, 1))
+	constructions := map[string]func(k int) *Code{
+		"sequential":   SequentialHamming,
+		"low-weight":   LowWeightHamming,
+		"bit-reversed": BitReversedHamming,
+		"random":       func(k int) *Code { return RandomHamming(k, rng) },
+	}
+	for name, build := range constructions {
+		for _, k := range []int{4, 8, 11, 16, 24, 26, 32, 57, 64, 120, 128} {
+			c := build(k)
+			r := c.ParityBits()
+			for s := uint64(0); s < 1<<uint(r); s++ {
+				want := -1
+				for j := 0; j < c.N(); j++ {
+					if c.Column(j).Uint64() == s {
+						want = j
+					}
+				}
+				if got := c.ColumnOfPackedSyndrome(s); got != want {
+					t.Fatalf("%s k=%d: syndrome %#x resolved to %d, column scan finds %d", name, k, s, got, want)
+				}
+				if got := c.ColumnOfSyndrome(gf2.VecFromUint(r, s)); got != want {
+					t.Fatalf("%s k=%d: ColumnOfSyndrome(%#x) = %d, want %d", name, k, s, got, want)
+				}
+			}
+			if c.ColumnOfPackedSyndrome(1<<uint(r)) != -1 {
+				t.Fatalf("%s k=%d: syndrome past the table resolved to a column", name, k)
+			}
 		}
 	}
 }

@@ -265,30 +265,17 @@ func (s *Solver) NumVars() int { return len(s.assigns) }
 // cells.
 func (s *Solver) SetPolarity(v int, value bool) { s.polarity[v] = !value }
 
-// BoostActivity raises a variable's branching priority so the solver decides
-// it (with its preferred polarity) before un-boosted variables. Combined
-// with SetPolarity this steers model selection: BEEP boosts the dataword
-// bits so crafted patterns follow the requested random phases instead of
-// being dictated by Tseitin gate variables.
-func (s *Solver) BoostActivity(v int, amount float64) {
-	s.activity[v] += amount
-	s.order.update(v)
-}
-
-// ActivityScale returns the solver's current activity increment — the bump a
-// conflict gives each involved variable. It inflates geometrically as
-// conflicts accumulate, so callers that want a boost to keep outranking
-// conflict-driven activity express the boost as a multiple of this scale.
-func (s *Solver) ActivityScale() float64 { return s.varInc }
-
 // SetDecisionOrder installs an explicit branching priority: when the solver
-// needs a decision it tries these variables first, in the given order,
-// before falling back to activity-ordered branching. Unlike BoostActivity
-// this is permanent (conflict-driven activity never overtakes it) and free of
-// heap maintenance — re-solve-heavy incremental callers re-decide the same
-// variable block every call, and a cursor over a fixed slice replaces two
-// O(log n) heap sifts per variable per solve. The slice is retained, not
-// copied; nil restores pure activity ordering.
+// needs a decision it tries these variables first, in the given order, with
+// their preferred polarities, before falling back to activity-ordered
+// branching. The order is permanent (conflict-driven activity never
+// overtakes it) and free of heap maintenance: re-solve-heavy incremental
+// callers re-decide the same variable block every call, and a cursor over a
+// fixed slice costs nothing per solve. Combined with SetPolarity it steers
+// model selection: BEEP puts the dataword bits first so crafted patterns
+// follow the requested random phases instead of being dictated by Tseitin
+// gate variables. The slice is retained, not copied; nil restores pure
+// activity ordering.
 func (s *Solver) SetDecisionOrder(vars []int) {
 	s.decideFirst = vars
 	s.dfCursor = 0

@@ -452,21 +452,21 @@ func TestSetPolaritySteersModel(t *testing.T) {
 	}
 }
 
-func TestBoostActivityOrdersDecisions(t *testing.T) {
+func TestDecisionOrderOrdersDecisions(t *testing.T) {
 	// x0 and x1 are complementary under the clause set; whichever is decided
-	// first wins. Boost x1 and prefer true: the model must have x1=true.
+	// first wins. Put x1 first and prefer true: the model must have x1=true.
 	s := New()
 	x0, x1 := s.NewVar(), s.NewVar()
 	s.AddClause(PosLit(x0), PosLit(x1))
 	s.AddClause(NegLit(x0), NegLit(x1))
 	s.SetPolarity(x0, true)
 	s.SetPolarity(x1, true)
-	s.BoostActivity(x1, 50)
+	s.SetDecisionOrder([]int{x1})
 	if !mustSolve(t, s) {
 		t.Fatal("expected SAT")
 	}
 	if !s.Value(x1) || s.Value(x0) {
-		t.Fatalf("model x0=%v x1=%v; boosted x1 should be decided first as true",
+		t.Fatalf("model x0=%v x1=%v; x1 should be decided first as true",
 			s.Value(x0), s.Value(x1))
 	}
 }

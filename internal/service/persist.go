@@ -21,35 +21,29 @@ import (
 // by the solve cache (store.SolveCacheView), so a resumed job whose profile
 // was already solved replays the solver result too.
 
-// jobRecord snapshots a job into its durable record form.
-func (s *Server) jobRecord(j *job) (*store.JobRecord, bool) {
-	state, errText, started, finished := j.snapshotState()
-	j.mu.Lock()
-	result := j.result
-	userCanceled := j.userCanceled
-	j.mu.Unlock()
-
+// jobRecord renders a snapshot of job j into its durable record form.
+func jobRecord(j *job, snap jobSnapshot) *store.JobRecord {
 	rec := &store.JobRecord{
 		ID:       j.id,
 		Type:     j.spec.Type,
-		State:    string(state),
-		Error:    errText,
+		State:    string(snap.state),
+		Error:    snap.errText,
 		Created:  j.created.UTC(),
-		Started:  started.UTC(),
-		Finished: finished.UTC(),
+		Started:  snap.started.UTC(),
+		Finished: snap.finished.UTC(),
 	}
 	if spec, err := json.Marshal(j.spec); err == nil {
 		rec.Spec = spec
 	}
-	if result != nil {
-		if data, err := json.Marshal(result); err == nil {
+	if snap.result != nil {
+		if data, err := json.Marshal(snap.result); err == nil {
 			rec.Result = data
 		}
-		if result.Recover != nil {
-			rec.ProfileHash = result.Recover.ProfileHash
+		if snap.result.Recover != nil {
+			rec.ProfileHash = snap.result.Recover.ProfileHash
 		}
 	}
-	return rec, userCanceled
+	return rec
 }
 
 // persistJob writes the job's current snapshot to the store. Persistence is
@@ -60,17 +54,43 @@ func (s *Server) jobRecord(j *job) (*store.JobRecord, bool) {
 func (s *Server) persistJob(j *job) {
 	j.persistMu.Lock()
 	defer j.persistMu.Unlock()
-	rec, userCanceled := s.jobRecord(j)
+	s.putSnapshot(j, j.snapshot())
+}
+
+// putSnapshot writes snap as j's record; callers hold j.persistMu.
+func (s *Server) putSnapshot(j *job, snap jobSnapshot) {
+	rec := jobRecord(j, snap)
 	// A job cancelled by server shutdown is persisted as still running: the
 	// next boot resumes it, which is what makes a graceful restart lose no
 	// submitted work. A DELETE-initiated cancellation is terminal and stays
 	// "canceled" even when the shutdown races the job goroutine's finish.
-	if State(rec.State) == StateCanceled && !userCanceled && s.baseCtx.Err() != nil {
+	if snap.state == StateCanceled && !snap.userCanceled && s.baseCtx.Err() != nil {
 		rec.State = string(StateRunning)
 		rec.Error = ""
 		rec.Finished = time.Time{}
 	}
 	_ = s.store.PutJob(rec)
+}
+
+// finishJob moves a job to its terminal state, durably first: the terminal
+// record is written before the state is published, so a poll during the
+// write still reads "running", and a client that reads a terminal status
+// (and then inspects the store or restarts the server) finds the terminal
+// record already there. persistMu is held across both steps, so a DELETE's
+// cancel intent either lands first and is overwritten, or sees the
+// terminal state and writes nothing.
+func (s *Server) finishJob(j *job, state State, err error, result *JobResult) {
+	j.persistMu.Lock()
+	defer j.persistMu.Unlock()
+	snap := j.snapshot()
+	snap.state, snap.result, snap.finished = state, result, time.Now()
+	if err != nil {
+		snap.errText = err.Error()
+	}
+	s.putSnapshot(j, snap)
+	j.mu.Lock()
+	j.state, j.errText, j.result, j.finished = snap.state, snap.errText, snap.result, snap.finished
+	j.mu.Unlock()
 }
 
 // persistCancelIntent durably records a DELETE the moment it is accepted,
@@ -86,14 +106,12 @@ func (s *Server) persistJob(j *job) {
 func (s *Server) persistCancelIntent(j *job) {
 	j.persistMu.Lock()
 	defer j.persistMu.Unlock()
-	rec, _ := s.jobRecord(j)
-	if State(rec.State) != StateRunning {
+	snap := j.snapshot()
+	if snap.state != StateRunning {
 		return
 	}
-	rec.State = string(StateCanceled)
-	rec.Error = "canceled by DELETE"
-	rec.Finished = time.Now().UTC()
-	_ = s.store.PutJob(rec)
+	snap.state, snap.errText, snap.finished = StateCanceled, "canceled by DELETE", time.Now()
+	_ = s.store.PutJob(jobRecord(j, snap))
 }
 
 // recoverPersistedJobs loads the store's job bucket into the job table:

@@ -5,10 +5,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/obs"
 	"repro/internal/store"
 )
 
@@ -505,5 +507,80 @@ func TestDuplicateProfileSkipsSolver(t *testing.T) {
 	solver, ok := health["solver"].(map[string]any)
 	if !ok || int(solver["invocations"].(float64)) != 1 || int(solver["cache_hits"].(float64)) != 1 {
 		t.Fatalf("healthz solver counters: %s", body)
+	}
+}
+
+// terminalGate is a job store backend whose first Put of a terminal job
+// record signals blocked and then waits for release to be closed.
+type terminalGate struct {
+	*store.MemBackend
+	once    sync.Once
+	blocked chan struct{}
+	release chan struct{}
+}
+
+func (g *terminalGate) Put(bucket, key string, value []byte) error {
+	var rec store.JobRecord
+	if bucket == store.BucketJobs && json.Unmarshal(value, &rec) == nil && State(rec.State).Terminal() {
+		g.once.Do(func() { close(g.blocked) })
+		<-g.release
+	}
+	return g.MemBackend.Put(bucket, key, value)
+}
+
+// TestTerminalStatusFollowsStoreWrite: a job publishes its terminal state
+// only after the terminal record is stored. While that write is blocked, a
+// status poll still reads "running"; once a poll reads a terminal state,
+// the stored record is terminal too.
+func TestTerminalStatusFollowsStoreWrite(t *testing.T) {
+	gate := &terminalGate{
+		MemBackend: store.NewMemBackend(),
+		blocked:    make(chan struct{}),
+		release:    make(chan struct{}),
+	}
+	var released sync.Once
+	release := func() { released.Do(func() { close(gate.release) }) }
+	srv := New(repro.NewEngine(1), WithStore(store.New(gate)))
+	t.Cleanup(func() { release(); srv.Close() })
+
+	poll := func(id string) JobStatus {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/jobs/"+id, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %s: %d: %s", id, rec.Code, rec.Body)
+		}
+		return decode[JobStatus](t, rec.Body.Bytes())
+	}
+	storedState := func(id string) string {
+		t.Helper()
+		rec, ok, err := srv.Store().GetJob(id)
+		if err != nil || !ok {
+			t.Fatalf("job record %s: ok=%v err=%v", id, ok, err)
+		}
+		return rec.State
+	}
+
+	j, err := srv.submit(JobSpec{Type: "simulate", Words: 1000}, obs.SpanContext{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wake, unwatch := j.watch()
+	defer unwatch()
+	<-gate.blocked
+	if st := poll(j.id); st.State != StateRunning {
+		t.Fatalf("status during the terminal store write = %s, want running (store holds %s)",
+			st.State, storedState(j.id))
+	}
+	release()
+	for {
+		st := poll(j.id)
+		if st.State.Terminal() {
+			if got := storedState(j.id); got != string(st.State) {
+				t.Fatalf("status reads %s while the store holds %s", st.State, got)
+			}
+			return
+		}
+		<-wake // the job goroutine notifies watchers after its terminal transition
 	}
 }

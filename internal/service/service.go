@@ -498,15 +498,27 @@ func (j *job) snapshotState() (State, string, time.Time, time.Time) {
 	return j.state, j.errText, j.started, j.finished
 }
 
-func (j *job) finish(state State, err error, result *JobResult) {
+// jobSnapshot is a copy of a job's mutable state: what its durable record
+// carries.
+type jobSnapshot struct {
+	state             State
+	errText           string
+	started, finished time.Time
+	result            *JobResult
+	userCanceled      bool
+}
+
+func (j *job) snapshot() jobSnapshot {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.state = state
-	if err != nil {
-		j.errText = err.Error()
+	return jobSnapshot{
+		state:        j.state,
+		errText:      j.errText,
+		started:      j.started,
+		finished:     j.finished,
+		result:       j.result,
+		userCanceled: j.userCanceled,
 	}
-	j.result = result
-	j.finished = time.Now()
 }
 
 // ErrDraining rejects submissions while the server drains for shutdown;
@@ -669,11 +681,11 @@ func (s *Server) start(j *job, exec Execution) {
 				s.solve.addStats(result.Recover.Solver)
 				s.solve.addNoise(result.Recover.Noise)
 			}
-			j.finish(StateSucceeded, nil, result)
+			s.finishJob(j, StateSucceeded, nil, result)
 		case j.runCtx.Err() != nil:
-			j.finish(StateCanceled, j.runCtx.Err(), nil)
+			s.finishJob(j, StateCanceled, j.runCtx.Err(), nil)
 		default:
-			j.finish(StateFailed, err, nil)
+			s.finishJob(j, StateFailed, err, nil)
 		}
 		s.mu.Lock()
 		s.running--
@@ -681,12 +693,6 @@ func (s *Server) start(j *job, exec Execution) {
 			delete(s.inflight, j.dedupeKey)
 		}
 		s.mu.Unlock()
-		// Persist the terminal record before invalidating the cached status
-		// body: pollers keep being served the stale "running" snapshot until
-		// the store write lands, so a client that observes a terminal status
-		// and immediately inspects the store (or restarts the server) finds
-		// the terminal record already durable.
-		s.persistJob(j)
 		j.invalidateStatus()
 
 		state, errText, started, finished := j.snapshotState()
