@@ -202,21 +202,53 @@ func CollectCounts(ctx context.Context, chip Chip, rows []RowRef, layout WordLay
 		}
 	}
 
-	// images[p*rb:(p+1)*rb] is region image p: a region whose word w holds
-	// pattern (p+w) mod np, placed by the layout. Patterns are handed to a
-	// row's words round-robin, so every region of every written row is one
-	// of these images.
-	images := make([]byte, np*rb)
-	for w, word := range layout.Words {
+	for _, word := range layout.Words {
 		if len(word) != nb {
 			return nil, fmt.Errorf("core: word layout mixes %d- and %d-byte words", nb, len(word))
 		}
-		for p := range np {
-			pb := patBytes[(p+w)%np*nb:]
-			for bi, off := range word {
-				images[p*rb+off] = pb[bi]
+	}
+
+	// Region image p is a region whose word w holds pattern (p+w) mod np,
+	// placed by the layout. Patterns are handed to a row's words
+	// round-robin, so a row starting at pattern s has image
+	// (s + g*wordsPerRegion) mod np in region g. strip lays the images out
+	// so that every such row is one contiguous run: each cycle of
+	// p -> (p + wordsPerRegion) mod np in order, followed by its first
+	// regionsPerRow-1 images again, and at[s] is where row s's run starts.
+	cycles := gcd(np, wordsPerRegion)
+	cycleLen := np / cycles
+	runLen := cycleLen + regionsPerRow - 1
+	strip := make([]byte, cycles*runLen*rb)
+	at := make([]int, np)
+	for c := range cycles {
+		for j := range runLen {
+			p := (c + j*wordsPerRegion) % np
+			img := strip[(c*runLen+j)*rb:]
+			if j < cycleLen {
+				at[p] = (c*runLen + j) * rb
+			}
+			for w, word := range layout.Words {
+				pb := patBytes[(p+w)%np*nb:]
+				for bi, off := range word {
+					img[off] = pb[bi]
+				}
 			}
 		}
+	}
+	// written returns the row starting at pattern s as written. Bytes past
+	// the last whole region are written as zero: no word covers them.
+	regionBytes := regionsPerRow * rb
+	var tail []byte
+	if regionBytes < rowBytes {
+		tail = make([]byte, rowBytes)
+	}
+	written := func(s int) []byte {
+		row := strip[at[s]:][:regionBytes]
+		if tail == nil {
+			return row
+		}
+		copy(tail, row)
+		return tail
 	}
 
 	// byteWord is the inverse of the layout over a row: row byte i belongs
@@ -234,9 +266,6 @@ func CollectCounts(ctx context.Context, chip Chip, rows []RowRef, layout WordLay
 		}
 	}
 
-	// written holds every row as the current pass wrote it; reads are
-	// compared against it directly.
-	written := make([]byte, len(rows)*rowBytes)
 	readRow := rowReadFunc(chip)
 	pass := 0
 	passes := sweepPasses(opts)
@@ -254,20 +283,15 @@ func CollectCounts(ctx context.Context, chip Chip, rows []RowRef, layout WordLay
 			pass++
 			first := offset % np
 			start := first
-			for i, rr := range rows {
-				row := written[i*rowBytes : (i+1)*rowBytes]
-				for g := range regionsPerRow {
-					p := (start + g*wordsPerRegion) % np
-					copy(row[g*rb:(g+1)*rb], images[p*rb:(p+1)*rb])
-				}
-				chip.WriteRow(rr.Bank, rr.Row, row)
+			for _, rr := range rows {
+				chip.WriteRow(rr.Bank, rr.Row, written(start))
 				start = (start + wordsPerRow) % np
 			}
 			chip.PauseRefresh(window)
 			start = first
-			for i, rr := range rows {
+			for _, rr := range rows {
 				got := readRow(rr.Bank, rr.Row)
-				row := written[i*rowBytes : (i+1)*rowBytes]
+				row := written(start)
 				for o := 0; o < rowBytes; o += 8 {
 					for diff := load64(got, o) ^ load64(row, o); diff != 0; diff &= diff - 1 {
 						t := bits.TrailingZeros64(diff)
@@ -318,6 +342,14 @@ func rowReadFunc(chip Chip) func(bank, row int) []byte {
 		return func(bank, row int) []byte { return into.ReadRowInto(bank, row, buf) }
 	}
 	return chip.ReadRow
+}
+
+// gcd returns the greatest common divisor of two positive ints.
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 // load64 returns the 8 bytes of b from offset o as a little-endian word;

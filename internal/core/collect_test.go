@@ -160,3 +160,52 @@ func FuzzCollectCounts(f *testing.F) {
 		}
 	})
 }
+
+// tailChip appends tail bytes that no word covers to every row of a
+// ReadRow-only chip: they read back as zero, and writing a row of the
+// wrong length or anything but zero there marks the chip dirty.
+type tailChip struct {
+	Chip
+	tail  int
+	dirty bool
+}
+
+func (c *tailChip) DataBytesPerRow() int { return c.Chip.DataBytesPerRow() + c.tail }
+
+func (c *tailChip) WriteRow(bank, row int, data []byte) {
+	n := c.Chip.DataBytesPerRow()
+	if len(data) != n+c.tail || slices.ContainsFunc(data[n:], func(b byte) bool { return b != 0 }) {
+		c.dirty = true
+	}
+	c.Chip.WriteRow(bank, row, data[:n])
+}
+
+func (c *tailChip) ReadRow(bank, row int) []byte {
+	return append(c.Chip.ReadRow(bank, row), make([]byte, c.tail)...)
+}
+
+// TestCollectCountsRowTail runs CollectCounts on rows with bytes past their
+// last whole region: those bytes must be written as zero, and the counts
+// must equal the byte-wise reference's.
+func TestCollectCountsRowTail(t *testing.T) {
+	cfg := ondie.Config{Manufacturer: ondie.MfrB, DataBits: 24, Banks: 1, Rows: 6, RegionsPerRow: 3, Seed: 5}
+	layout := WordLayout{RegionBytes: 6, Words: [][]int{{0, 2, 4}, {1, 3, 5}}}
+	rows := []RowRef{{0, 0}, {0, 1}, {0, 2}, {0, 3}}
+	opts := CollectOptions{TempC: 80, Rounds: 2, Windows: []time.Duration{20 * time.Minute, 40 * time.Minute}}
+	patterns := Set12.Patterns(24)
+	chip := &tailChip{Chip: ondie.MustNew(cfg), tail: 5}
+	got, err := CollectCounts(context.Background(), chip, rows, layout, patterns, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chip.dirty {
+		t.Fatal("CollectCounts wrote short rows or nonzero bytes past the last whole region")
+	}
+	want := collectCountsReference(&tailChip{Chip: ondie.MustNew(cfg), tail: 5}, rows, layout, patterns, opts)
+	for i, g := range got.Entries {
+		if w := want.Entries[i]; g.Words != w.Words || !slices.Equal(g.Errors, w.Errors) {
+			t.Fatalf("entry %d (%v): words %d errors %v; reference words %d errors %v",
+				i, g.Pattern, g.Words, g.Errors, w.Words, w.Errors)
+		}
+	}
+}

@@ -200,6 +200,10 @@ type Chip struct {
 type rowState struct {
 	written bool
 	charges gf2.Vec
+	// locked marks the charged cells that RefreshAll discharged since the
+	// last write, so a flip read can report them against the bits written.
+	// It is allocated on the first refresh that decays the row.
+	locked gf2.Vec
 	// writeStamp is the chip's thermalSeconds at the time of the write.
 	writeStamp float64
 }
@@ -364,6 +368,7 @@ func (c *Chip) WriteRow(bank, row int, bits gf2.Vec) {
 	if c.cfg.Layout(bank, row) == AntiCell {
 		invert(st.charges)
 	}
+	clear(st.locked.Words())
 	st.written = true
 	st.writeStamp = c.thermalSeconds
 }
@@ -381,18 +386,10 @@ func (c *Chip) ReadRow(bank, row int) gf2.Vec {
 // a reused dst allocate nothing, which is what makes tight read loops
 // (profile collection, BEEP) memory-bound no longer.
 func (c *Chip) ReadRowInto(bank, row int, dst gf2.Vec) gf2.Vec {
-	if dst.Len() != c.cfg.CellsPerRow {
-		panic(fmt.Sprintf("dram: ReadRowInto got %d bits, row holds %d cells", dst.Len(), c.cfg.CellsPerRow))
-	}
-	st := c.rowAt(bank, row)
-	if !st.written {
-		panic(fmt.Sprintf("dram: ReadRow of never-written row (%d,%d)", bank, row))
-	}
-	c.readCounter++
+	st := c.readable(bank, row, dst)
+	// Marking a lost cell in a copy of the charges discharges it.
 	dst.CopyFrom(st.charges)
-	if exposure := c.thermalSeconds - st.writeStamp; exposure > 0 {
-		c.decay(dst.Words(), st.charges.Words(), bank, row, exposure, true)
-	}
+	c.decay(dst.Words(), st, bank, row, true)
 	if c.cfg.Layout(bank, row) == AntiCell {
 		invert(dst)
 	}
@@ -400,6 +397,45 @@ func (c *Chip) ReadRowInto(bank, row int, dst gf2.Vec) gf2.Vec {
 		c.injectTransient(dst, bank, row)
 	}
 	return dst
+}
+
+// ReadRowFlipsInto senses the row like ReadRowInto but returns, in dst, the
+// cells whose read differs from the logical bits last written: the cells
+// discharged since the write (by this read's decay or by RefreshAll) plus
+// this read's transient flips. XORed into the written bits it gives exactly
+// what ReadRowInto would have returned for the same read; it advances the
+// read counter the same way. dst must have length CellsPerRow.
+//
+// A discharged cell flips its logical bit under either cell type, so the
+// flip set needs no inversion, and a row whose cells all hold their charge
+// reads as an all-zero dst.
+func (c *Chip) ReadRowFlipsInto(bank, row int, dst gf2.Vec) gf2.Vec {
+	st := c.readable(bank, row, dst)
+	if st.locked.Len() != 0 {
+		dst.CopyFrom(st.locked)
+	} else {
+		clear(dst.Words())
+	}
+	c.decay(dst.Words(), st, bank, row, true)
+	if c.cfg.TransientBER > 0 {
+		c.injectTransient(dst, bank, row)
+	}
+	return dst
+}
+
+// readable checks a read of (bank, row) into dst and counts it: it returns
+// the row's state after advancing readCounter, which keys the read's VRT
+// jitter and transient noise.
+func (c *Chip) readable(bank, row int, dst gf2.Vec) *rowState {
+	if dst.Len() != c.cfg.CellsPerRow {
+		panic(fmt.Sprintf("dram: read into %d bits, row holds %d cells", dst.Len(), c.cfg.CellsPerRow))
+	}
+	st := c.rowAt(bank, row)
+	if !st.written {
+		panic(fmt.Sprintf("dram: ReadRow of never-written row (%d,%d)", bank, row))
+	}
+	c.readCounter++
+	return st
 }
 
 // injectTransient flips each bit independently with probability
@@ -451,31 +487,39 @@ func (c *Chip) WeakCells(bank, row int, window time.Duration) []int {
 // RefreshAll models re-enabling refresh after a pause: any decay that already
 // happened is locked in (refresh rewrites whatever charge remains), and
 // future reads see no additional decay until refresh is paused again. This
-// is implemented by materializing the decayed charges as the stored state,
-// under the plain retention rule (no per-read jitter).
+// is implemented by taking the decayed cells, under the plain retention rule
+// (no per-read jitter), off the stored charges; the row remembers them as
+// locked so flip reads still report them against the bits written.
 func (c *Chip) RefreshAll() {
 	for b := 0; b < c.cfg.Banks; b++ {
 		for r := 0; r < c.cfg.Rows; r++ {
 			st := &c.rows[b][r]
-			if !st.written {
+			if !st.written || c.thermalSeconds-st.writeStamp <= 0 {
 				continue
 			}
-			exposure := c.thermalSeconds - st.writeStamp
-			if exposure <= 0 {
-				continue
+			if st.locked.Len() != st.charges.Len() {
+				st.locked = gf2.NewVec(st.charges.Len())
 			}
-			cw := st.charges.Words()
-			c.decay(cw, cw, b, r, exposure, false)
+			// locked holds no charged cell, so marking adds the lost ones.
+			lw, cw := st.locked.Words(), st.charges.Words()
+			c.decay(lw, st, b, r, false)
+			for i := range cw {
+				cw[i] &^= lw[i]
+			}
 			st.writeStamp = c.thermalSeconds
 		}
 	}
 }
 
-// decay clears in dst every cell of row (bank, row) that loses its charge
-// over exposure reference-temperature seconds. It visits only the set bits
-// of charges, the row's stored charges (dst may alias them). With jitter,
-// each verdict includes the read's VRT draw keyed by readCounter, as a read
-// sees it; without, it is the plain rule retention < exposure.
+// decay is the one decay kernel: it marks, by flipping its bit in mark,
+// every charged cell of row (bank, row) that loses its charge over the
+// exposure since st's write stamp, and leaves every other bit of mark as
+// it is. A mark in a copy of the charges discharges the cell; a mark in a
+// vector holding no charged cell adds it to the lost set. It visits only
+// the set bits of the row's stored charges, and marks nothing at zero
+// exposure. With jitter, each verdict includes the read's VRT draw
+// keyed by readCounter, as a read sees it; without, it is the plain rule
+// retention < exposure.
 //
 // Each verdict equals the exact expression
 //
@@ -485,7 +529,11 @@ func (c *Chip) RefreshAll() {
 // multiplication is monotone in each positive argument, so a bracket that
 // lies wholly on one side of the exposure decides the exact product too.
 // Only straddling brackets evaluate the exact expression.
-func (c *Chip) decay(dst, charges []uint64, bank, row int, exposure float64, jitter bool) {
+func (c *Chip) decay(mark []uint64, st *rowState, bank, row int, jitter bool) {
+	exposure := c.thermalSeconds - st.writeStamp
+	if exposure <= 0 {
+		return
+	}
 	if c.grid == nil {
 		c.grid = sharedGrid(c.cfg.Retention)
 	}
@@ -503,7 +551,7 @@ func (c *Chip) decay(dst, charges []uint64, bank, row int, exposure float64, jit
 	lives := uint64(sort.Search(len(g.retLo), func(i int) bool { return g.retLo[i]*lo >= exposure }))
 	// HashN(seed, bank, row, i) == SplitMix64(HashN(seed, bank, row) ^ i).
 	prefix := stats.HashN(c.cfg.Seed, uint64(bank), uint64(row))
-	for wi, w := range charges {
+	for wi, w := range st.charges.Words() {
 		for ; w != 0; w &= w - 1 {
 			bit := mathbits.TrailingZeros64(w)
 			h := stats.SplitMix64(prefix ^ uint64(wi<<6|bit))
@@ -527,7 +575,7 @@ func (c *Chip) decay(dst, charges []uint64, bank, row int, exposure float64, jit
 					continue
 				}
 			}
-			dst[wi] &^= 1 << uint(bit)
+			mark[wi] ^= 1 << uint(bit)
 		}
 	}
 }

@@ -33,8 +33,9 @@ func TestVRTJitterBound(t *testing.T) {
 // referenceRead recomputes a row read the straightforward way, under the
 // chip's own retention model: every charged cell evaluates its full
 // jittered retention time, then the row's cell type maps charges to bits.
-// readCounter is the value the chip used for that read. Transient noise is
-// not modelled; callers use chips without it.
+// readCounter is the value the chip used for that read. Transient noise,
+// which the read draws apart from decay, comes from the chip's own
+// injectTransient and needs the chip's read counter still at that read.
 func referenceRead(c *Chip, bank, row int, charges gf2.Vec, exposure float64, readCounter uint64) gf2.Vec {
 	m := c.cfg.Retention
 	out := charges.Clone()
@@ -54,11 +55,14 @@ func referenceRead(c *Chip, bank, row int, charges gf2.Vec, exposure float64, re
 	if c.CellTypeOf(bank, row) == AntiCell {
 		invert(out)
 	}
+	if c.cfg.TransientBER > 0 {
+		c.injectTransient(out, bank, row)
+	}
 	return out
 }
 
-// checkRead reads one row and compares it with referenceRead.
-func checkRead(t testing.TB, c *Chip, bank, row int, what string) {
+// checkRead reads one row, compares it with referenceRead and returns it.
+func checkRead(t testing.TB, c *Chip, bank, row int, what string) gf2.Vec {
 	t.Helper()
 	st := &c.rows[bank][row]
 	exposure := c.thermalSeconds - st.writeStamp
@@ -66,6 +70,22 @@ func checkRead(t testing.TB, c *Chip, bank, row int, what string) {
 	if want := referenceRead(c, bank, row, st.charges, exposure, c.readCounter); !got.Equal(want) {
 		t.Fatalf("%s: read of (%d,%d) at exposure %v (read %d) diverges from the reference",
 			what, bank, row, exposure, c.readCounter)
+	}
+	return got
+}
+
+// checkFlips makes on twin the read that c just made (read returned it):
+// twin's ReadRowFlipsInto, XORed into the bits last written, must equal it
+// bit for bit, and both chips must have counted the same reads.
+func checkFlips(t testing.TB, twin, c *Chip, bank, row int, written, read gf2.Vec, what string) {
+	t.Helper()
+	got := twin.ReadRowFlipsInto(bank, row, gf2.NewVec(written.Len())).Xor(written)
+	if !got.Equal(read) {
+		t.Fatalf("%s: flip read of (%d,%d) (read %d) XOR the written bits diverges from ReadRowInto",
+			what, bank, row, twin.readCounter)
+	}
+	if twin.readCounter != c.readCounter {
+		t.Fatalf("%s: flip read counted to %d, ReadRowInto to %d", what, twin.readCounter, c.readCounter)
 	}
 }
 
@@ -233,18 +253,32 @@ func TestRefreshAllMatchesRetentionRule(t *testing.T) {
 }
 
 // FuzzReadRowExact fuzzes chip seed, row width (1-600 cells), stored bits,
-// the pause sequence, temperature and VRT jitter, and checks every read
-// against referenceRead. A pause byte with its top bit set is followed by a
-// RefreshAll, so locked-in decay is fuzzed too.
+// the pause sequence, temperature, VRT jitter and transient noise, and
+// checks every read against referenceRead. Row 0 holds true-cells and row 1
+// anti-cells. Rows are read right after the write (zero exposure), then
+// three times after every pause; a pause byte with its top bit set is
+// followed by a RefreshAll, so locked-in decay is fuzzed too, and a zero
+// pause after a refresh reads at zero exposure again. A twin chip built
+// from the same config sees the same writes, pauses and refreshes and makes
+// each read through ReadRowFlipsInto, which XORed into the written bits
+// must equal the first chip's read.
 func FuzzReadRowExact(f *testing.F) {
-	f.Add(uint64(1), uint16(256), []byte{0xff, 0x0f, 0xaa}, []byte{20, 40, 90}, uint8(80), uint16(20))
-	f.Fuzz(func(t *testing.T, seed uint64, cellSel uint16, bits, pauses []byte, tempSel uint8, vrtSel uint16) {
+	f.Add(uint64(1), uint16(256), []byte{0xff, 0x0f, 0xaa}, []byte{20, 40, 90}, uint8(80), uint16(20), uint8(0))
+	f.Add(uint64(7), uint16(300), []byte{0xff}, []byte{30, 0x94, 0x80, 0, 20}, uint8(80), uint16(500), uint8(2))
+	f.Fuzz(func(t *testing.T, seed uint64, cellSel uint16, bits, pauses []byte, tempSel uint8, vrtSel uint16, berSel uint8) {
 		cells := 1 + int(cellSel)%600
 		m := DefaultRetention()
 		m.VRTSigmaLog = float64(vrtSel%1001) / 1000 // 0 .. 1
-		c := New(Config{Banks: 1, Rows: 2, CellsPerRow: cells, Seed: seed, Retention: m, Layout: BlockLayout(1)})
-		c.SetTemperature(20 + float64(tempSel%100))
-		for r := 0; r < 2; r++ {
+		cfg := Config{
+			Banks: 1, Rows: 2, CellsPerRow: cells, Seed: seed, Retention: m, Layout: BlockLayout(1),
+			TransientBER: []float64{0, 1e-3, 1e-2}[berSel%3],
+		}
+		c, twin := New(cfg), New(cfg)
+		written := make([]gf2.Vec, 2)
+		for _, chip := range []*Chip{c, twin} {
+			chip.SetTemperature(20 + float64(tempSel%100))
+		}
+		for r := range written {
 			v := gf2.NewVec(cells)
 			for i := 0; i < cells; i++ {
 				if len(bits) > 0 {
@@ -253,26 +287,36 @@ func FuzzReadRowExact(f *testing.F) {
 				}
 			}
 			c.WriteRow(0, r, v)
+			twin.WriteRow(0, r, v)
+			written[r] = v
 		}
+		readAll := func(reps int, what string) {
+			for r := range written {
+				for range reps {
+					read := checkRead(t, c, 0, r, what)
+					checkFlips(t, twin, c, 0, r, written[r], read, what)
+				}
+			}
+		}
+		readAll(1, "after the write")
 		if len(pauses) > 16 {
 			pauses = pauses[:16]
 		}
 		for _, p := range pauses {
-			c.PauseRefresh(time.Duration(p&0x7f) * 2 * time.Minute)
-			for r := 0; r < 2; r++ {
-				for rep := 0; rep < 3; rep++ {
-					checkRead(t, c, 0, r, fmt.Sprintf("pause byte %#x", p))
-				}
+			for _, chip := range []*Chip{c, twin} {
+				chip.PauseRefresh(time.Duration(p&0x7f) * 2 * time.Minute)
 			}
+			readAll(3, fmt.Sprintf("pause byte %#x", p))
 			if p&0x80 != 0 {
 				c.RefreshAll()
+				twin.RefreshAll()
 			}
 		}
 	})
 }
 
-// TestReadRowIntoReuse checks that reads through a reused destination match
-// fresh-allocation reads and do not allocate.
+// TestReadRowIntoReuse checks that reads and flip reads through a reused
+// destination do not allocate.
 func TestReadRowIntoReuse(t *testing.T) {
 	c := New(Config{Banks: 1, Rows: 1, CellsPerRow: 128, Seed: 9})
 	v := gf2.NewVec(128)
@@ -289,17 +333,22 @@ func TestReadRowIntoReuse(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("warm ReadRowInto allocated %v times per read", allocs)
 	}
+	if allocs := testing.AllocsPerRun(50, func() { c.ReadRowFlipsInto(0, 0, dst) }); allocs != 0 {
+		t.Fatalf("warm ReadRowFlipsInto allocated %v times per read", allocs)
+	}
 }
 
 // BenchmarkReadRow times one decaying row read with the default VRT jitter
 // on a 16-word k=24-sized row (464 cells): sparse rows are 1-CHARGED-like
-// (one charged cell in 29), dense rows fully charged.
+// (one charged cell in 29), dense rows fully charged. The -flips cases read
+// through ReadRowFlipsInto.
 func BenchmarkReadRow(b *testing.B) {
 	const cells = 16 * 29
 	for _, bc := range []struct {
 		name  string
 		every int
-	}{{"sparse", 29}, {"dense", 1}} {
+		flips bool
+	}{{"sparse", 29, false}, {"dense", 1, false}, {"sparse-flips", 29, true}, {"dense-flips", 1, true}} {
 		b.Run(bc.name, func(b *testing.B) {
 			c := New(Config{Banks: 1, Rows: 8, CellsPerRow: cells, Seed: 3})
 			v := gf2.NewVec(cells)
@@ -310,10 +359,14 @@ func BenchmarkReadRow(b *testing.B) {
 				c.WriteRow(0, r, v)
 			}
 			c.PauseRefresh(48 * time.Minute)
+			read := c.ReadRowInto
+			if bc.flips {
+				read = c.ReadRowFlipsInto
+			}
 			dst := gf2.NewVec(cells)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.ReadRowInto(0, i%8, dst)
+				read(0, i%8, dst)
 			}
 		})
 	}

@@ -15,8 +15,11 @@ import (
 // Config.ScalarECC reference across dataword lengths (n > 64 from k=64 on,
 // so words span several 64-bit cell chunks), more than 64 words per row,
 // all three manufacturers (C has anti-cell rows), decay and transient
-// noise. Rows hold all-zero, all-one, random and 1-CHARGED data, and each
-// is read several times after each decaying pause. Identical seeds give
+// noise. Rows hold all-zero, all-one, random and 1-CHARGED data, each is
+// read several times after each decaying pause, and a quarter of the rows
+// is rewritten with new data between pauses, so a read must decode from the
+// latest write. From k=64 on, some reads must see one word's flipped cells
+// in several 64-bit words of the row's flip vector. Identical seeds give
 // identical substrate decay, so any divergence is in the codec layering.
 func TestBitslicedRowsMatchScalar(t *testing.T) {
 	for _, k := range []int{8, 16, 24, 32, 64, 128} {
@@ -37,9 +40,9 @@ func TestBitslicedRowsMatchScalar(t *testing.T) {
 
 				rng := rand.New(rand.NewPCG(1, uint64(k)<<8|uint64(len(mfr))))
 				rows := fast.Rows()
-				for r := 0; r < rows; r++ {
+				write := func(r, shape int) {
 					data := make([]byte, fast.DataBytesPerRow())
-					switch r % 4 {
+					switch shape % 4 {
 					case 0: // all-zero
 					case 1:
 						for i := range data {
@@ -64,6 +67,10 @@ func TestBitslicedRowsMatchScalar(t *testing.T) {
 					fast.WriteRow(0, r, data)
 					ref.WriteRow(0, r, data)
 				}
+				for r := 0; r < rows; r++ {
+					write(r, r)
+				}
+				spanning := 0 // reads with one word's flips in several flip-vector words
 				for pass, pause := range []time.Duration{5 * time.Minute, 40 * time.Minute, 3 * time.Hour} {
 					fast.PauseRefresh(pause)
 					ref.PauseRefresh(pause)
@@ -74,12 +81,39 @@ func TestBitslicedRowsMatchScalar(t *testing.T) {
 							if !bytes.Equal(got, want) {
 								t.Fatalf("pass %d row %d rep %d: read diverges from scalar", pass, r, rep)
 							}
+							if wordFlipsSpanChunks(fast) {
+								spanning++
+							}
 						}
 					}
+					for r := pass; r < rows; r += 4 {
+						write(r, r+pass+1)
+					}
+				}
+				if k >= 64 && spanning == 0 {
+					t.Fatal("no read flipped cells of one word in several 64-bit flip-vector words")
 				}
 			})
 		}
 	}
+}
+
+// wordFlipsSpanChunks reports whether the chip's last read flipped cells of
+// one ECC word that lie in different 64-bit words of the row's flip vector.
+func wordFlipsSpanChunks(c *Chip) bool {
+	n := c.code.N()
+	last := make([]int, c.wordsPerRow)
+	for i := range last {
+		last[i] = -1
+	}
+	for _, p := range c.cells.Support() {
+		w := p / n
+		if last[w] >= 0 && last[w] != p/64 {
+			return true
+		}
+		last[w] = p / 64
+	}
+	return false
 }
 
 // TestWriteRowSteadyStateAllocs pins the per-chip-scratch property: warm row
@@ -129,44 +163,70 @@ func TestManyWordsPerRow(t *testing.T) {
 }
 
 // BenchmarkReadRowInto times one decaying k=24 row read (16 regions, the
-// simulated chips' row shape), alternating all-one and random rows.
+// simulated chips' row shape) after a 48-minute pause. dense rows alternate
+// all-one and random data, so most of their cells are charged and many
+// flip; sparse rows hold one or two charged data bits per word, as a Set12
+// collection sweep writes them (see set12Rows), so few cells flip.
 func BenchmarkReadRowInto(b *testing.B) {
-	c := MustNew(Config{Manufacturer: MfrB, DataBits: 24, Banks: 1, Rows: 8, RegionsPerRow: 16, Seed: 5})
 	rng := rand.New(rand.NewPCG(2, 3))
-	data := make([]byte, c.DataBytesPerRow())
-	for r := 0; r < 8; r++ {
-		for i := range data {
-			if r%2 == 0 {
-				data[i] = 0xff
-			} else {
-				data[i] = byte(rng.Uint32())
+	for _, bc := range []struct {
+		name string
+		rows func(c *Chip) [][]byte
+	}{
+		{"dense", func(c *Chip) [][]byte {
+			rows := make([][]byte, 8)
+			for r := range rows {
+				rows[r] = make([]byte, c.DataBytesPerRow())
+				for i := range rows[r] {
+					if r%2 == 0 {
+						rows[r][i] = 0xff
+					} else {
+						rows[r][i] = byte(rng.Uint32())
+					}
+				}
+			}
+			return rows
+		}},
+		{"sparse", func(c *Chip) [][]byte { return set12Rows(c, rng) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := MustNew(Config{Manufacturer: MfrB, DataBits: 24, Banks: 1, Rows: 8, RegionsPerRow: 16, Seed: 5})
+			for r, data := range bc.rows(c) {
+				c.WriteRow(0, r, data)
+			}
+			c.PauseRefresh(48 * time.Minute)
+			data := make([]byte, c.DataBytesPerRow())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.ReadRowInto(0, i%8, data)
+			}
+		})
+	}
+}
+
+// set12Rows returns 8 rows for c whose words each hold one or two charged
+// data bits, as a Set12 collection sweep writes them.
+func set12Rows(c *Chip, rng *rand.Rand) [][]byte {
+	k := c.code.K()
+	rows := make([][]byte, 8)
+	for r := range rows {
+		data := make([]byte, c.DataBytesPerRow())
+		for w := 0; w < c.WordsPerRow(); w++ {
+			for i := 1 + rng.IntN(2); i > 0; i-- {
+				bit := rng.IntN(k)
+				data[(w/2)*c.RegionBytes()+2*(bit/8)+w%2] |= 1 << uint(bit%8)
 			}
 		}
-		c.WriteRow(0, r, data)
+		rows[r] = data
 	}
-	c.PauseRefresh(48 * time.Minute)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.ReadRowInto(0, i%8, data)
-	}
+	return rows
 }
 
 // BenchmarkWriteRow times one k=24 row write (16 regions) of words with one
 // or two charged data bits, as a Set12 collection sweep writes them.
 func BenchmarkWriteRow(b *testing.B) {
 	c := MustNew(Config{Manufacturer: MfrB, DataBits: 24, Banks: 1, Rows: 8, RegionsPerRow: 16, Seed: 5})
-	rng := rand.New(rand.NewPCG(4, 5))
-	rows := make([][]byte, 8)
-	for r := range rows {
-		data := make([]byte, c.DataBytesPerRow())
-		for w := 0; w < c.WordsPerRow(); w++ {
-			for i := 1 + rng.IntN(2); i > 0; i-- {
-				bit := rng.IntN(24)
-				data[(w/2)*c.RegionBytes()+2*(bit/8)+w%2] |= 1 << uint(bit%8)
-			}
-		}
-		rows[r] = data
-	}
+	rows := set12Rows(c, rand.New(rand.NewPCG(4, 5)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.WriteRow(0, i%8, rows[i%8])
@@ -176,9 +236,12 @@ func BenchmarkWriteRow(b *testing.B) {
 // FuzzRowCodec holds the default row codec byte-identical to the
 // Config.ScalarECC reference over fuzzed row data, dataword lengths,
 // manufacturers, refresh pauses and transient noise: both chips get the
-// same writes and, after every pause, the same repeated reads.
+// same writes and, after every pause, the same repeated reads. After each
+// pause's reads, one row (chosen by the pause byte) is rewritten with its
+// data shifted by one more byte, so later reads decode a newer write.
 func FuzzRowCodec(f *testing.F) {
 	f.Add([]byte{0xff, 0x01, 0x80}, uint8(2), uint8(1), []byte{40, 90}, uint8(0))
+	f.Add([]byte{0xff, 0xfe, 0x7f}, uint8(5), uint8(2), []byte{120, 1, 200}, uint8(2))
 	f.Fuzz(func(t *testing.T, data []byte, kSel, mfrSel uint8, pauses []byte, berSel uint8) {
 		cfg := Config{
 			Manufacturer:  []Manufacturer{MfrA, MfrB, MfrC}[int(mfrSel)%3],
@@ -193,19 +256,22 @@ func FuzzRowCodec(f *testing.F) {
 		cfg.ScalarECC = true
 		ref := MustNew(cfg)
 		row := make([]byte, fast.DataBytesPerRow())
-		for r := 0; r < fast.Rows(); r++ {
+		write := func(r, shift int) {
 			if len(data) > 0 {
 				for i := range row {
-					row[i] = data[(r*len(row)+i)%len(data)]
+					row[i] = data[(r*len(row)+i+shift)%len(data)]
 				}
 			}
 			fast.WriteRow(0, r, row)
 			ref.WriteRow(0, r, row)
 		}
+		for r := 0; r < fast.Rows(); r++ {
+			write(r, 0)
+		}
 		if len(pauses) > 8 {
 			pauses = pauses[:8]
 		}
-		for _, p := range pauses {
+		for i, p := range pauses {
 			fast.PauseRefresh(time.Duration(p) * time.Minute)
 			ref.PauseRefresh(time.Duration(p) * time.Minute)
 			for r := 0; r < fast.Rows(); r++ {
@@ -215,6 +281,7 @@ func FuzzRowCodec(f *testing.F) {
 					}
 				}
 			}
+			write(int(p)%fast.Rows(), i+1)
 		}
 	})
 }

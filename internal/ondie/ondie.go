@@ -103,10 +103,15 @@ type Chip struct {
 	wordsPerRow int
 	dataBytes   int // bytes per dataword (k/8)
 	// cells is the row's wordsPerRow * n substrate cells, scratch for
-	// WriteRow and ReadRowInto. A Chip is stateful and not safe for
-	// concurrent use (each parallel shard owns its chips), so one per-chip
-	// buffer keeps row writes and reads allocation-free.
+	// WriteRow (the codewords) and ReadRowInto (the cells the read
+	// flipped). A Chip is stateful and not safe for concurrent use (each
+	// parallel shard owns its chips), so one per-chip buffer keeps row
+	// writes and reads allocation-free.
 	cells gf2.Vec
+	// written holds every row's data bytes as last written, row (bank,
+	// row) at (bank*Rows+row)*DataBytesPerRow; ReadRowInto decodes from
+	// them. Nil under Config.ScalarECC.
+	written []byte
 }
 
 // New constructs a simulated chip.
@@ -131,6 +136,9 @@ func New(cfg Config) (*Chip, error) {
 		dataBytes:   cfg.DataBits / 8,
 	}
 	c.cells = gf2.NewVec(c.wordsPerRow * code.N())
+	if !cfg.ScalarECC {
+		c.written = make([]byte, cfg.Banks*cfg.Rows*c.DataBytesPerRow())
+	}
 	c.sub = dram.New(dram.Config{
 		Banks:        cfg.Banks,
 		Rows:         cfg.Rows,
@@ -228,6 +236,13 @@ func (c *Chip) PauseRefresh(d time.Duration) { c.sub.PauseRefresh(d) }
 // wordBit maps (word, bit-in-codeword) to the substrate cell index.
 func (c *Chip) wordBit(word, bit int) int { return word*c.code.N() + bit }
 
+// writtenRow returns row (bank, row)'s data bytes as last written.
+func (c *Chip) writtenRow(bank, row int) []byte {
+	rb := c.DataBytesPerRow()
+	i := (bank*c.cfg.Rows + row) * rb
+	return c.written[i : i+rb]
+}
+
 // wordBase returns the row byte offset of word w's first data byte: region
 // w/2, interleaving phase w%2 (its byte b sits at wordBase(w)+2*b).
 func (c *Chip) wordBase(w int) int { return (w/2)*c.RegionBytes() + w%2 }
@@ -238,7 +253,8 @@ func (c *Chip) wordBase(w int) int { return (w/2)*c.RegionBytes() + w%2 }
 // Words are encoded one at a time into a per-chip cell buffer, with no
 // allocation per write. The code is systematic (codeword bit i < k is data
 // bit i), so data bytes go straight to their cells, and the parity bits are
-// the XOR of the H columns of the set data bits.
+// the XOR of the H columns of the set data bits. The data bytes are kept
+// for ReadRowInto.
 func (c *Chip) WriteRow(bank, row int, data []byte) {
 	if len(data) != c.DataBytesPerRow() {
 		panic(fmt.Sprintf("ondie: WriteRow got %d bytes, want %d", len(data), c.DataBytesPerRow()))
@@ -267,6 +283,7 @@ func (c *Chip) WriteRow(bank, row int, data []byte) {
 		orBitsAt(cellw, cell+k, parity)
 	}
 	c.sub.WriteRow(bank, row, c.cells)
+	copy(c.writtenRow(bank, row), data)
 }
 
 // writeRowScalar is the per-word reference path behind Config.ScalarECC.
@@ -295,10 +312,13 @@ func (c *Chip) ReadRow(bank, row int) []byte {
 // length DataBytesPerRow, is fully overwritten, and is returned. With a
 // reused buffer a read allocates nothing.
 //
-// Each word is decoded on its own: the syndrome is the XOR of the H columns
-// of its set cells, and a nonzero syndrome blindly flips the bit whose
-// column it equals (none for an unmatched syndrome of a shortened code),
-// exactly as ecc.Code.Decode does.
+// Every stored row is the encoding of the bytes last written (ondie never
+// refreshes its substrate), so a word's syndrome is the XOR of the H
+// columns of the cells the read flipped. The read starts from the written
+// bytes, walks the substrate's flipped cells in order, flips the data bits
+// among them and accumulates each touched word's syndrome; a nonzero
+// syndrome then blindly flips the bit whose column it equals (none for an
+// unmatched syndrome of a shortened code), exactly as ecc.Code.Decode does.
 func (c *Chip) ReadRowInto(bank, row int, data []byte) []byte {
 	if len(data) != c.DataBytesPerRow() {
 		panic(fmt.Sprintf("ondie: ReadRowInto buffer length %d, row holds %d bytes",
@@ -308,40 +328,45 @@ func (c *Chip) ReadRowInto(bank, row int, data []byte) []byte {
 		copy(data, c.readRowScalar(bank, row))
 		return data
 	}
+	flips := c.sub.ReadRowFlipsInto(bank, row, c.cells).Words()
+	copy(data, c.writtenRow(bank, row))
 	n, k := c.code.N(), c.code.K()
 	bc := c.code.Bitsliced()
-	cellw := c.sub.ReadRowInto(bank, row, c.cells).Words()
-	for w := 0; w < c.wordsPerRow; w++ {
-		base, cell := c.wordBase(w), c.wordBit(w, 0)
-		var synd uint64
-		for off := 0; off < n; off += 64 {
-			v := bitsAt(cellw, cell+off, min(n-off, 64))
-			for m := v; m != 0; m &= m - 1 {
-				synd ^= bc.Column(off + mathbits.TrailingZeros64(m))
+	// Word w holds cells end-n .. end-1 and its data bytes from base on.
+	w, end, base := 0, n, 0
+	var synd uint64
+	for i, fw := range flips {
+		for ; fw != 0; fw &= fw - 1 {
+			p := i<<6 | mathbits.TrailingZeros64(fw)
+			if p >= end {
+				c.correct(data, base, synd)
+				synd = 0
+				for p >= end {
+					w++
+					end += n
+				}
+				base = c.wordBase(w)
 			}
-			for b := off / 8; b < min(k, off+64)/8; b++ {
-				data[base+2*b] = byte(v)
-				v >>= 8
+			bit := p - (end - n)
+			synd ^= bc.Column(bit)
+			if bit < k {
+				data[base+2*(bit>>3)] ^= 1 << uint(bit&7)
 			}
-		}
-		if synd == 0 {
-			continue
-		}
-		if j := c.code.ColumnOfPackedSyndrome(synd); uint(j) < uint(k) { // j = -1: no match
-			data[base+2*(j/8)] ^= 1 << uint(j%8)
 		}
 	}
+	c.correct(data, base, synd)
 	return data
 }
 
-// bitsAt returns the n (1..64) bits of w starting at bit p, lowest first.
-func bitsAt(w []uint64, p, n int) uint64 {
-	i, s := p>>6, uint(p&63)
-	v := w[i] >> s
-	if s != 0 && i+1 < len(w) {
-		v |= w[i+1] << (64 - s)
+// correct flips the data bit that a word's nonzero syndrome names; base is
+// the word's first data byte (see wordBase).
+func (c *Chip) correct(data []byte, base int, synd uint64) {
+	if synd == 0 {
+		return
 	}
-	return v & (^uint64(0) >> uint(64-n))
+	if j := c.code.ColumnOfPackedSyndrome(synd); uint(j) < uint(c.code.K()) { // j = -1: no match
+		data[base+2*(j/8)] ^= 1 << uint(j%8)
+	}
 }
 
 // orBitsAt ORs v into w starting at bit p, lowest bit first.
