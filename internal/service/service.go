@@ -706,6 +706,10 @@ func (s *Server) start(j *job, exec Execution) {
 			"job_id", j.id, "state", string(state), "error", errText,
 			"dur", finished.Sub(started),
 			"trace_id", j.span.Context().Trace.String())
+		// The ended span lives on in the tracer's ring buffer as a copy;
+		// the job table keeps finished jobs for good, so drop the job's
+		// own reference (only this goroutine reads it after start).
+		j.span = nil
 		j.notify() // wake SSE streams for the terminal event
 	}()
 }
