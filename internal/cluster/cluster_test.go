@@ -197,7 +197,12 @@ func TestClusterFailover(t *testing.T) {
 	tc := startTestCluster(t)
 	tc.addWorker("w1", 0)
 
-	status := tc.submit(recoverSpec("B", 16, 1))
+	// Sixteen rounds keep the job running well past the 10 ms status poll
+	// that decides when to kill w1; at the default three a fast host can
+	// finish the job before the kill lands.
+	spec := recoverSpec("B", 16, 1)
+	spec.Rounds = 16
+	status := tc.submit(spec)
 
 	// Wait until the job is observably executing on w1, then crash it.
 	tc.waitFor("job executing on w1", 10*time.Second, func() bool {

@@ -33,12 +33,17 @@
 // configs exhibit identical cell retention times forever — the substrate
 // carries no global RNG state.
 //
-// Nothing per cell is stored besides its charge. A read visits the row's
-// charged cells only and decides each from its address hash: a shared
-// per-retention-model grid brackets retention time and VRT jitter in the
-// hash domain (see retGrid), so almost every cell costs one hash and two
-// integer compares, and the exact Erfinv/Exp evaluation runs only where a
-// bracket straddles the decay threshold. Every verdict is bit-identical to
+// Per cell, a row stores its charge and, once it first decays, its 4-bit
+// retention level: the top bits of the cell's address hash, kept as four
+// bit planes (see levelWord). A shared per-retention-model grid brackets
+// retention time and VRT jitter in the hash domain (see retGrid), so a
+// read turns its exposure into two level thresholds and decides the
+// charged cells of whole words by a bit-sliced compare against the planes:
+// those whose level decays for every reachable jitter are marked at once,
+// those whose level survives it are skipped, and only the cells in the
+// band between are hashed. Of those, most are still decided by two integer
+// compares; the exact Erfinv/Exp evaluation runs only where a bracket
+// straddles the decay threshold. Every verdict is bit-identical to
 // evaluating the cell's jittered retention time directly.
 package dram
 
@@ -195,6 +200,22 @@ type Chip struct {
 	// chip costs nothing and a process that never decays a row never builds
 	// one.
 	grid *retGrid
+	// band memoizes the last read's band limits (see bandOf): a collection
+	// pass reads every row at one exposure.
+	band band
+}
+
+// band is a read's decay band at one exposure, with or without jitter: a
+// cell hashed to grid cell gi decays for every reachable jitter when
+// gi < dies, survives every reachable jitter when gi >= lives, and needs
+// its own verdict in between. dl and ll bound the band by level: a cell
+// whose level is below dl has gi < dies, one whose level is not below ll
+// has gi >= lives.
+type band struct {
+	exposure    float64
+	jitter      bool
+	dies, lives uint64
+	dl, ll      levelMask
 }
 
 type rowState struct {
@@ -206,6 +227,44 @@ type rowState struct {
 	locked gf2.Vec
 	// writeStamp is the chip's thermalSeconds at the time of the write.
 	writeStamp float64
+	// levels holds the row's retention levels, one levelWord per word of
+	// charges. It depends only on the cells' addresses, so it is built on
+	// the row's first decay and kept across writes.
+	levels []levelWord
+}
+
+// levelBits is log2 of the number of retention levels. A cell's level is
+// the top levelBits bits of its address hash: its grid cell's index
+// shifted right by levelShift.
+const (
+	levelBits  = 4
+	levelShift = gridBits - levelBits
+)
+
+// levelWord holds the levels of one word of a row's cells as bit planes:
+// bit i of plane p is bit p of cell i's level.
+type levelWord [levelBits]uint64
+
+// levelMask is a level threshold t in [0, 1<<levelBits], spread for a
+// bit-sliced compare: bit p is all ones when t has bit p set, and top is
+// all ones when t is 1<<levelBits, above every level.
+type levelMask struct {
+	b0, b1, b2, b3, top uint64
+}
+
+func newLevelMask(t uint64) levelMask {
+	return levelMask{b0: -(t & 1), b1: -(t >> 1 & 1), b2: -(t >> 2 & 1), b3: -(t >> 3 & 1), top: -(t >> levelBits & 1)}
+}
+
+// below returns the cells of a word whose level is below the threshold,
+// branch-free: from the low bit up, a cell is below t if its bit is clear
+// where t's is set, or the bits are equal and it was below t so far.
+func (m *levelMask) below(x *levelWord) uint64 {
+	lt := m.b0 &^ x[0]
+	lt = (lt | m.b1&^x[1]) &^ (x[1] &^ m.b1)
+	lt = (lt | m.b2&^x[2]) &^ (x[2] &^ m.b2)
+	lt = (lt | m.b3&^x[3]) &^ (x[3] &^ m.b3)
+	return lt | m.top
 }
 
 // gridBits is log2 of the retGrid size: a cell hash h falls in grid cell
@@ -515,9 +574,8 @@ func (c *Chip) RefreshAll() {
 // every charged cell of row (bank, row) that loses its charge over the
 // exposure since st's write stamp, and leaves every other bit of mark as
 // it is. A mark in a copy of the charges discharges the cell; a mark in a
-// vector holding no charged cell adds it to the lost set. It visits only
-// the set bits of the row's stored charges, and marks nothing at zero
-// exposure. With jitter, each verdict includes the read's VRT draw
+// vector holding no charged cell adds it to the lost set. It marks nothing
+// at zero exposure. With jitter, each verdict includes the read's VRT draw
 // keyed by readCounter, as a read sees it; without, it is the plain rule
 // retention < exposure.
 //
@@ -528,7 +586,9 @@ func (c *Chip) RefreshAll() {
 // bit for bit: the grid brackets (see retGrid) bound both factors, and IEEE
 // multiplication is monotone in each positive argument, so a bracket that
 // lies wholly on one side of the exposure decides the exact product too.
-// Only straddling brackets evaluate the exact expression.
+// The band limits, turned into level thresholds, decide whole words of
+// cells at once; only the charged cells between them are hashed, and only
+// straddling brackets evaluate the exact expression.
 func (c *Chip) decay(mark []uint64, st *rowState, bank, row int, jitter bool) {
 	exposure := c.thermalSeconds - st.writeStamp
 	if exposure <= 0 {
@@ -539,20 +599,22 @@ func (c *Chip) decay(mark []uint64, st *rowState, bank, row int, jitter bool) {
 	}
 	g, m := c.grid, c.cfg.Retention
 	jitter = jitter && m.VRTSigmaLog > 0
-	lo, hi := 1.0, 1.0
-	if jitter {
-		lo, hi = g.vrtLo, g.vrtHi
-	}
-	// The band limits as grid cell thresholds (retHi and retLo are
-	// non-decreasing): a cell hashed below dies has retHi*hi < exposure and
-	// decays for every reachable jitter; one from lives up has
-	// retLo*lo >= exposure and survives every reachable jitter.
-	dies := uint64(sort.Search(len(g.retHi), func(i int) bool { return g.retHi[i]*hi >= exposure }))
-	lives := uint64(sort.Search(len(g.retLo), func(i int) bool { return g.retLo[i]*lo >= exposure }))
+	b := c.bandOf(exposure, jitter)
+	dies, lives := b.dies, b.lives
 	// HashN(seed, bank, row, i) == SplitMix64(HashN(seed, bank, row) ^ i).
 	prefix := stats.HashN(c.cfg.Seed, uint64(bank), uint64(row))
+	if st.levels == nil {
+		c.buildLevels(st, prefix)
+	}
+	levels := st.levels
 	for wi, w := range st.charges.Words() {
-		for ; w != 0; w &= w - 1 {
+		if w == 0 {
+			continue
+		}
+		x := &levels[wi]
+		def := b.dl.below(x)
+		mark[wi] ^= w & def
+		for w &= b.ll.below(x) &^ def; w != 0; w &= w - 1 {
 			bit := mathbits.TrailingZeros64(w)
 			h := stats.SplitMix64(prefix ^ uint64(wi<<6|bit))
 			gi := h >> (64 - gridBits)
@@ -576,6 +638,42 @@ func (c *Chip) decay(mark []uint64, st *rowState, bank, row int, jitter bool) {
 				}
 			}
 			mark[wi] ^= 1 << uint(bit)
+		}
+	}
+}
+
+// bandOf returns the read's band at the exposure (retHi and retLo are
+// non-decreasing, so dies is the first grid cell with retHi*hi >= exposure
+// and lives the first with retLo*lo >= exposure). The last exposure's band
+// is kept, so a pass that reads every row at one exposure searches the
+// grid once.
+func (c *Chip) bandOf(exposure float64, jitter bool) *band {
+	b := &c.band
+	if b.exposure == exposure && b.jitter == jitter {
+		return b
+	}
+	g := c.grid
+	lo, hi := 1.0, 1.0
+	if jitter {
+		lo, hi = g.vrtLo, g.vrtHi
+	}
+	b.exposure, b.jitter = exposure, jitter
+	b.dies = uint64(sort.Search(len(g.retHi), func(i int) bool { return g.retHi[i]*hi >= exposure }))
+	b.lives = uint64(sort.Search(len(g.retLo), func(i int) bool { return g.retLo[i]*lo >= exposure }))
+	b.dl = newLevelMask(b.dies >> levelShift)
+	b.ll = newLevelMask((b.lives + 1<<levelShift - 1) >> levelShift)
+	return b
+}
+
+// buildLevels fills in the row's level planes from the row's hash prefix.
+// Bits past CellsPerRow stay zero.
+func (c *Chip) buildLevels(st *rowState, prefix uint64) {
+	st.levels = make([]levelWord, len(st.charges.Words()))
+	for i := range c.cfg.CellsPerRow {
+		lv := stats.SplitMix64(prefix^uint64(i)) >> (64 - levelBits)
+		x := &st.levels[i>>6]
+		for p := range x {
+			x[p] |= lv >> p & 1 << (i & 63)
 		}
 	}
 }

@@ -3,7 +3,9 @@ package dram
 import (
 	"fmt"
 	"math"
+	mathbits "math/bits"
 	"math/rand/v2"
+	"sort"
 	"testing"
 	"time"
 
@@ -122,6 +124,155 @@ func TestRetGridBrackets(t *testing.T) {
 				if f < g.vrtLo || f > g.vrtHi {
 					t.Fatalf("vrt %v: jitter %v of hash %#x outside the band [%v, %v]", sigma, f, h, g.vrtLo, g.vrtHi)
 				}
+			}
+		}
+	}
+}
+
+// decayReference is the per-charged-cell decay kernel: it searches the grid
+// for the band limits itself and hashes every charged cell of the row.
+// TestDecayMatchesReference holds decay to it mark for mark.
+func decayReference(c *Chip, mark []uint64, st *rowState, bank, row int, jitter bool) {
+	exposure := c.thermalSeconds - st.writeStamp
+	if exposure <= 0 {
+		return
+	}
+	g, m := sharedGrid(c.cfg.Retention), c.cfg.Retention
+	jitter = jitter && m.VRTSigmaLog > 0
+	lo, hi := 1.0, 1.0
+	if jitter {
+		lo, hi = g.vrtLo, g.vrtHi
+	}
+	dies := uint64(sort.Search(len(g.retHi), func(i int) bool { return g.retHi[i]*hi >= exposure }))
+	lives := uint64(sort.Search(len(g.retLo), func(i int) bool { return g.retLo[i]*lo >= exposure }))
+	prefix := stats.HashN(c.cfg.Seed, uint64(bank), uint64(row))
+	for wi, w := range st.charges.Words() {
+		for ; w != 0; w &= w - 1 {
+			bit := mathbits.TrailingZeros64(w)
+			h := stats.SplitMix64(prefix ^ uint64(wi<<6|bit))
+			gi := h >> (64 - gridBits)
+			switch {
+			case gi < dies:
+			case gi >= lives:
+				continue
+			case !jitter:
+				if m.CellRetentionSeconds(h) >= exposure {
+					continue
+				}
+			default:
+				h2 := stats.HashN(h, c.readCounter)
+				gj := h2 >> (64 - gridBits)
+				switch {
+				case g.retHi[gi]*g.fHi[gj] < exposure:
+				case g.retLo[gi]*g.fLo[gj] >= exposure:
+					continue
+				case m.CellRetentionSeconds(h)*m.jitterFactor(h2) >= exposure:
+					continue
+				}
+			}
+			mark[wi] ^= 1 << uint(bit)
+		}
+	}
+}
+
+// TestLevelPlanesMatchHash reads every cell's level back from its row's
+// planes, for several seeds, rows and widths (most not a multiple of 64),
+// and requires it to equal the top levelBits bits of the cell's address
+// hash (its grid cell >> levelShift), with no bit set past the row's end.
+func TestLevelPlanesMatchHash(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 0xfa57, 1 << 63} {
+		for _, cells := range []int{1, 63, 64, 65, 200, 928} {
+			c := New(Config{Banks: 2, Rows: 3, CellsPerRow: cells, Seed: seed})
+			for b := range 2 {
+				for r := range 3 {
+					st := &c.rows[b][r]
+					st.charges = gf2.NewVec(cells)
+					c.buildLevels(st, stats.HashN(seed, uint64(b), uint64(r)))
+					levels := st.levels
+					if len(levels) != len(st.charges.Words()) {
+						t.Fatalf("seed %#x width %d: %d level words for %d charge words", seed, cells, len(levels), len(st.charges.Words()))
+					}
+					for i := range len(levels) * 64 {
+						var got uint64
+						for p := range levelBits {
+							got |= levels[i>>6][p] >> (i & 63) & 1 << p
+						}
+						want := uint64(0)
+						if i < cells {
+							gi := stats.HashN(seed, uint64(b), uint64(r), uint64(i)) >> (64 - gridBits)
+							want = gi >> levelShift
+						}
+						if got != want {
+							t.Fatalf("seed %#x width %d cell (%d,%d,%d): plane level %d, hash level %d", seed, cells, b, r, i, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDecayMatchesReference holds decay's marks to decayReference's at
+// exposures that put the band limits on, and one ulp either side of, every
+// level boundary, in the middle of levels, at zero, at a 48-minute
+// sweep's windows and past every cell (lives and dies at the top of the
+// grid), with jitter on and off, on sparse, half and fully charged rows
+// whose width is not a multiple of 64.
+func TestDecayMatchesReference(t *testing.T) {
+	const cells = 450
+	for _, sigma := range []float64{0, 0.02, 0.5} {
+		m := DefaultRetention()
+		m.VRTSigmaLog = sigma
+		g := newRetGrid(m)
+		var exposures []float64
+		for gi := 0; gi < 1<<gridBits; gi += 1 << (levelShift - 1) {
+			for _, f := range []float64{1, g.vrtLo, g.vrtHi} {
+				for _, e := range []float64{g.retLo[gi] * f, g.retHi[gi] * f} {
+					exposures = append(exposures, math.Nextafter(e, 0), e, math.Nextafter(e, math.Inf(1)))
+				}
+			}
+		}
+		for _, w := range collectWindows {
+			exposures = append(exposures, w.Seconds())
+		}
+		exposures = append(exposures, 0, g.retHi[len(g.retHi)-1]*g.vrtHi*2)
+		c := New(Config{Banks: 1, Rows: 3, CellsPerRow: cells, Seed: 0x1e7e1, Retention: m})
+		rng := rand.New(rand.NewPCG(3, 4))
+		for r, every := range []int{29, 2, 1} {
+			v := gf2.NewVec(cells)
+			for i := 0; i < cells; i++ {
+				v.Set(i, rng.IntN(every) == 0)
+			}
+			c.WriteRow(0, r, v)
+		}
+		reached := map[string]bool{}
+		for _, jitter := range []bool{false, true} {
+			for _, e := range exposures {
+				c.thermalSeconds = e
+				for r := range 3 {
+					c.readCounter++
+					st := &c.rows[0][r]
+					got, want := st.charges.Clone(), st.charges.Clone()
+					c.decay(got.Words(), st, 0, r, jitter)
+					decayReference(c, want.Words(), st, 0, r, jitter)
+					if !got.Equal(want) {
+						t.Fatalf("vrt %v jitter %v exposure %v row %d: decay marks diverge from the reference", sigma, jitter, e, r)
+					}
+				}
+				if e > 0 {
+					b := c.bandOf(e, jitter && sigma > 0)
+					dies, lives := b.dies, b.lives
+					reached["dies on a level boundary"] = reached["dies on a level boundary"] || (dies%(1<<levelShift) == 0 && dies > 0 && dies < 1<<gridBits)
+					reached["lives on a level boundary"] = reached["lives on a level boundary"] || (lives%(1<<levelShift) == 0 && lives > 0 && lives < 1<<gridBits)
+					reached["lives in a level"] = reached["lives in a level"] || lives%(1<<levelShift) != 0
+					reached["lives at the top"] = reached["lives at the top"] || lives == 1<<gridBits
+					reached["dies at the top"] = reached["dies at the top"] || dies == 1<<gridBits
+				}
+			}
+		}
+		for what, ok := range reached {
+			if !ok {
+				t.Fatalf("vrt %v: no exposure put %s", sigma, what)
 			}
 		}
 	}
@@ -265,6 +416,9 @@ func TestRefreshAllMatchesRetentionRule(t *testing.T) {
 func FuzzReadRowExact(f *testing.F) {
 	f.Add(uint64(1), uint16(256), []byte{0xff, 0x0f, 0xaa}, []byte{20, 40, 90}, uint8(80), uint16(20), uint8(0))
 	f.Add(uint64(7), uint16(300), []byte{0xff}, []byte{30, 0x94, 0x80, 0, 20}, uint8(80), uint16(500), uint8(2))
+	// 119 C and six 254-minute pauses: the exposure passes every cell's
+	// retention bracket, so lives reaches the top of the grid.
+	f.Add(uint64(5), uint16(131), []byte{0xff, 0xf0}, []byte{0x7f, 0x7f, 0x7f, 0x7f, 0x7f, 0x7f}, uint8(99), uint16(20), uint8(0))
 	f.Fuzz(func(t *testing.T, seed uint64, cellSel uint16, bits, pauses []byte, tempSel uint8, vrtSel uint16, berSel uint8) {
 		cells := 1 + int(cellSel)%600
 		m := DefaultRetention()
@@ -316,7 +470,8 @@ func FuzzReadRowExact(f *testing.F) {
 }
 
 // TestReadRowIntoReuse checks that reads and flip reads through a reused
-// destination do not allocate.
+// destination do not allocate once a decaying read has bound the retention
+// grid and built the row's level planes.
 func TestReadRowIntoReuse(t *testing.T) {
 	c := New(Config{Banks: 1, Rows: 1, CellsPerRow: 128, Seed: 9})
 	v := gf2.NewVec(128)
@@ -326,7 +481,12 @@ func TestReadRowIntoReuse(t *testing.T) {
 	c.WriteRow(0, 0, v)
 	c.PauseRefresh(20 * time.Minute)
 	dst := gf2.NewVec(128)
-	c.ReadRowInto(0, 0, dst) // bind the retention grid
+	if c.ReadRowInto(0, 0, dst).Equal(v) {
+		t.Fatal("the warm-up read lost no cell; pick a longer pause")
+	}
+	if c.grid == nil || c.rows[0][0].levels == nil {
+		t.Fatal("the warm-up read left the grid or the level planes unbuilt")
+	}
 	allocs := testing.AllocsPerRun(50, func() {
 		c.ReadRowInto(0, 0, dst)
 	})
@@ -341,8 +501,10 @@ func TestReadRowIntoReuse(t *testing.T) {
 // BenchmarkReadRow times one decaying row read with the default VRT jitter
 // on a 16-word k=24-sized row (464 cells): sparse rows are 1-CHARGED-like
 // (one charged cell in 29), dense rows fully charged. The -flips cases read
-// through ReadRowFlipsInto.
+// through ReadRowFlipsInto. The collect case reads rows shaped like a
+// k=24 recovery's collection instead (see collectRows).
 func BenchmarkReadRow(b *testing.B) {
+	b.Run("collect", benchmarkCollectReads)
 	const cells = 16 * 29
 	for _, bc := range []struct {
 		name  string
@@ -369,5 +531,85 @@ func BenchmarkReadRow(b *testing.B) {
 				read(0, i%8, dst)
 			}
 		})
+	}
+}
+
+// collectWindows are a 48-minute sweep's refresh windows, 4 to 48 minutes
+// in 4-minute steps, and collectRowsPerWindow how many rows the collect
+// benchmark reads at each.
+const collectRowsPerWindow = 8
+
+var collectWindows = func() []time.Duration {
+	var ws []time.Duration
+	for m := 4; m <= 48; m += 4 {
+		ws = append(ws, time.Duration(m)*time.Minute)
+	}
+	return ws
+}()
+
+// collectRows returns rows shaped like a k=24 recovery's collection rows:
+// 32 codewords of 29 cells (24 data, 5 parity) per row, each holding a
+// {1,2}-CHARGED data pattern and the parity a fixed random systematic code
+// gives it, the patterns dealt round-robin from a random start per row.
+func collectRows(n int) []gf2.Vec {
+	const k, r, words = 24, 5, 32
+	rng := rand.New(rand.NewPCG(24, 12))
+	var cols [k]uint64
+	for i := range cols {
+		for mathbits.OnesCount64(cols[i]) < 2 {
+			cols[i] = rng.Uint64N(1 << r)
+		}
+	}
+	var patterns [][]int
+	for i := range k {
+		patterns = append(patterns, []int{i})
+		for j := i + 1; j < k; j++ {
+			patterns = append(patterns, []int{i, j})
+		}
+	}
+	rows := make([]gf2.Vec, n)
+	for ri := range rows {
+		v := gf2.NewVec(words * (k + r))
+		next := rng.IntN(len(patterns))
+		for w := range words {
+			base := w * (k + r)
+			var parity uint64
+			for _, bit := range patterns[next] {
+				v.Set(base+bit, true)
+				parity ^= cols[bit]
+			}
+			for p := range r {
+				v.Set(base+k+p, parity>>p&1 == 1)
+			}
+			next = (next + 1) % len(patterns)
+		}
+		rows[ri] = v
+	}
+	return rows
+}
+
+// benchmarkCollectReads reads collectRows at every window of a 48-minute
+// sweep: the rows of the longest window are written first and each later
+// group one window step after, so row group g sits at collectWindows[g]
+// when the reads start. Reads go group by group, as a collection pass
+// reads every row at one exposure.
+func benchmarkCollectReads(b *testing.B) {
+	n := len(collectWindows) * collectRowsPerWindow
+	rows := collectRows(n)
+	c := New(Config{Banks: 1, Rows: n, CellsPerRow: rows[0].Len(), Seed: 3})
+	for g := len(collectWindows) - 1; g >= 0; g-- {
+		for i := range collectRowsPerWindow {
+			r := g*collectRowsPerWindow + i
+			c.WriteRow(0, r, rows[r])
+		}
+		c.PauseRefresh(collectWindows[0])
+	}
+	dst := gf2.NewVec(rows[0].Len())
+	for r := range n { // build the level planes
+		c.ReadRowInto(0, r, dst)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.ReadRowInto(0, i%n, dst)
 	}
 }

@@ -723,7 +723,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"workers":   s.engine.Workers(),
 		"in_flight": s.engine.InFlight(),
 		"executor":  s.executor.Describe(),
-		"jobs":      s.stateCounts(),
+		"jobs":      s.table.counts(),
 		"running":   s.RunningJobs(),
 		"store":     s.store.Describe(),
 		"codes":     codes,

@@ -153,22 +153,7 @@ func (s *Server) recoverPersistedJobs() {
 
 	for _, item := range ordered {
 		rec := item.rec
-		var spec JobSpec
-		specErr := json.Unmarshal(rec.Spec, &spec)
-		if spec.Type == "" {
-			spec.Type = rec.Type // keep the listing readable even without a spec
-		}
-		j := &job{
-			id:      rec.ID,
-			spec:    spec,
-			created: rec.Created,
-			state:   State(rec.State),
-			errText: rec.Error,
-		}
-		j.started = rec.Started
-		j.finished = rec.Finished
-		j.progress.update(ProgressStatus{Chips: spec.chipCount()})
-
+		j, specErr := jobFromRecord(rec)
 		if State(rec.State) == StateRunning {
 			if specErr != nil {
 				// The spec is unreadable (corrupt record or a failed marshal
@@ -181,8 +166,30 @@ func (s *Server) recoverPersistedJobs() {
 			s.resume(j)
 			continue
 		}
-		s.replay(j, rec)
+		replay(j, rec)
+		s.registerFinished(j)
 	}
+}
+
+// jobFromRecord rebuilds a job from its durable record; the error reports
+// a spec that does not decode.
+func jobFromRecord(rec *store.JobRecord) (*job, error) {
+	var spec JobSpec
+	specErr := json.Unmarshal(rec.Spec, &spec)
+	if spec.Type == "" {
+		spec.Type = rec.Type // keep the listing readable even without a spec
+	}
+	j := &job{
+		id:       rec.ID,
+		spec:     spec,
+		created:  rec.Created,
+		state:    State(rec.State),
+		errText:  rec.Error,
+		started:  rec.Started,
+		finished: rec.Finished,
+	}
+	j.progress.update(ProgressStatus{Chips: spec.chipCount()})
+	return j, specErr
 }
 
 // registerTerminal places a job that will never run into the table in a
@@ -194,11 +201,17 @@ func (s *Server) registerTerminal(j *job, state State, errText string) {
 		j.finished = time.Now()
 	}
 	j.cancel = func() {}
+	s.registerFinished(j)
+	s.persistJob(j)
+}
+
+// registerFinished places a terminal job into the table and the listing.
+func (s *Server) registerFinished(j *job) {
 	s.mu.Lock()
 	s.table.put(j)
 	s.order = append(s.order, j.id)
 	s.mu.Unlock()
-	s.persistJob(j)
+	s.table.retire(j)
 }
 
 // parseJobID matches exactly the ids the server mints ("job-<n>", n >= 1).
@@ -253,8 +266,7 @@ func (s *Server) resume(j *job) {
 // synthesized as complete for succeeded jobs (the live event stream did not
 // survive the restart, and the API documents replayed progress as terminal
 // rather than historical).
-func (s *Server) replay(j *job, rec *store.JobRecord) {
-	j.replayed = true
+func replay(j *job, rec *store.JobRecord) {
 	j.cancel = func() {} // cancelling a terminal job is a no-op
 	if len(rec.Result) > 0 {
 		result := new(JobResult)
@@ -279,8 +291,4 @@ func (s *Server) replay(j *job, rec *store.JobRecord) {
 		}
 		j.progress.set(p)
 	}
-	s.mu.Lock()
-	s.table.put(j)
-	s.order = append(s.order, j.id)
-	s.mu.Unlock()
 }

@@ -103,21 +103,40 @@ type Server struct {
 // of a global mutex shared with submissions and completions.
 const jobShards = 16
 
+// maxFinishedJobs is how many finished jobs the job table keeps in memory.
+// Past it the oldest finished job is evicted: its store record stays, and
+// a lookup rebuilds it from the record as a restart would replay it (see
+// Server.get), so a long-running server's job table stays bounded however
+// many jobs it runs. Running jobs are never evicted.
+const maxFinishedJobs = 1024
+
 // jobTable is the sharded job map. Reads (get) take a shard's RLock;
-// inserts take its write lock. Membership never shrinks — jobs are retained
-// for status/result reads until the process exits, matching the previous
-// single-map behavior.
+// inserts take its write lock. It holds every running job and the
+// maxFinishedJobs most recently finished ones.
 type jobTable struct {
 	shards [jobShards]struct {
 		mu sync.RWMutex
 		m  map[string]*job
 	}
+
+	// mu guards the finished ring and the evicted counts; retire holds it
+	// while it moves a job out of the shards, so counts sees every job
+	// exactly once.
+	mu sync.Mutex
+	// finished is a ring of the retained finished jobs; next is the slot
+	// the next one takes, which holds the oldest once the ring is full.
+	finished [maxFinishedJobs]*job
+	next     int
+	// evicted counts the evicted jobs per state; a finished job's state
+	// never changes.
+	evicted map[State]int
 }
 
 func (t *jobTable) init() {
 	for i := range t.shards {
 		t.shards[i].m = make(map[string]*job)
 	}
+	t.evicted = make(map[State]int)
 }
 
 // shardOf picks the stripe for a job ID (FNV-1a).
@@ -143,6 +162,44 @@ func (t *jobTable) put(j *job) {
 	sh.mu.Lock()
 	sh.m[j.id] = j
 	sh.mu.Unlock()
+}
+
+// retire records that j reached its terminal state, evicting the oldest
+// retained finished job if the ring is full.
+func (t *jobTable) retire(j *job) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if old := t.finished[t.next]; old != nil {
+		sh := &t.shards[t.shardOf(old.id)]
+		sh.mu.Lock()
+		delete(sh.m, old.id)
+		sh.mu.Unlock()
+		state, _, _, _ := old.snapshotState()
+		t.evicted[state]++
+	}
+	t.finished[t.next] = j
+	t.next = (t.next + 1) % maxFinishedJobs
+}
+
+// counts tallies jobs per state: the retained ones by their current state
+// plus the evicted ones.
+func (t *jobTable) counts() map[string]int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	counts := map[string]int{}
+	for state, n := range t.evicted {
+		counts[string(state)] += n
+	}
+	for i := range t.shards {
+		sh := &t.shards[i]
+		sh.mu.RLock()
+		for _, j := range sh.m {
+			state, _, _, _ := j.snapshotState()
+			counts[string(state)]++
+		}
+		sh.mu.RUnlock()
+	}
+	return counts
 }
 
 // Option configures a Server at construction.
@@ -398,9 +455,6 @@ type job struct {
 	runCtx  context.Context
 	cancel  context.CancelFunc
 	created time.Time
-	// replayed marks a terminal job restored from the store on startup (its
-	// pipeline did not run in this process).
-	replayed bool
 	// span is the job's root trace span, opened at submission (nil for
 	// resumed/replayed jobs — their submitting request is long gone).
 	span *obs.Span
@@ -707,10 +761,11 @@ func (s *Server) start(j *job, exec Execution) {
 			"dur", finished.Sub(started),
 			"trace_id", j.span.Context().Trace.String())
 		// The ended span lives on in the tracer's ring buffer as a copy;
-		// the job table keeps finished jobs for good, so drop the job's
-		// own reference (only this goroutine reads it after start).
+		// drop the job's own reference (only this goroutine reads it after
+		// start).
 		j.span = nil
 		j.notify() // wake SSE streams for the terminal event
+		s.table.retire(j)
 	}()
 }
 
@@ -751,9 +806,28 @@ func (c tieredCache) Store(p *repro.Profile, res *repro.SolveResult) {
 }
 
 // get returns a job by id. This is the status-poll hot path: it touches
-// only the job's table shard, never the admission lock.
+// only the job's table shard, never the admission lock. A job the table
+// evicted is rebuilt from its store record, as a restart replays it.
 func (s *Server) get(id string) (*job, bool) {
-	return s.table.get(id)
+	if j, ok := s.table.get(id); ok {
+		return j, true
+	}
+	return s.evictedJob(id)
+}
+
+// evictedJob rebuilds a finished job from its store record. The job is not
+// put back in the table.
+func (s *Server) evictedJob(id string) (*job, bool) {
+	if _, ok := parseJobID(id); !ok {
+		return nil, false
+	}
+	rec, ok, err := s.store.GetJob(id)
+	if err != nil || !ok || !State(rec.State).Terminal() {
+		return nil, false
+	}
+	j, _ := jobFromRecord(rec)
+	replay(j, rec)
+	return j, true
 }
 
 // list returns all jobs in submission order.
@@ -763,21 +837,11 @@ func (s *Server) list() []*job {
 	s.mu.Unlock()
 	out := make([]*job, 0, len(order))
 	for _, id := range order {
-		if j, ok := s.table.get(id); ok {
+		if j, ok := s.get(id); ok {
 			out = append(out, j)
 		}
 	}
 	return out
-}
-
-// stateCounts tallies jobs per state for /healthz.
-func (s *Server) stateCounts() map[string]int {
-	counts := map[string]int{}
-	for _, j := range s.list() {
-		st, _, _, _ := j.snapshotState()
-		counts[string(st)]++
-	}
-	return counts
 }
 
 // progressState folds the pipeline's event stream into counters that only
