@@ -8,7 +8,7 @@ GO ?= go
 # the file this expands to, so bench jobs no longer need per-PR edits.
 BENCH_TAG ?= pr6
 
-.PHONY: all build test lint bench bench-baseline bench-gate serve-bench serve-bench-gate fuzz-smoke fmt serve-smoke cluster-smoke solver-regression golden
+.PHONY: all build test lint bench bench-baseline bench-gate serve-bench serve-bench-gate fuzz-smoke fmt serve-smoke solver-regression golden
 
 all: build lint test
 
@@ -71,8 +71,9 @@ serve-bench-gate:
 # the bitsliced-vs-scalar ECC differential, the noisy drop-k solver's
 # recovery-or-clean-UNSAT contract, the DIMACS round trip, the
 # simulated-read-vs-reference differential, the on-die row codec against
-# its scalar reference and collection counting against its byte-wise
-# reference (seed corpora committed under internal/*/testdata/fuzz).
+# its scalar reference, collection counting against its byte-wise
+# reference and beerd's job-spec decode/normalize/validate boundary (seed
+# corpora committed under internal/*/testdata/fuzz).
 # CI runs the same commands.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSolver -fuzztime 15s ./internal/sat
@@ -83,6 +84,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDimacsRoundTrip -fuzztime 15s ./internal/sat
 	$(GO) test -run '^$$' -fuzz FuzzReadRowExact -fuzztime 15s ./internal/dram
 	$(GO) test -run '^$$' -fuzz FuzzRowCodec -fuzztime 15s ./internal/ondie
+	$(GO) test -run '^$$' -fuzz FuzzJobSpec -fuzztime 15s ./internal/service
 
 # Graded SATLIB regression suite (internal/sat/satlib): the committed
 # uf20/uf50/uuf50 + BEER-formula corpus solved under per-grade conflict
@@ -97,14 +99,6 @@ solver-regression:
 # recovered H matches ground truth (see internal/service/smoke.go).
 serve-smoke:
 	$(GO) run ./cmd/beerd -selfcheck -selfcheck-jobs 8
-
-# Spin up a real local cluster — this process as coordinator plus two
-# spawned beerd worker processes — submit 8 distinct-profile recovery jobs
-# with one worker SIGKILLed mid-run (failover must be observed), then
-# resubmit the same profiles and require zero additional SAT solver
-# invocations (see internal/cluster/smoke.go).
-cluster-smoke:
-	$(GO) run ./cmd/beerd -clustercheck -clustercheck-jobs 8
 
 # Regenerate the recovery-matrix golden file (testdata/recovery_golden.json)
 # from the current code. This is the only way to change it: a changed golden

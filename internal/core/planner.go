@@ -103,7 +103,7 @@ func NewPlanner(k int, opts RecoverOptions) (*Planner, error) {
 	}
 	if prog != nil {
 		// Stamp solver events with planner progress so consumers (beerd
-		// status, the coordinator's aggregation) see patterns-used against
+		// status and its SSE stream) see patterns-used against
 		// the full-sweep total alongside the live candidate bound.
 		inner := prog
 		solveOpts.Progress = func(ev Event) {

@@ -39,8 +39,8 @@ func (w *statusWriter) Flush() {
 
 // quietPath reports request lines logged at Debug instead of Info: scrape
 // and poll endpoints that fire several times a second and would drown the
-// log at default level. Submissions, cancels, control-plane calls and
-// every non-2xx response stay at Info.
+// log at default level. Submissions, cancels and every non-2xx response
+// stay at Info.
 func quietPath(method, path string) bool {
 	if method != http.MethodGet {
 		return false
@@ -50,11 +50,7 @@ func quietPath(method, path string) bool {
 		return true
 	}
 	// Status polls: GET /api/v1/jobs and GET /api/v1/jobs/{id}.
-	if strings.HasPrefix(path, "/api/v1/jobs") && !strings.HasSuffix(path, "/result") {
-		return true
-	}
-	// Worker heartbeats are POSTs; registry reads poll too.
-	return strings.HasPrefix(path, "/cluster/")
+	return strings.HasPrefix(path, "/api/v1/jobs") && !strings.HasSuffix(path, "/result")
 }
 
 // Middleware wraps an HTTP handler with the hub's request instrumentation:

@@ -196,7 +196,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 
 // CounterFunc registers a counter whose value is read from fn at scrape
 // time — for sources that already keep their own atomic tallies (the
-// cluster coordinator's dispatch/failover counters, GC cycle counts).
+// engine's run count, GC cycle counts).
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	r.register(name, help, "counter", nil, func(b *strings.Builder) {
 		b.WriteString(name)

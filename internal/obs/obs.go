@@ -5,18 +5,17 @@
 // event-stream writer, and HTTP plumbing (middleware, /metrics,
 // /debug/traces, and an opt-in pprof debug mux).
 //
-// Everything hangs off a Hub, one per process: the service layer, the
-// cluster coordinator and cmd/beerd all share the same Hub so one scrape of
-// GET /metrics sees every subsystem and one job's spans — submitted on the
-// coordinator, dispatched, executed on a worker — stitch under a single
-// TraceID. All types are safe for concurrent use; increments on the hot
+// Everything hangs off a Hub, one per process: the service layer and
+// cmd/beerd's HTTP middleware share the same Hub, so one scrape of GET
+// /metrics sees every subsystem and one job's spans — the caller's
+// traceparent, the job, its stages — stitch under a single TraceID. All
+// types are safe for concurrent use; increments on the hot
 // path are single atomic ops (see BenchmarkMetricsHotPath).
 package obs
 
 import (
 	"io"
 	"log/slog"
-	"strings"
 )
 
 // DefaultTraceCapacity is the span ring-buffer size a Hub is built with.
@@ -44,23 +43,4 @@ func NewHub(logger *slog.Logger) *Hub {
 	}
 	registerRuntimeMetrics(h.Metrics)
 	return h
-}
-
-// logfWriter adapts a printf-style sink (testing.T.Logf) into an io.Writer
-// for slog handlers, one call per log line.
-type logfWriter func(format string, args ...any)
-
-func (f logfWriter) Write(p []byte) (int, error) {
-	f("%s", strings.TrimRight(string(p), "\n"))
-	return len(p), nil
-}
-
-// NewTestHub builds a Hub whose log lines go through a printf-style
-// function — pass testing.T.Logf so cluster tests keep their per-test log
-// attribution now that components take *slog.Logger instead of a printf
-// func.
-func NewTestHub(logf func(format string, args ...any)) *Hub {
-	return NewHub(slog.New(slog.NewTextHandler(logfWriter(logf), &slog.HandlerOptions{
-		Level: slog.LevelDebug,
-	})))
 }

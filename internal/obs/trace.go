@@ -11,9 +11,8 @@ import (
 	"time"
 )
 
-// TraceID identifies one end-to-end job trace; every span of the job — on
-// the coordinator and on whichever workers execute or re-execute it —
-// carries the same TraceID.
+// TraceID identifies one end-to-end job trace; every span of the job — the
+// job's root, its execution and its stages — carries the same TraceID.
 type TraceID [16]byte
 
 // IsZero reports whether the id is the invalid all-zero id.

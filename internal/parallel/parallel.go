@@ -65,8 +65,8 @@ func New(workers int) *Engine {
 func (e *Engine) Workers() int { return e.workers }
 
 // InFlight gauges how many sharded computations (ForEach calls) are
-// executing right now — the engine-level load figure cluster workers report
-// in their heartbeats and beerd exposes on /healthz.
+// executing right now — the engine-level load figure beerd exposes on
+// /healthz and as the beerd_engine_inflight gauge.
 func (e *Engine) InFlight() int { return int(e.inflight.Load()) }
 
 // Runs counts the sharded computations (ForEach calls) the engine has

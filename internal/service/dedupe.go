@@ -12,24 +12,20 @@ import (
 
 // This file derives the two spec identities the serving layer keys on:
 //
-//   - ProfileKey: the cache identity — which solve-cache entry (and which
-//     cluster-ring slot) a job's work lands on. Submissions that differ only
-//     in fields that cannot change the observed miscorrection profile share
-//     a ProfileKey. cluster.RoutingKey delegates here, so the consistent-hash
-//     ring and the single-flight index agree on what "the same profile"
-//     means.
+//   - profileKey: the cache identity — which solve-cache entry a job's
+//     work lands on. Submissions that differ only in fields that cannot
+//     change the observed miscorrection profile share a profileKey.
 //
 //   - dedupeKey: the execution identity — whether two submissions would
 //     produce byte-identical results and may therefore share one execution.
-//     It is the ProfileKey plus every remaining result-affecting field of
+//     It is the profileKey plus every remaining result-affecting field of
 //     the normalized spec, so single-flighting on it is safe: a joined
 //     caller observes exactly the status stream and result it would have
 //     computed itself.
 //
-// The distinction matters: chip count, rounds or the verify flag do not move
-// a job to a different worker (same profile, same cache line), but they do
-// change the result body, so they widen the dedupe key without touching the
-// profile key.
+// The distinction matters: chip count, rounds or the verify flag do not
+// change the profile (same cache line), but they do change the result body,
+// so they widen the dedupe key without touching the profile key.
 
 // profileKeys memoizes the analytic profile hash per (manufacturer, k,
 // patterns, anti, seed) model tuple. The closed-form profile computation is
@@ -39,7 +35,7 @@ import (
 // into one computation.
 var profileKeys = store.NewLRU[string, string](256)
 
-// ProfileKey returns the spec's cache identity.
+// profileKey returns the spec's cache identity.
 //
 // For recovery jobs this is the canonical hash (core.Profile.Hash) of the
 // miscorrection profile the job is going to observe, computed analytically
@@ -51,7 +47,7 @@ var profileKeys = store.NewLRU[string, string](256)
 //
 // Simulation jobs have no miscorrection profile; they key on the normalized
 // simulation parameters.
-func ProfileKey(spec JobSpec) string {
+func profileKey(spec JobSpec) string {
 	spec = spec.Normalized()
 	switch spec.Type {
 	case "recover":
@@ -75,16 +71,16 @@ func ProfileKey(spec JobSpec) string {
 		sum := sha256.Sum256([]byte(canon))
 		return hex.EncodeToString(sum[:])
 	default:
-		// Unknown types are rejected by validation before either consumer
-		// needs a key; a defensive constant keeps the cluster ring total.
-		return "unroutable"
+		// Unknown types are rejected by validation before dedupeKey needs a
+		// key; a defensive constant keeps the function total.
+		return "unknown"
 	}
 }
 
 // dedupeKey returns the spec's execution identity: the single-flight index
 // key under which concurrent identical submissions share one job. Two specs
 // map to the same key iff their normalized forms request byte-identical
-// work, so the key is the ProfileKey plus every result-affecting field the
+// work, so the key is the profileKey plus every result-affecting field the
 // profile key deliberately ignores.
 func dedupeKey(spec JobSpec) string {
 	spec = spec.Normalized()
@@ -97,13 +93,13 @@ func dedupeKey(spec JobSpec) string {
 			maxDrop = strconv.Itoa(*spec.MaxDrop)
 		}
 		return fmt.Sprintf("recover|%s|chips=%d|seed=%d|rounds=%d|win=%d|plan=%t|verify=%t|fp=%g|fn=%g|nseed=%d|drop=%s",
-			ProfileKey(spec), spec.Chips, spec.Seed, spec.Rounds, spec.MaxWindowMinutes,
+			profileKey(spec), spec.Chips, spec.Seed, spec.Rounds, spec.MaxWindowMinutes,
 			spec.Plan, spec.Verify,
 			spec.NoiseFP, spec.NoiseFN, spec.NoiseSeed, maxDrop)
 	case "simulate":
-		// The simulate ProfileKey already canonicalizes every result-affecting
+		// The simulate profileKey already canonicalizes every result-affecting
 		// parameter.
-		return "simulate|" + ProfileKey(spec)
+		return "simulate|" + profileKey(spec)
 	default:
 		// Unreachable after Prepare validated the spec; never collapse two
 		// distinct invalid specs onto one key.

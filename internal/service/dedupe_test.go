@@ -102,7 +102,7 @@ func TestConcurrentSubmitDedupe(t *testing.T) {
 	}
 	// One execution means one solver invocation — N independent runs would
 	// each have solved (or raced on) the profile.
-	if inv := srv.SolverTotals().Invocations; inv != 1 {
+	if inv, _ := srv.SolveCounters(); inv != 1 {
 		t.Fatalf("solver invoked %d times, want 1", inv)
 	}
 

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"sync"
@@ -11,13 +10,10 @@ import (
 )
 
 // This file defines the seam between the beerd HTTP layer and job
-// execution. Before the cluster subsystem the Server ran every job directly
-// on its engine; now the handlers, the job table, persistence and progress
-// all talk to an Executor, and what sits behind it decides where the work
-// happens: the localExecutor runs jobs on this process's parallel engine
-// (standalone servers and cluster workers), while internal/cluster's
-// Coordinator implements the same interface by dispatching jobs to a fleet
-// of workers over the service's own HTTP API.
+// execution. The handlers, the job table, persistence and progress all talk
+// to an Executor; the localExecutor runs jobs on this process's parallel
+// engine, and tests and the benchmark substitute their own implementations
+// (fakes, tracing wrappers) through WithExecutor.
 
 // Executor turns validated job specs into runnable executions. The Server
 // calls Prepare at submission time (its errors are 400s) and runs the
@@ -27,7 +23,7 @@ type Executor interface {
 	// not block on anything but the spec itself.
 	Prepare(spec JobSpec) (Execution, error)
 	// Describe renders the executor for logs and /healthz
-	// ("local:8-workers", "cluster:coordinator").
+	// ("local:8-workers").
 	Describe() string
 }
 
@@ -41,24 +37,20 @@ type ExecEnv struct {
 	// JobID is the server-assigned job identifier.
 	JobID string
 	// Cache is the server's content-addressed solve cache for this job
-	// (counting wrapper over the store registry, plus any remote tier).
-	// Local executions pass it to the pipeline; a dispatching executor
-	// ignores it, because caching happens on the worker that runs the job.
+	// (counting wrapper over the store registry). Local executions pass it
+	// to the pipeline.
 	Cache repro.SolveCache
 	// Report publishes a progress snapshot. The server merges snapshots
 	// monotonically (see progressTracker), so implementations may report
 	// from restarted attempts without counters appearing to move backwards.
 	Report func(ProgressStatus)
 	// Trace is the job's root span context. Local executions parent their
-	// stage spans on it; a dispatching executor propagates it to the
-	// executing worker as a traceparent header, so the worker-side spans
-	// join the same trace.
+	// stage spans on it.
 	Trace obs.SpanContext
 }
 
 // localExecutor runs jobs on this process's parallel experiment engine —
-// the only executor before internal/cluster, and still what standalone
-// servers and cluster workers use. extraOpts (WithSolverOptions) are
+// the Server's default executor. extraOpts (WithSolverOptions) are
 // appended to every recovery pipeline it builds — backend selection is a
 // per-process deployment choice, not part of the job spec.
 type localExecutor struct {
@@ -174,17 +166,16 @@ func (ss *stageSpans) finish() {
 
 // progressTracker holds a job's latest ProgressStatus under a monotonic
 // merge: counters only grow, Done flags only set, and the stage label
-// follows the freshest report. Local executions feed it serialized event
-// snapshots; the cluster dispatcher feeds it polled worker snapshots, which
-// restart from zero when a job fails over to another worker — the merge
-// keeps the status poller's monotonicity promise either way.
+// follows the freshest report. The local executor feeds it serialized
+// event snapshots; any Execution may also report from a restarted attempt
+// whose counters begin at zero again — the merge keeps the status poller's
+// and the SSE stream's monotonicity promise either way.
 type progressTracker struct {
 	mu  sync.Mutex
 	cur ProgressStatus
 	// metrics, when set, receives the positive delta of every merge — the
-	// single choke point both execution paths (local event folds and
-	// polled cluster snapshots) pass through, so the live Prometheus
-	// counters inherit the tracker's failover monotonicity for free.
+	// single choke point every progress report passes through, so the live
+	// Prometheus counters inherit the tracker's monotonicity for free.
 	metrics *serverMetrics
 }
 
@@ -203,14 +194,11 @@ func (t *progressTracker) update(p ProgressStatus) {
 	}
 	c.Updates = max(c.Updates, p.Updates)
 	c.Chips = max(c.Chips, p.Chips)
-	c.Worker = cmp.Or(p.Worker, c.Worker)
-	c.Dispatches = max(c.Dispatches, p.Dispatches)
 	mergeStage(&c.Discover, p.Discover)
 	mergeStage(&c.Collect, p.Collect)
 	mergeStage(&c.Solve, p.Solve)
-	// Solver counters merge monotonically too, so a failed-over job's
-	// fresh worker (whose counters restart from zero) never appears to
-	// un-learn clauses or un-collect patterns.
+	// Solver counters merge monotonically too, so a restarted attempt
+	// never appears to un-learn clauses or un-collect patterns.
 	c.Solver.Conflicts = max(c.Solver.Conflicts, p.Solver.Conflicts)
 	c.Solver.Propagations = max(c.Solver.Propagations, p.Solver.Propagations)
 	c.Solver.Learned = max(c.Solver.Learned, p.Solver.Learned)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"net/http"
 	"strconv"
@@ -91,9 +92,8 @@ func (spec JobSpec) chipCount() int {
 
 // Normalized returns a copy of the spec with every defaulted field filled
 // in — the single place the documented defaults live. buildRunner validates
-// the normalized form, and the cluster router derives its consistent-hash
-// routing key from it, so two submissions that differ only in spelled-out
-// defaults are the same job everywhere.
+// the normalized form, and the dedupe key is derived from it, so two
+// submissions that differ only in spelled-out defaults are the same job.
 func (spec JobSpec) Normalized() JobSpec {
 	out := spec
 	switch out.Type {
@@ -153,14 +153,6 @@ func (spec JobSpec) Normalized() JobSpec {
 		}
 	}
 	return out
-}
-
-// Validate reports whether the spec would be accepted by a submission —
-// the same checks buildRunner performs, exported for executors that
-// validate without running locally (the cluster coordinator).
-func (spec JobSpec) Validate() error {
-	_, err := buildRunner(spec)
-	return err
 }
 
 // Service guardrails: beerd is a multi-tenant front end for a shared
@@ -481,24 +473,17 @@ type StageStatus struct {
 
 // ProgressStatus is the per-stage progress block of a status response.
 // Updates increments on every pipeline event, so two successive polls can be
-// ordered by it. On a cluster coordinator the block is aggregated from the
-// executing worker's own status stream: Worker and Dispatches say where the
-// job is running and how many dispatch attempts (1 + failovers) it took,
-// and the per-stage counters stay monotonic across a failover even though
-// the replacement worker restarts collection from scratch.
+// ordered by it.
 type ProgressStatus struct {
-	Updates    int64       `json:"updates"`
-	Stage      string      `json:"stage,omitempty"`
-	Chips      int         `json:"chips,omitempty"`
-	Worker     string      `json:"worker,omitempty"`
-	Dispatches int         `json:"dispatches,omitempty"`
-	Discover   StageStatus `json:"discover"`
-	Collect    StageStatus `json:"collect"`
-	Solve      StageStatus `json:"solve"`
+	Updates  int64       `json:"updates"`
+	Stage    string      `json:"stage,omitempty"`
+	Chips    int         `json:"chips,omitempty"`
+	Discover StageStatus `json:"discover"`
+	Collect  StageStatus `json:"collect"`
+	Solve    StageStatus `json:"solve"`
 	// Solver streams the live SAT-engine counters (and, for planned jobs,
 	// patterns collected vs. the full sweep). Like the stage counters it is
-	// monotonic: values only grow while the job runs, including across a
-	// cluster failover.
+	// monotonic: values only grow while the job runs.
 	Solver SolverProgress `json:"solver,omitzero"`
 }
 
@@ -601,17 +586,26 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 
 const maxBodyBytes = 1 << 20
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeJobSpec reads one submitted JobSpec. Unknown fields are an error,
+// so a misspelled option fails loudly instead of silently taking its
+// default; anything after the first JSON value is ignored.
+func decodeJobSpec(r io.Reader) (JobSpec, error) {
 	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeJobSpec(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "malformed job spec: %v", err)
 		return
 	}
 	// The caller's span context arrives either via the obs middleware
 	// (cmd/beerd wraps the handler) or, for embedded handlers without
-	// middleware (tests, workers driven by the coordinator), directly as a
+	// middleware (tests, embedding programs), directly as a
 	// traceparent header.
 	parent := obs.SpanContextFrom(r.Context())
 	if !parent.Valid() {
@@ -622,8 +616,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(err, ErrDraining), errors.Is(err, ErrShuttingDown):
 		// The server still answers status and result reads; only new work
-		// is refused. Retry-After tells load balancers and the cluster
-		// coordinator when to try again (or to try elsewhere).
+		// is refused. Retry-After tells clients and load balancers when to
+		// try again (or to try elsewhere).
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 		return
@@ -703,13 +697,6 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.status(j))
 }
 
-// healthStatser is an optional Executor extension: executors that carry
-// their own operational state (the cluster coordinator's worker fleet)
-// contribute it to /healthz under "cluster".
-type healthStatser interface {
-	HealthStats() map[string]any
-}
-
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	invocations, hits := s.SolveCounters()
 	totals := s.solve.totals()
@@ -744,9 +731,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.Draining() {
 		payload["draining"] = true
-	}
-	if hs, ok := s.executor.(healthStatser); ok {
-		payload["cluster"] = hs.HealthStats()
 	}
 	writeJSON(w, http.StatusOK, payload)
 }

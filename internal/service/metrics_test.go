@@ -39,7 +39,7 @@ func TestMetricsExposition(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Fatalf("content type %q, want text/plain; version=0.0.4", ct)
 	}
-	fams, err := obs.CheckFamilies(string(body), KeyMetricFamilies...)
+	fams, err := obs.CheckFamilies(string(body), keyMetricFamilies...)
 	if err != nil {
 		t.Fatalf("exposition: %v", err)
 	}

@@ -10,9 +10,10 @@ import (
 // WithObservability attaches an observability hub to the server: its
 // registry backs GET /metrics, its tracer backs job spans and GET
 // /debug/traces, and its logger gets the job lifecycle lines. cmd/beerd
-// builds one hub per process and shares it between the service layer and
-// the cluster coordinator, so one scrape sees both. The default hub (nil
-// option) collects metrics and spans but logs nowhere.
+// builds one hub per process and also wraps the server's handler in the
+// hub's HTTP middleware, so one scrape sees both the request and the job
+// families. The default hub (nil option) collects metrics and spans but
+// logs nowhere.
 func WithObservability(h *obs.Hub) Option { return func(s *Server) { s.hub = h } }
 
 // Observability returns the server's hub (never nil after New).
@@ -76,7 +77,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		patternsUsed: r.Counter("beerd_planner_patterns_total",
 			"Test patterns collected (planned subset or full sweep)."),
 		cacheLookups: r.Counter("beerd_solve_cache_lookups_total",
-			"Solve-cache lookups (store registry plus any remote tier)."),
+			"Solve-cache lookups (store registry)."),
 		cacheHits: r.Counter("beerd_solve_cache_hits_total",
 			"Solve-cache hits served without invoking the SAT solver."),
 		dedupeHits: r.Counter("beerd_dedupe_hits_total",
@@ -124,11 +125,10 @@ func newServerMetrics(s *Server) *serverMetrics {
 }
 
 // observeProgress feeds the live counters with the positive deltas of one
-// monotonic merge. Both execution paths go through the tracker — local
-// event folds and the coordinator's polled worker snapshots — so the
-// counters stay correct across a failover: the merge already guarantees
-// the "after" snapshot never steps back, and Counter.Add drops the
-// negative deltas a defensive caller might still produce.
+// monotonic merge. Every progress report goes through the tracker, so the
+// counters stay correct across a restarted attempt: the merge already
+// guarantees the "after" snapshot never steps back, and Counter.Add drops
+// the negative deltas a defensive caller might still produce.
 func (m *serverMetrics) observeProgress(before, after ProgressStatus) {
 	m.progressEvents.Add(after.Updates - before.Updates)
 	m.collectPasses.Add(after.Collect.Count - before.Collect.Count)
@@ -158,54 +158,5 @@ func (m *serverMetrics) observeFinished(jobType string, state State, started, fi
 	m.stageSeconds.With("solve").Observe(rec.SolveMS / 1e3)
 	if rec.Noise != nil {
 		m.noisyRecoveries.Inc()
-	}
-}
-
-// SolverTotals is a snapshot of the server's cumulative solver-side
-// counters — the /healthz "solver" block as one addable value. Cluster
-// workers ship it in heartbeats and in their deregistration request, so
-// the coordinator can fold a drained worker's final counters into the
-// fleet aggregate before the worker disappears (see
-// cluster.Registry.FleetSolver).
-type SolverTotals struct {
-	Invocations     int64 `json:"invocations"`
-	CacheHits       int64 `json:"cache_hits"`
-	Conflicts       int64 `json:"conflicts"`
-	Propagations    int64 `json:"propagations"`
-	Learned         int64 `json:"learned"`
-	Restarts        int64 `json:"restarts"`
-	NoisyRecoveries int64 `json:"noisy_recoveries"`
-	EntriesDropped  int64 `json:"entries_dropped"`
-}
-
-// IsZero reports whether the snapshot carries no work.
-func (t SolverTotals) IsZero() bool { return t == SolverTotals{} }
-
-// Add folds o into t.
-func (t *SolverTotals) Add(o SolverTotals) {
-	t.Invocations += o.Invocations
-	t.CacheHits += o.CacheHits
-	t.Conflicts += o.Conflicts
-	t.Propagations += o.Propagations
-	t.Learned += o.Learned
-	t.Restarts += o.Restarts
-	t.NoisyRecoveries += o.NoisyRecoveries
-	t.EntriesDropped += o.EntriesDropped
-}
-
-// SolverTotals snapshots the server's cumulative solver work.
-func (s *Server) SolverTotals() SolverTotals {
-	invocations, hits := s.SolveCounters()
-	totals := s.solve.totals()
-	noisyJobs, dropped := s.solve.noisyTotals()
-	return SolverTotals{
-		Invocations:     invocations,
-		CacheHits:       hits,
-		Conflicts:       totals.Conflicts,
-		Propagations:    totals.Propagations,
-		Learned:         totals.Learned,
-		Restarts:        totals.Restarts,
-		NoisyRecoveries: noisyJobs,
-		EntriesDropped:  dropped,
 	}
 }

@@ -60,7 +60,6 @@ type Server struct {
 	engine   *repro.Engine
 	executor Executor
 	store    *store.Store
-	tier     repro.SolveCache
 	solve    solveCounter
 	maxJobs  int
 	// solverOpts are extra pipeline options (typically a SAT backend
@@ -206,30 +205,21 @@ func (t *jobTable) counts() map[string]int {
 type Option func(*Server)
 
 // WithExecutor routes job execution through a custom Executor instead of
-// the local engine — how a cluster coordinator turns the same HTTP surface
-// into a dispatching front end (internal/cluster.Coordinator).
+// the local engine — how tests substitute fakes and how the benchmark wraps
+// the local executor to time its layers.
 func WithExecutor(x Executor) Option { return func(s *Server) { s.executor = x } }
 
 // WithMaxConcurrent caps how many jobs may execute at once (0 = unlimited).
 // A submission over the cap is rejected with a SaturatedError, which the
-// HTTP handler maps to 429 + Retry-After — the backpressure signal a
-// cluster coordinator spills and backs off on. Jobs resumed from the store
+// HTTP handler maps to 429 + Retry-After — the backpressure signal clients
+// back off on. Jobs resumed from the store
 // at startup bypass the cap: they were admitted before the restart.
 func WithMaxConcurrent(n int) Option { return func(s *Server) { s.maxJobs = n } }
 
-// WithSolveCacheTier adds a second, typically remote, solve-cache tier
-// consulted when the local store registry misses. A cluster worker points
-// this at the coordinator's registry (cluster.RemoteCache), so a profile
-// solved anywhere in the fleet is never solved again — hits are pulled into
-// the local store, and fresh local solves are offered to the tier (the push
-// half of registry sync).
-func WithSolveCacheTier(c repro.SolveCache) Option { return func(s *Server) { s.tier = c } }
-
 // WithSolverOptions appends extra pipeline options — typically a
 // repro.WithSolverBackend factory — to every recovery job this server
-// executes locally. The options apply only to local execution: a cluster
-// coordinator dispatches specs, and each worker's own WithSolverOptions
-// decides its backend.
+// executes locally. The options apply only to the local executor; a
+// custom Executor (WithExecutor) builds its own pipelines.
 func WithSolverOptions(opts ...repro.Option) Option {
 	return func(s *Server) { s.solverOpts = append(s.solverOpts, opts...) }
 }
@@ -424,8 +414,7 @@ func (s *Server) Draining() bool {
 }
 
 // RunningJobs counts the jobs currently executing (what admission control
-// compares against the WithMaxConcurrent cap, and what a cluster worker
-// reports in its heartbeats).
+// compares against the WithMaxConcurrent cap).
 func (s *Server) RunningJobs() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -593,15 +582,14 @@ func (e *SaturatedError) Error() string {
 }
 
 // RetryAfter suggests how long a client should wait before resubmitting.
-// There is no queue to measure, so the hint is a flat nudge; the coordinator
-// treats it as a floor and spills to another worker instead of waiting long.
+// There is no queue to measure, so the hint is a flat nudge.
 func (e *SaturatedError) RetryAfter() time.Duration { return time.Second }
 
 // submit validates a spec, registers a new job, persists it and starts its
 // goroutine. parent, when valid, is the submitting client's span context
 // (parsed from its traceparent header): the job's root span becomes its
-// child, which is how a coordinator's dispatch span and the worker-side
-// job span stitch into one trace.
+// child, so a caller's own spans and the server's job spans stitch into one
+// trace.
 //
 // Identical concurrent submissions single-flight: if a job with the same
 // dedupe key (analytic profile hash + the result-affecting remainder of the
@@ -728,10 +716,7 @@ func (s *Server) start(j *job, exec Execution) {
 		switch {
 		case err == nil:
 			if result != nil && result.Recover != nil {
-				// Fold the recovery's solver work into the server totals —
-				// on a coordinator this is the dispatched worker's reported
-				// work, so the fleet's front end aggregates the whole
-				// cluster's solver effort.
+				// Fold the recovery's solver work into the server totals.
 				s.solve.addStats(result.Recover.Solver)
 				s.solve.addNoise(result.Recover.Noise)
 			}
@@ -771,38 +756,9 @@ func (s *Server) start(j *job, exec Execution) {
 
 // jobCache builds the job's solve cache: the store's content-addressed
 // registry labeled with the job id (so the registry records provenance),
-// layered over the remote tier if one is configured, wrapped with the
-// server-wide solver counters.
+// wrapped with the server-wide solver counters.
 func (s *Server) jobCache(j *job) repro.SolveCache {
-	var inner repro.SolveCache = s.store.SolveCache(j.id)
-	if s.tier != nil {
-		inner = tieredCache{local: inner, tier: s.tier}
-	}
-	return countingCache{counter: &s.solve, metrics: s.metrics, inner: inner}
-}
-
-// tieredCache layers a remote solve-cache tier behind the local store
-// registry: lookups fall through to the tier on a local miss (and the hit
-// is written back locally), stores go to both. A tier failure is a miss —
-// a worker cut off from its coordinator degrades to local caching.
-type tieredCache struct {
-	local, tier repro.SolveCache
-}
-
-func (c tieredCache) Lookup(p *repro.Profile) (*repro.SolveResult, bool) {
-	if res, ok := c.local.Lookup(p); ok {
-		return res, true
-	}
-	res, ok := c.tier.Lookup(p)
-	if ok {
-		c.local.Store(p, res)
-	}
-	return res, ok
-}
-
-func (c tieredCache) Store(p *repro.Profile, res *repro.SolveResult) {
-	c.local.Store(p, res)
-	c.tier.Store(p, res)
+	return countingCache{counter: &s.solve, metrics: s.metrics, inner: s.store.SolveCache(j.id)}
 }
 
 // get returns a job by id. This is the status-poll hot path: it touches

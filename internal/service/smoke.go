@@ -16,10 +16,10 @@ import (
 	"repro/internal/obs"
 )
 
-// KeyMetricFamilies is the exposition contract every beerd role keeps on
-// GET /metrics: the families the golden test and the smoke suites
-// (serve-smoke, cluster-smoke) all require to be present and well-formed.
-var KeyMetricFamilies = []string{
+// keyMetricFamilies is the exposition contract beerd keeps on GET /metrics:
+// the families the exposition test and the smoke suite (serve-smoke) both
+// require to be present and well-formed.
+var keyMetricFamilies = []string{
 	"beerd_jobs_submitted_total",
 	"beerd_jobs_completed_total",
 	"beerd_job_duration_seconds",
@@ -38,12 +38,11 @@ var KeyMetricFamilies = []string{
 	"go_memstats_heap_alloc_bytes",
 }
 
-// MetricsSmoke scrapes base's /metrics and validates the exposition: the
+// metricsSmoke scrapes base's /metrics and validates the exposition: the
 // document must parse under the Prometheus text-format grammar (including
-// histogram bucket invariants) and carry KeyMetricFamilies plus any extra
-// families the caller requires. It returns the parsed families so callers
-// can assert on sample values.
-func MetricsSmoke(ctx context.Context, client *http.Client, base string, extra ...string) (map[string]*obs.Family, error) {
+// histogram bucket invariants) and carry keyMetricFamilies. It returns the
+// parsed families so the caller can assert on sample values.
+func metricsSmoke(ctx context.Context, client *http.Client, base string) (map[string]*obs.Family, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
 	if err != nil {
 		return nil, err
@@ -63,8 +62,7 @@ func MetricsSmoke(ctx context.Context, client *http.Client, base string, extra .
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		return nil, fmt.Errorf("/metrics content type %q, want text/plain; version=0.0.4", ct)
 	}
-	want := append(append([]string(nil), KeyMetricFamilies...), extra...)
-	fams, err := obs.CheckFamilies(string(data), want...)
+	fams, err := obs.CheckFamilies(string(data), keyMetricFamilies...)
 	if err != nil {
 		return nil, fmt.Errorf("/metrics exposition: %w", err)
 	}
@@ -267,7 +265,7 @@ func Smoke(ctx context.Context, cfg SmokeConfig) error {
 
 	// Exposition check last, when every family has real samples: /metrics
 	// must parse and the run's work must be visible in the counters.
-	fams, err := MetricsSmoke(ctx, client, cfg.BaseURL)
+	fams, err := metricsSmoke(ctx, client, cfg.BaseURL)
 	if err != nil {
 		return err
 	}

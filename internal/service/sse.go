@@ -14,10 +14,10 @@ const sseKeepAlive = 15 * time.Second
 // handleEvents streams a job's status as Server-Sent Events — the push
 // replacement for the GET /api/v1/jobs/{id} poll loop. Every event's data
 // is a full JobStatus snapshot (the same monotonic merge the poll endpoint
-// reads, so progress never steps backwards, including across a cluster
-// failover); running jobs emit `event: progress` on every change and the
-// stream ends with a single `event: done` carrying the terminal status. A
-// job that is already terminal yields just the done event.
+// reads, so progress never steps backwards); running jobs emit
+// `event: progress` on every change and the stream ends with a single
+// `event: done` carrying the terminal status. A job that is already
+// terminal yields just the done event.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.get(r.PathValue("id"))
 	if !ok {

@@ -31,9 +31,9 @@ type Store struct {
 	// re-parsing. Shared by every SolveCache view of this Store.
 	results *LRU[string, *core.Result]
 	// codes caches parsed registry records per profile hash, so GetCode —
-	// the solve-cache write path's provenance check, the /codes handlers and
-	// a coordinator's remote-cache lookups — stops paying a disk open plus a
-	// JSON decode per hit on a file backend. Entries are shared read-only.
+	// the solve-cache write path's provenance check and the /codes
+	// handlers — stops paying a disk open plus a JSON decode per hit on a
+	// file backend. Entries are shared read-only.
 	codes *LRU[string, codeEntry]
 }
 
