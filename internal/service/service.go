@@ -592,8 +592,8 @@ func (e *SaturatedError) RetryAfter() time.Duration { return time.Second }
 // trace.
 //
 // Identical concurrent submissions single-flight: if a job with the same
-// dedupe key (analytic profile hash + the result-affecting remainder of the
-// normalized spec, see dedupe.go) is already executing, the caller is
+// dedupe key (every result-affecting field of the normalized spec, see
+// dedupe.go) is already executing, the caller is
 // attached to that job — same ID, same status stream, same result — and no
 // new execution, persistence or solver work happens. The dedupe check sits
 // before the drain/saturation gates on purpose: joining an in-flight
