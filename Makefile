@@ -15,8 +15,11 @@ all: build lint test
 build:
 	$(GO) build ./...
 
+# bench/ is its own module, so the root ./... never reaches it; CI's test
+# job vets and tests it as the second step.
 test:
 	$(GO) test -race ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 lint:
 	$(GO) vet ./...

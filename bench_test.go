@@ -397,7 +397,7 @@ func benchNoisyRecover(b *testing.B, model *noise.Model) {
 	b.Helper()
 	code, prof := benchProfile()
 	if model != nil {
-		prof, _ = model.Perturb(prof)
+		prof = model.Perturber()(prof)
 	}
 	opts := core.SolveOptions{
 		ParityBits: code.ParityBits(),

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	beer -mfr B -k 16 -verify
-//	beer -mfr C -k 32 -patterns 1 -max-rows 128
+//	beer -mfr C -k 32 -patterns 1
 //	beer -mfr B -k 16 -chips 4 -verify     # parallel collection across 4 same-model chips
 //	beer -mfr B -k 16 -plan -verify        # adaptive planner: stop collecting when unique
 //	beer -mfr B -k 16 -progress            # live per-stage status on stderr
@@ -142,10 +142,8 @@ func main() {
 	}
 	pipe := repro.NewPipeline(opts...)
 
-	fmt.Printf("BEER: %d manufacturer-%s chip(s), k=%d, %d rows, %s patterns\n",
+	fmt.Printf("BEER: %d manufacturer-%s chip(s), k=%d, %d rows, %s patterns\n\n",
 		*chips, *mfr, *k, chipRows, pipe.RecoverOptions().PatternSet)
-	fmt.Printf("analytical experiment runtime on real hardware: %v (refresh pauses dominate; chips run in parallel, paper sec. 6.3)\n\n",
-		core.ExperimentRuntime(pipe.RecoverOptions().Collect))
 
 	start := time.Now()
 	rep, err := pipe.Recover(ctx, fleet...)
@@ -179,7 +177,9 @@ func main() {
 		fmt.Printf("noise:                   retained %d/%d profile entries (dropped %v), confidence %.3f, support margin %.3f\n",
 			ni.Retained, ni.Total, ni.DroppedEntries, ni.Confidence, ni.Margin)
 	}
-	fmt.Printf("simulation wall clock:   %v\n\n", time.Since(start).Round(time.Millisecond))
+	fmt.Printf("simulation wall clock:   %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Printf("modelled chip time:      %v of refresh pauses over every collection pass (chips run in parallel, paper sec. 6.3)\n\n",
+		rep.ChipTime)
 
 	switch {
 	case len(rep.Result.Codes) == 0:

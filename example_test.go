@@ -19,7 +19,7 @@ func ExampleNewPipeline() {
 	patterns := append(repro.OneChargedPatterns(4), repro.TwoChargedPatterns(4)...)
 	profile := repro.ExactProfile(code, patterns)
 
-	pipe := repro.NewPipeline(repro.WithMaxSolutions(-1))
+	pipe := repro.NewPipeline()
 	result, err := pipe.Solve(context.Background(), profile)
 	if err != nil {
 		fmt.Println("solve:", err)

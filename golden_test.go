@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/store"
 )
 
@@ -45,14 +46,14 @@ var recoveryMatrix = []string{
 // profile hash, the candidate set as code-export UIDs, and the planner and
 // noise summaries when the run has them.
 type goldenRecovery struct {
-	Config     string           `json:"config"`
-	Profile    string           `json:"profile_hash"`
-	Entries    int              `json:"entries"`
-	Unique     bool             `json:"unique"`
-	Exhausted  bool             `json:"exhausted"`
-	Candidates []string         `json:"candidates"`
-	Plan       *repro.PlanInfo  `json:"plan,omitempty"`
-	Noise      *repro.NoiseInfo `json:"noise,omitempty"`
+	Config     string          `json:"config"`
+	Profile    string          `json:"profile_hash"`
+	Entries    int             `json:"entries"`
+	Unique     bool            `json:"unique"`
+	Exhausted  bool            `json:"exhausted"`
+	Candidates []string        `json:"candidates"`
+	Plan       *core.PlanInfo  `json:"plan,omitempty"`
+	Noise      *core.NoiseInfo `json:"noise,omitempty"`
 }
 
 // pipelineFor builds the chips and pipeline cmd/beer builds for args, with

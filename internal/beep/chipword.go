@@ -7,7 +7,7 @@ import (
 	"repro/internal/gf2"
 )
 
-// ChipWord adapts one ECC word of a DRAM chip to the WordTester interface,
+// chipWord adapts one ECC word of a DRAM chip to the WordTester interface,
 // so BEEP can profile real (simulated) hardware through the same public
 // interface BEER uses: write the crafted dataword, pause refresh to induce
 // retention errors, read back the post-correction data.
@@ -15,7 +15,7 @@ import (
 // The adapter needs the dataword layout (from BEER's §5.1.2 discovery) to
 // place the pattern into the right row bytes, and it targets true-cell rows
 // (CHARGED = logical 1), matching BEEP's §7.1 setting.
-type ChipWord struct {
+type chipWord struct {
 	Chip   core.Chip
 	Layout core.WordLayout
 	Bank   int
@@ -30,7 +30,7 @@ type ChipWord struct {
 }
 
 // Test implements WordTester.
-func (cw *ChipWord) Test(data gf2.Vec) gf2.Vec {
+func (cw *chipWord) Test(data gf2.Vec) gf2.Vec {
 	k := cw.Layout.K()
 	if data.Len() != k {
 		panic("beep: dataword length does not match the chip layout")

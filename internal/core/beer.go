@@ -45,7 +45,7 @@ type RecoverOptions struct {
 	SolveCache SolveCache
 	// DiscoveryCache, when set, memoizes the §5.1 discovery stage across
 	// recoveries of identically-configured chips: a chip exposing LayoutKey
-	// (the LayoutKeyer extension) whose key plus discovery options were seen
+	// (the layoutKeyer extension) whose key plus discovery options were seen
 	// before reuses the cached cell classes, row list and word layout without
 	// touching the chip. Discovery's outcome is a pure function of the key,
 	// but skipping its reads does advance the chip's read history differently,
@@ -70,7 +70,7 @@ type RecoverOptions struct {
 func DefaultRecoverOptions() RecoverOptions {
 	return RecoverOptions{
 		Layout:            DefaultLayoutOptions(),
-		Collect:           DefaultCollectOptions(),
+		Collect:           defaultCollectOptions(),
 		PatternSet:        Set12,
 		ThresholdFraction: 1e-4,
 		ThresholdMinCount: 2,
@@ -98,6 +98,12 @@ type Report struct {
 	// planner's summed batch-collect time. SolveTime is the solve time (the
 	// planner's summed batch-solve time on planned runs).
 	DiscoveryTime, CollectTime, SolveTime time.Duration
+	// ChipTime is the modelled chip time of collection under the paper's
+	// §6.3 cost model: ExperimentRuntime summed over every collection
+	// sweep the run made, each planner batch and the anti-cell sweep
+	// included. Chips of a fleet pause refresh in parallel, so it is the
+	// refresh-pause time one chip spends, not the fleet's sum.
+	ChipTime time.Duration
 }
 
 // ForEachFunc runs fn(0..n-1), possibly concurrently, and returns once every
@@ -128,7 +134,7 @@ func serialForEach(ctx context.Context, n int, fn func(i int) error) error {
 // collect a miscorrection profile with crafted test patterns, threshold it,
 // and solve for the ECC function. Same-model chips share an ECC function, so
 // their counts add before the one solve (§6.3). With UsePlanner the planner
-// drives collection batch by batch and stops at uniqueness (see Planner).
+// drives collection batch by batch and stops at uniqueness (see planner).
 //
 // The run has two fan-out phases, each one forEach call with one task per
 // chip (nil forEach runs the tasks serially). The discovery phase finishes
@@ -178,6 +184,7 @@ func Recover(ctx context.Context, chips []Chip, opts RecoverOptions, forEach For
 	} else {
 		res, err = f.sweepAndSolve(ctx, rep, collectOpts)
 	}
+	rep.ChipTime = f.chipTime
 	if err != nil {
 		return rep, err
 	}
@@ -205,7 +212,9 @@ type fleet struct {
 	rows, anti [][]RowRef
 	// passes counts each chip's collection passes in earlier sweeps.
 	passes []int
-	mu     sync.Mutex // serializes progress events across chips
+	// chipTime sums the sweeps' modelled refresh-pause time (Report.ChipTime).
+	chipTime time.Duration
+	mu       sync.Mutex // serializes progress events across chips
 }
 
 // stamp returns fn stamped with chip i and serialized with the other
@@ -258,14 +267,14 @@ func (f *fleet) discover(ctx context.Context, rep *Report) error {
 	f.layout = layouts[0]
 	rep.Layout, rep.K = f.layout, f.layout.K()
 	for i, l := range layouts[1:] {
-		if !l.Equal(f.layout) {
+		if !l.equal(f.layout) {
 			return fmt.Errorf("core: chip %d discovered a different word layout than chip 0 (different models?)", i+1)
 		}
 	}
 	if f.opts.UseAntiRows {
 		f.anti = make([][]RowRef, n)
 		for i := range f.anti {
-			f.anti[i] = AntiRows(classes[i])
+			f.anti[i] = antiRows(classes[i])
 			if f.opts.MaxRows > 0 && len(f.anti[i]) > f.opts.MaxRows {
 				f.anti[i] = f.anti[i][:f.opts.MaxRows]
 			}
@@ -283,6 +292,12 @@ func (f *fleet) discover(ctx context.Context, rep *Report) error {
 // monotonic across the run and never exceeds Passes, whose total revises
 // upward sweep by sweep.
 func (f *fleet) sweep(ctx context.Context, rows [][]RowRef, patterns []Pattern, opts CollectOptions) (*Counts, error) {
+	for _, r := range rows {
+		if len(r) > 0 {
+			f.chipTime += ExperimentRuntime(opts)
+			break
+		}
+	}
 	counts := make([]*Counts, len(f.chips))
 	err := f.forEach(ctx, len(f.chips), func(i int) error {
 		if len(rows[i]) == 0 {
@@ -379,7 +394,7 @@ func (f *fleet) sweepAndSolve(ctx context.Context, rep *Report, collectOpts Coll
 // The SolveCache receives the final result; a lookup is impossible because
 // the profile is not known until collected.
 func (f *fleet) plan(ctx context.Context, rep *Report, collectOpts CollectOptions) (*Result, error) {
-	planner, err := NewPlanner(rep.K, f.opts)
+	planner, err := newPlanner(rep.K, f.opts)
 	if err != nil {
 		return nil, err
 	}
@@ -407,7 +422,7 @@ func (f *fleet) plan(ctx context.Context, rep *Report, collectOpts CollectOption
 func discoverChip(chip Chip, opts RecoverOptions) (classes [][]CellClass, rows []RowRef, layout WordLayout, err error) {
 	var cacheKey string
 	if opts.DiscoveryCache != nil {
-		if lk, ok := chip.(LayoutKeyer); ok {
+		if lk, ok := chip.(layoutKeyer); ok {
 			if ck := lk.LayoutKey(); ck != "" {
 				cacheKey = fmt.Sprintf("%s|layout=%+v|maxrows=%d", ck, opts.Layout, opts.MaxRows)
 				if d, ok := opts.DiscoveryCache.Lookup(cacheKey); ok {
@@ -429,7 +444,7 @@ func discoverChip(chip Chip, opts RecoverOptions) (classes [][]CellClass, rows [
 		return classes, rows, layout, fmt.Errorf("core: word layout: %w", err)
 	}
 	if cacheKey != "" {
-		opts.DiscoveryCache.Store(cacheKey, &DiscoveredLayout{CellClasses: classes, Rows: rows, Layout: layout})
+		opts.DiscoveryCache.Store(cacheKey, &discoveredLayout{CellClasses: classes, Rows: rows, Layout: layout})
 	}
 	return classes, rows, layout, nil
 }

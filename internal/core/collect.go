@@ -35,9 +35,9 @@ type CollectOptions struct {
 	Progress ProgressFunc
 }
 
-// DefaultCollectOptions mirror §5.1.3: tREFw from 2 to 22 minutes in
+// defaultCollectOptions mirror §5.1.3: tREFw from 2 to 22 minutes in
 // 1-minute steps at 80 C.
-func DefaultCollectOptions() CollectOptions {
+func defaultCollectOptions() CollectOptions {
 	opts := CollectOptions{TempC: 80, Rounds: 4}
 	for m := 2; m <= 22; m++ {
 		opts.Windows = append(opts.Windows, time.Duration(m)*time.Minute)
@@ -119,23 +119,6 @@ func (c *Counts) Threshold(minFraction float64, minCount int64) *Profile {
 		prof.Entries = append(prof.Entries, Entry{Pattern: e.Pattern, Possible: possible, Anti: e.Anti})
 	}
 	return prof
-}
-
-// MiscorrectionRates returns, for each pattern, the per-bit observation rate
-// (errors per word-read) at DISCHARGED positions — the quantity plotted in
-// Figure 4.
-func (c *Counts) MiscorrectionRates() [][]float64 {
-	out := make([][]float64, len(c.Entries))
-	for i, e := range c.Entries {
-		rates := make([]float64, c.K)
-		for b := 0; b < c.K; b++ {
-			if !e.Pattern.Has(b) && e.Words > 0 {
-				rates[b] = float64(e.Errors[b]) / float64(e.Words)
-			}
-		}
-		out[i] = rates
-	}
-	return out
 }
 
 // CollectCounts runs the §5.1.3 experiment: program every available ECC word

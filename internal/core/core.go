@@ -29,7 +29,7 @@
 // Engine.ForEach, or a serial loop); Solve/SolveSession are the one solve
 // engine — exact with deferred encoding, or noisy in guarded mode with
 // SolveOptions.Noisy (SolveEager is the exact mode's eager test reference);
-// Planner interleaves collection with solving and stops at uniqueness;
+// planner interleaves collection with solving and stops at uniqueness;
 // SolveStage is the cache-aware solve of Recover's exhaustive path.
 // Profile.Canonical/Profile.Hash define the profile's content address —
 // the key of the recovered-code registry (internal/store) — and SolveCache
@@ -57,8 +57,8 @@ type Pattern struct {
 	charged []int // sorted, deduplicated
 }
 
-// NewPattern builds a pattern from charged data-bit indices.
-func NewPattern(charged ...int) Pattern {
+// newPattern builds a pattern from charged data-bit indices.
+func newPattern(charged ...int) Pattern {
 	c := append([]int(nil), charged...)
 	sort.Ints(c)
 	out := c[:0]
@@ -74,8 +74,8 @@ func NewPattern(charged ...int) Pattern {
 // Charged returns the sorted charged data-bit indices.
 func (p Pattern) Charged() []int { return append([]int(nil), p.charged...) }
 
-// Weight returns the number of charged bits.
-func (p Pattern) Weight() int { return len(p.charged) }
+// weight returns the number of charged bits.
+func (p Pattern) weight() int { return len(p.charged) }
 
 // Has reports whether data bit b is charged in the pattern.
 func (p Pattern) Has(b int) bool {
@@ -118,9 +118,9 @@ func TwoCharged(k int) []Pattern {
 	return out
 }
 
-// NCharged returns all patterns with exactly w CHARGED bits among k. The
+// nCharged returns all patterns with exactly w CHARGED bits among k. The
 // count is k choose w; callers are responsible for keeping w small.
-func NCharged(k, w int) []Pattern {
+func nCharged(k, w int) []Pattern {
 	if w < 0 || w > k {
 		return nil
 	}
@@ -183,7 +183,7 @@ func (ps PatternSet) Patterns(k int) []Pattern {
 	case Set2:
 		return TwoCharged(k)
 	case Set3:
-		return NCharged(k, 3)
+		return nCharged(k, 3)
 	case Set12:
 		return append(OneCharged(k), TwoCharged(k)...)
 	}

@@ -126,9 +126,9 @@ func TrueRows(classes [][]CellClass) []RowRef {
 	return rowsOfClass(classes, ClassTrue)
 }
 
-// AntiRows returns the rows classified as anti-cells, usable for the
+// antiRows returns the rows classified as anti-cells, usable for the
 // anti-cell profile extension (CollectOptions.Invert).
-func AntiRows(classes [][]CellClass) []RowRef {
+func antiRows(classes [][]CellClass) []RowRef {
 	return rowsOfClass(classes, ClassAnti)
 }
 
@@ -160,10 +160,10 @@ func (l WordLayout) K() int {
 	return 8 * len(l.Words[0])
 }
 
-// Equal reports whether two layouts map region bytes to datawords
+// equal reports whether two layouts map region bytes to datawords
 // identically. Counts collected under unequal layouts must never merge: the
 // same pattern's error counters would refer to different physical bits.
-func (l WordLayout) Equal(o WordLayout) bool {
+func (l WordLayout) equal(o WordLayout) bool {
 	if l.RegionBytes != o.RegionBytes || len(l.Words) != len(o.Words) {
 		return false
 	}
@@ -178,18 +178,6 @@ func (l WordLayout) Equal(o WordLayout) bool {
 		}
 	}
 	return true
-}
-
-// WordOf returns (word, byteInWord) for a region byte offset.
-func (l WordLayout) WordOf(offset int) (int, int) {
-	for w, bytes := range l.Words {
-		for bi, off := range bytes {
-			if off == offset {
-				return w, bi
-			}
-		}
-	}
-	return -1, -1
 }
 
 // DiscoverWordLayout implements §5.1.2: program a single CHARGED cell per

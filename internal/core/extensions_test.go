@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math/rand/v2"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -200,8 +199,8 @@ func TestSolveDefersMostEntries(t *testing.T) {
 func TestCountsMerge(t *testing.T) {
 	mk := func() *Counts {
 		return &Counts{K: 4, Entries: []CountEntry{
-			{Pattern: NewPattern(0), Errors: []int64{0, 1, 2, 3}, Words: 10},
-			{Pattern: NewPattern(1), Errors: []int64{4, 0, 0, 1}, Words: 10},
+			{Pattern: newPattern(0), Errors: []int64{0, 1, 2, 3}, Words: 10},
+			{Pattern: newPattern(1), Errors: []int64{4, 0, 0, 1}, Words: 10},
 		}}
 	}
 	a, b := mk(), mk()
@@ -212,7 +211,7 @@ func TestCountsMerge(t *testing.T) {
 		t.Fatalf("merge arithmetic wrong: %+v", a.Entries[0])
 	}
 	bad := mk()
-	bad.Entries[1].Pattern = NewPattern(2)
+	bad.Entries[1].Pattern = newPattern(2)
 	if err := mk().Merge(bad); err == nil {
 		t.Fatal("mismatched patterns must not merge")
 	}
@@ -246,77 +245,6 @@ func TestProfileAppend(t *testing.T) {
 	a.Append(&Profile{K: 5})
 }
 
-// DiscoverParityBits must find the true width for minimum-redundancy codes
-// and for codes deliberately built with one extra parity bit.
-func TestDiscoverParityBits(t *testing.T) {
-	rng := rand.New(rand.NewPCG(60, 61))
-	// Minimum-redundancy code: k=11 -> r=4.
-	code := ecc.RandomHamming(11, rng)
-	prof := ExactProfile(code, Set12.Patterns(11))
-	r, res, err := DiscoverParityBits(context.Background(), prof, SolveOptions{}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r != 4 {
-		t.Fatalf("discovered r=%d, want 4", r)
-	}
-	if !res.Codes[0].EquivalentTo(code) {
-		t.Fatal("wrong code at discovered width")
-	}
-
-	// Over-provisioned code: k=8 with r=5 (minimum is 4). The profile of the
-	// wider code is typically unsatisfiable at r=4, so the search must move
-	// on and succeed at r=5.
-	wide := ecc.RandomHammingWithParity(8, 5, rng)
-	wprof := ExactProfile(wide, Set12.Patterns(8))
-	r, res, err = DiscoverParityBits(context.Background(), wprof, SolveOptions{}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r < 4 || r > 5 {
-		t.Fatalf("discovered r=%d, want 4 or 5", r)
-	}
-	if r == 5 && !res.Codes[0].EquivalentTo(wide) {
-		t.Fatal("wrong code at discovered width 5")
-	}
-	// Whatever width was found, the candidate must reproduce the profile.
-	cand := res.Codes[0]
-	if !ExactProfile(cand, Set12.Patterns(8)).Equal(stripAnti(wprof)) {
-		t.Fatal("candidate does not reproduce the observed profile")
-	}
-}
-
-// stripAnti is an identity helper for readability in the test above (the
-// profile has no anti entries; this documents the comparison is pure
-// true-cell).
-func stripAnti(p *Profile) *Profile { return p }
-
-func TestCoverageReport(t *testing.T) {
-	c := &Counts{K: 4, Entries: []CountEntry{
-		{Pattern: NewPattern(0), Errors: []int64{0, 900, 1, 0}, Words: 1000},
-		{Pattern: NewPattern(1), Errors: []int64{0, 0, 3, 0}, Words: 1000},
-	}}
-	cov := c.Coverage(1e-3, 2)
-	if cov.Patterns != 2 || cov.WordsMin != 1000 || cov.WordsMax != 1000 {
-		t.Fatalf("coverage basics wrong: %+v", cov)
-	}
-	// Pattern 0: bit 1 strongly positive; bit 2 nonzero-below-threshold
-	// (marginal); bit 3 zero. Pattern 1: bit 2 is 3/1000 with cut=2 ->
-	// positive but within 2x of cut -> marginal.
-	if cov.PositiveBits != 2 {
-		t.Fatalf("positive = %d, want 2", cov.PositiveBits)
-	}
-	if cov.ZeroBits != 3 {
-		t.Fatalf("zero = %d, want 3", cov.ZeroBits)
-	}
-	if len(cov.Marginal) != 2 {
-		t.Fatalf("marginal = %+v, want 2 entries", cov.Marginal)
-	}
-	if s := cov.String(); !strings.Contains(s, "marginal") {
-		t.Fatalf("report missing marginal section: %s", s)
-	}
-}
-
 // Property (testing/quick): a profile's Possible set never intersects the
 // pattern's charged set, for random codes and random patterns, in both
 // polarities.
@@ -327,7 +255,7 @@ func TestProfileDisjointFromChargedQuick(t *testing.T) {
 		code := ecc.RandomHamming(k, rng)
 		a := int(pick) % k
 		b := (int(pick) / k) % k
-		pat := NewPattern(a, b)
+		pat := newPattern(a, b)
 		for _, prof := range []*Profile{
 			ExactProfile(code, []Pattern{pat}),
 			ExactProfileAnti(code, []Pattern{pat}),
@@ -352,7 +280,14 @@ func TestProfileEquivalenceInvariantQuick(t *testing.T) {
 		rng := rand.New(rand.NewPCG(seed, 99))
 		k := 5 + int(seed%8)
 		code := ecc.RandomHamming(k, rng)
-		perm := code.Canonicalize()
+		rows := make([]gf2.Vec, code.ParityBits())
+		for i := range rows {
+			rows[len(rows)-1-i] = code.P().Row(i)
+		}
+		perm, err := ecc.New(gf2.MatFromRows(rows...))
+		if err != nil {
+			return false
+		}
 		pats := OneCharged(k)
 		return ExactProfile(code, pats).Equal(ExactProfile(perm, pats)) &&
 			ExactProfileAnti(code, pats).Equal(ExactProfileAnti(perm, pats))

@@ -23,7 +23,7 @@ import (
 // stores built on the old hashes.
 const canonicalVersion = 1
 
-// Canonical renders the profile in its normalized serialization, the
+// canonical renders the profile in its normalized serialization, the
 // preimage of Hash. Normalization makes the rendering independent of
 // collection order: entries are sorted by polarity, then pattern, then
 // susceptibility set, and exact duplicates collapse to one line. Two
@@ -37,7 +37,7 @@ const canonicalVersion = 1
 //	beerprof v1 k=<k>
 //	[anti ]C{...} <possible bits>
 //	...
-func (p *Profile) Canonical() []byte {
+func (p *Profile) canonical() []byte {
 	type line struct {
 		anti    bool
 		charged []int
@@ -69,7 +69,7 @@ func (p *Profile) Canonical() []byte {
 		if l.anti {
 			sb.WriteString("anti ")
 		}
-		sb.WriteString(NewPattern(l.charged...).String())
+		sb.WriteString(newPattern(l.charged...).String())
 		sb.WriteByte(' ')
 		sb.WriteString(l.poss)
 		sb.WriteByte('\n')
@@ -79,11 +79,11 @@ func (p *Profile) Canonical() []byte {
 }
 
 // Hash returns the profile's content address: the lowercase hex SHA-256 of
-// Canonical. Profiles with the same hash impose the same constraints on the
+// canonical. Profiles with the same hash impose the same constraints on the
 // parity-check matrix, so a solver result cached under the hash replays
 // exactly (see SolveCache and internal/store).
 func (p *Profile) Hash() string {
-	sum := sha256.Sum256(p.Canonical())
+	sum := sha256.Sum256(p.canonical())
 	return hex.EncodeToString(sum[:])
 }
 

@@ -19,7 +19,7 @@ func TestCanonicalOrderInvariant(t *testing.T) {
 		reversed.Entries = append(reversed.Entries, prof.Entries[i])
 	}
 	if prof.Hash() != reversed.Hash() {
-		t.Fatalf("hash depends on entry order:\n%s\nvs\n%s", prof.Canonical(), reversed.Canonical())
+		t.Fatalf("hash depends on entry order:\n%s\nvs\n%s", prof.canonical(), reversed.canonical())
 	}
 }
 
@@ -30,7 +30,7 @@ func TestCanonicalDedupesDuplicates(t *testing.T) {
 	prof := ExactProfile(code, OneCharged(4))
 	doubled := prof.Append(prof)
 	if prof.Hash() != doubled.Hash() {
-		t.Fatalf("duplicate entries changed the hash:\n%s\nvs\n%s", prof.Canonical(), doubled.Canonical())
+		t.Fatalf("duplicate entries changed the hash:\n%s\nvs\n%s", prof.canonical(), doubled.canonical())
 	}
 }
 
@@ -66,7 +66,7 @@ func TestCanonicalDistinguishes(t *testing.T) {
 // stores would otherwise silently miss every lookup.
 func TestCanonicalFormatFrozen(t *testing.T) {
 	prof := ExactProfile(ecc.Hamming74(), OneCharged(4))
-	canon := string(prof.Canonical())
+	canon := string(prof.canonical())
 	if !strings.HasPrefix(canon, "beerprof v1 k=4\n") {
 		t.Fatalf("canonical header changed: %q", canon)
 	}

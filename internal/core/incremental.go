@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the solve engine behind Solve (and with it every recovery
-// path, exact or noisy) and the Planner. One SolveSession owns one SAT
+// path, exact or noisy) and the planner. One solveSession owns one SAT
 // backend for its whole life: profile entries stream in (Feed), the
 // uniqueness blocking-clause loop and every pattern-increment re-solve run
 // on the same solver instance, so learned clauses — the expensive part of
@@ -20,7 +20,7 @@ import (
 // scratch. With SolveOptions.Noisy set the session runs in guarded mode,
 // the drop-k relaxation of noisy.go.
 
-// SolveSession is a persistent incremental search for the ECC functions
+// solveSession is a persistent incremental search for the ECC functions
 // consistent with a growing miscorrection profile. Entries stream in via
 // Feed; Enumerate (re-)runs candidate enumeration and may be called again
 // after more Feeds — constraints only ever grow, so models found earlier
@@ -32,7 +32,7 @@ import (
 // the first model Enumerate may retract entries of the solver's UNSAT core.
 //
 // A session is single-goroutine, like the backend it owns.
-type SolveSession struct {
+type solveSession struct {
 	opts SolveOptions
 	k, r int
 	enc  *encoder
@@ -59,11 +59,11 @@ type SolveSession struct {
 	refinements int
 }
 
-// NewSolveSession builds an empty session for dataword length k. The
+// newSolveSession builds an empty session for dataword length k. The
 // backend (opts.Backend, default in-process CDCL) is created once here and
 // lives as long as the session. opts.Noisy selects guarded mode, and its
 // Timeout then bounds every SAT call.
-func NewSolveSession(k int, opts SolveOptions) (*SolveSession, error) {
+func newSolveSession(k int, opts SolveOptions) (*solveSession, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: profile has no dataword bits")
 	}
@@ -76,11 +76,11 @@ func NewSolveSession(k int, opts SolveOptions) (*SolveSession, error) {
 	if opts.Noisy != nil {
 		enc.s.SetTimeout(opts.Noisy.Timeout)
 	}
-	return &SolveSession{opts: opts, k: k, r: r, enc: enc}, nil
+	return &solveSession{opts: opts, k: k, r: r, enc: enc}, nil
 }
 
 // guarded reports whether the session runs the drop-k relaxation.
-func (ss *SolveSession) guarded() bool { return ss.opts.Noisy != nil }
+func (ss *solveSession) guarded() bool { return ss.opts.Noisy != nil }
 
 // Feed streams profile entries into the session. 1-CHARGED entries are
 // encoded immediately; multi-CHARGED entries are deferred and materialized
@@ -88,7 +88,7 @@ func (ss *SolveSession) guarded() bool { return ss.opts.Noisy != nil }
 // refinement) — most never are. In guarded mode every entry is encoded
 // immediately behind a fresh guard literal: a retractable entry has to be
 // in the CNF.
-func (ss *SolveSession) Feed(entries ...Entry) error {
+func (ss *solveSession) Feed(entries ...Entry) error {
 	for _, entry := range entries {
 		if entry.Possible.Len() != ss.k {
 			return fmt.Errorf("core: entry %v has %d bits, profile has k=%d",
@@ -104,7 +104,7 @@ func (ss *SolveSession) Feed(entries ...Entry) error {
 			ss.guards = append(ss.guards, g)
 			ss.active = append(ss.active, true)
 			ss.coreHits = append(ss.coreHits, 0)
-		case ss.eager || entry.Pattern.Weight() <= 1:
+		case ss.eager || entry.Pattern.weight() <= 1:
 			ss.enc.addEntry(entry)
 			ss.added++
 		default:
@@ -115,23 +115,17 @@ func (ss *SolveSession) Feed(entries ...Entry) error {
 	return nil
 }
 
-// EntriesFed returns how many profile entries the session has received.
-func (ss *SolveSession) EntriesFed() int { return len(ss.entries) }
-
 // Profile returns the profile fed so far (entries in arrival order).
-func (ss *SolveSession) Profile() *Profile {
+func (ss *solveSession) Profile() *Profile {
 	return &Profile{K: ss.k, Entries: append([]Entry(nil), ss.entries...)}
 }
-
-// Stats returns the backend's cumulative solver counters.
-func (ss *SolveSession) Stats() sat.Stats { return ss.enc.s.Statistics() }
 
 // matches reports whether a candidate code's exact profile agrees with
 // every retained entry fed so far — the analytic-oracle filter that
 // revalidates previously found models after new entries arrive, with zero
 // SAT work. Dropped entries are not consulted: they are the presumed
 // observation errors.
-func (ss *SolveSession) matches(code *ecc.Code) bool {
+func (ss *solveSession) matches(code *ecc.Code) bool {
 	for i, entry := range ss.entries {
 		if ss.guarded() && !ss.active[i] {
 			continue
@@ -151,7 +145,7 @@ func (ss *SolveSession) matches(code *ecc.Code) bool {
 // refine oracle-checks a candidate against the deferred entries and encodes
 // the violated ones (a few at a time; more are often implied). It returns
 // how many entries were materialized; zero means the candidate survives.
-func (ss *SolveSession) refine(code *ecc.Code) int {
+func (ss *solveSession) refine(code *ecc.Code) int {
 	violated := 0
 	keep := ss.pending[:0]
 	for _, entry := range ss.pending {
@@ -183,7 +177,7 @@ func (ss *SolveSession) refine(code *ecc.Code) int {
 // LearnedClauses is the cumulative Stats.Learnt — not the live
 // clause-database size, which reduceDB shrinks — so the field is genuinely
 // monotonic and agrees with the result/healthz counter of the same name.
-func (ss *SolveSession) event(candidates int) Event {
+func (ss *solveSession) event(candidates int) Event {
 	stats := ss.enc.s.Statistics()
 	ev := Event{
 		Stage:          StageSolve,
@@ -201,7 +195,7 @@ func (ss *SolveSession) event(candidates int) Event {
 
 // search runs one SAT call: plain in exact mode, under the retained
 // entries' guards in guarded mode.
-func (ss *SolveSession) search() (bool, error) {
+func (ss *solveSession) search() (bool, error) {
 	if !ss.guarded() {
 		return ss.enc.s.Solve()
 	}
@@ -226,7 +220,7 @@ func (ss *SolveSession) search() (bool, error) {
 // then checked by the oracle against the retained entries, and the Result
 // carries Noise. With a clean profile nothing is dropped, so the candidate
 // set is the exact mode's and Noise.Confidence is 1.0 on a unique recovery.
-func (ss *SolveSession) Enumerate(ctx context.Context) (*Result, error) {
+func (ss *solveSession) Enumerate(ctx context.Context) (*Result, error) {
 	ctx = ctxOrBackground(ctx)
 	translate := interruptFromCtx(ctx, ss.enc.s)
 	maxSol := ss.opts.MaxSolutions
@@ -348,7 +342,7 @@ func SolveEager(ctx context.Context, profile *Profile, opts SolveOptions) (*Resu
 }
 
 func solveProfile(ctx context.Context, profile *Profile, opts SolveOptions, eager bool) (*Result, error) {
-	ss, err := NewSolveSession(profile.K, opts)
+	ss, err := newSolveSession(profile.K, opts)
 	if err != nil {
 		return nil, err
 	}

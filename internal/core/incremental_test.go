@@ -153,7 +153,7 @@ func TestSolveSessionResume(t *testing.T) {
 	prof := ExactProfile(code, Set12.Patterns(k))
 	opts := SolveOptions{ParityBits: code.ParityBits(), MaxSolutions: -1}
 
-	ss, err := NewSolveSession(k, opts)
+	ss, err := newSolveSession(k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestSolveSessionResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	statsAfterFirst := ss.Stats()
+	statsAfterFirst := ss.enc.s.Statistics()
 	if err := ss.Feed(prof.Entries[half:]...); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestSolveSessionResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ss.Stats().Conflicts < statsAfterFirst.Conflicts || ss.Stats().Propagations < statsAfterFirst.Propagations {
+	if ss.enc.s.Statistics().Conflicts < statsAfterFirst.Conflicts || ss.enc.s.Statistics().Propagations < statsAfterFirst.Propagations {
 		t.Fatal("resumed enumeration reset solver counters; backend was not reused")
 	}
 	if len(second.Codes) > len(first.Codes) && first.Exhausted {

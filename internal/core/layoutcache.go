@@ -2,22 +2,22 @@ package core
 
 import "sync"
 
-// DiscoveredLayout is one chip's §5.1 discovery outcome as one cacheable
+// discoveredLayout is one chip's §5.1 discovery outcome as one cacheable
 // unit: the per-row cell classification (§5.1.1), the MaxRows-capped
 // true-cell row list, and the dataword layout (§5.1.2). Cached values are
 // shared between recoveries — treat every field as immutable.
-type DiscoveredLayout struct {
+type discoveredLayout struct {
 	CellClasses [][]CellClass
 	Rows        []RowRef
 	Layout      WordLayout
 }
 
-// LayoutKeyer is an optional Chip extension for discovery caching: LayoutKey
+// layoutKeyer is an optional Chip extension for discovery caching: LayoutKey
 // returns a string that fully determines the chip's discovery outcome — two
 // freshly-constructed chips with equal keys are bit-identical, so discovery
 // against one stands for both. An empty key opts the chip out of caching
 // (e.g. when its configuration embeds state the key cannot capture).
-type LayoutKeyer interface {
+type layoutKeyer interface {
 	LayoutKey() string
 }
 
@@ -26,8 +26,8 @@ type LayoutKeyer interface {
 // the chip's LayoutKey combined with the discovery-relevant options, built
 // by Recover. Implementations must be safe for concurrent use.
 type DiscoveryCache interface {
-	Lookup(key string) (*DiscoveredLayout, bool)
-	Store(key string, d *DiscoveredLayout)
+	Lookup(key string) (*discoveredLayout, bool)
+	Store(key string, d *discoveredLayout)
 }
 
 // discoveryCache is the standard bounded DiscoveryCache: a mutex-guarded map
@@ -37,7 +37,7 @@ type DiscoveryCache interface {
 type discoveryCache struct {
 	mu  sync.Mutex
 	max int
-	m   map[string]*DiscoveredLayout
+	m   map[string]*discoveredLayout
 }
 
 // NewDiscoveryCache returns a DiscoveryCache holding at most max entries
@@ -46,17 +46,17 @@ func NewDiscoveryCache(max int) DiscoveryCache {
 	if max <= 0 {
 		max = 64
 	}
-	return &discoveryCache{max: max, m: make(map[string]*DiscoveredLayout)}
+	return &discoveryCache{max: max, m: make(map[string]*discoveredLayout)}
 }
 
-func (c *discoveryCache) Lookup(key string) (*DiscoveredLayout, bool) {
+func (c *discoveryCache) Lookup(key string) (*discoveredLayout, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	d, ok := c.m[key]
 	return d, ok
 }
 
-func (c *discoveryCache) Store(key string, d *DiscoveredLayout) {
+func (c *discoveryCache) Store(key string, d *discoveredLayout) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.m[key]; !ok && len(c.m) >= c.max {

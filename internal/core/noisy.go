@@ -63,7 +63,7 @@ type NoiseInfo struct {
 }
 
 // support returns entry i's observation support score.
-func (ss *SolveSession) support(i int) float64 {
+func (ss *solveSession) support(i int) float64 {
 	if i >= len(ss.opts.Noisy.Support) {
 		return 1
 	}
@@ -73,7 +73,7 @@ func (ss *SolveSession) support(i int) float64 {
 // assumptions collects the guard literals of the active entries in entry
 // order — a stable order, so consecutive solves share a maximal assumption
 // prefix and reuse the established trail.
-func (ss *SolveSession) assumptions() []sat.Lit {
+func (ss *solveSession) assumptions() []sat.Lit {
 	out := make([]sat.Lit, 0, len(ss.guards))
 	for i, g := range ss.guards {
 		if ss.active[i] {
@@ -88,7 +88,7 @@ func (ss *SolveSession) assumptions() []sat.Lit {
 // the MaxDrop budget. It returns false, making the UNSAT final, in exact
 // mode, once a model has frozen the drop set, when the budget is spent, or
 // when the core holds no retained entry.
-func (ss *SolveSession) retract() bool {
+func (ss *solveSession) retract() bool {
 	if !ss.guarded() || len(ss.found) > 0 {
 		return false
 	}
@@ -104,7 +104,7 @@ func (ss *SolveSession) retract() bool {
 // entries recur in every core), then lowest index. It returns false when
 // the core maps to no active entry (which means the formula is UNSAT
 // independent of the entries).
-func (ss *SolveSession) retractFromCore(core []sat.Lit) bool {
+func (ss *solveSession) retractFromCore(core []sat.Lit) bool {
 	victim := -1
 	guardIndex := make(map[sat.Lit]int, len(ss.guards))
 	for i, g := range ss.guards {
@@ -138,7 +138,7 @@ func (ss *SolveSession) retractFromCore(core []sat.Lit) bool {
 
 // confidence is NoiseInfo.Confidence for the current retained/dropped split
 // and candidate count.
-func (ss *SolveSession) confidence(candidates int) float64 {
+func (ss *solveSession) confidence(candidates int) float64 {
 	if candidates == 0 {
 		return 0
 	}
@@ -151,7 +151,7 @@ func (ss *SolveSession) confidence(candidates int) float64 {
 
 // noiseInfo assembles the NoiseInfo for the current retained/dropped split
 // and candidate count.
-func (ss *SolveSession) noiseInfo(candidates int) *NoiseInfo {
+func (ss *solveSession) noiseInfo(candidates int) *NoiseInfo {
 	info := &NoiseInfo{
 		Total:          len(ss.entries),
 		Retained:       len(ss.entries) - len(ss.dropped),

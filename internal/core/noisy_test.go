@@ -161,7 +161,7 @@ func TestNoisyDropKRecoversFromFalsePositives(t *testing.T) {
 
 	const fps = 3
 	corruptedProf, corrupted := injectFalsePositives(t, prof, fps, rng)
-	// Observation support as SupportFromCounts would score it: the
+	// Observation support scored from the raw counts: the
 	// injected bits barely cleared the threshold, so their entries rank
 	// far below the clean ones.
 	support := make([]float64, len(corruptedProf.Entries))

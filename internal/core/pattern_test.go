@@ -10,7 +10,7 @@ func TestOneCharged(t *testing.T) {
 		t.Fatalf("len = %d", len(ps))
 	}
 	for i, p := range ps {
-		if p.Weight() != 1 || !p.Has(i) {
+		if p.weight() != 1 || !p.Has(i) {
 			t.Fatalf("pattern %d = %v", i, p)
 		}
 	}
@@ -23,8 +23,8 @@ func TestTwoChargedCount(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, p := range ps {
-		if p.Weight() != 2 {
-			t.Fatalf("pattern %v has weight %d", p, p.Weight())
+		if p.weight() != 2 {
+			t.Fatalf("pattern %v has weight %d", p, p.weight())
 		}
 		if seen[p.String()] {
 			t.Fatalf("duplicate pattern %v", p)
@@ -34,24 +34,24 @@ func TestTwoChargedCount(t *testing.T) {
 }
 
 func TestNCharged(t *testing.T) {
-	if got := len(NCharged(6, 3)); got != 20 {
+	if got := len(nCharged(6, 3)); got != 20 {
 		t.Fatalf("C(6,3) = %d, want 20", got)
 	}
-	if got := len(NCharged(5, 0)); got != 1 {
+	if got := len(nCharged(5, 0)); got != 1 {
 		t.Fatalf("C(5,0) = %d, want 1", got)
 	}
-	if NCharged(3, 4) != nil {
+	if nCharged(3, 4) != nil {
 		t.Fatal("w > k should produce no patterns")
 	}
-	// NCharged(k, 1) must agree with OneCharged.
-	a, b := NCharged(7, 1), OneCharged(7)
+	// nCharged(k, 1) must agree with OneCharged.
+	a, b := nCharged(7, 1), OneCharged(7)
 	for i := range a {
 		if a[i].String() != b[i].String() {
 			t.Fatalf("NCharged/OneCharged disagree at %d", i)
 		}
 	}
-	// NCharged(k, 2) must agree with TwoCharged.
-	c, d := NCharged(6, 2), TwoCharged(6)
+	// nCharged(k, 2) must agree with TwoCharged.
+	c, d := nCharged(6, 2), TwoCharged(6)
 	if len(c) != len(d) {
 		t.Fatalf("lengths differ: %d vs %d", len(c), len(d))
 	}
@@ -63,7 +63,7 @@ func TestNCharged(t *testing.T) {
 }
 
 func TestPatternDedupAndOrder(t *testing.T) {
-	p := NewPattern(5, 1, 5, 3)
+	p := newPattern(5, 1, 5, 3)
 	got := p.Charged()
 	want := []int{1, 3, 5}
 	if len(got) != len(want) {

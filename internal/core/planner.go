@@ -10,7 +10,7 @@ import (
 // feedback loop the paper's BEEP section (§7) hints at, applied to BEER
 // itself. Instead of exhaustively sweeping the whole pattern family (§5.2)
 // and solving once, the planner collects patterns in small batches, feeds
-// each batch's constraints to a persistent SolveSession, and stops
+// each batch's constraints to a persistent solveSession, and stops
 // collecting the moment the ECC function is uniquely determined (or a
 // budget is hit). Because most of a profile's constraint power sits in a
 // small pattern subset, a planned run usually ends after a fraction of the
@@ -41,20 +41,20 @@ type PlanInfo struct {
 	DecidedEarly bool
 }
 
-// Planner interleaves miscorrection-profile collection with incremental
+// planner interleaves miscorrection-profile collection with incremental
 // solving. Drive it either through Run (give it a collect callback) or
 // manually: NextBatch → collect those patterns → Feed the counts → repeat
-// until Done. One persistent SolveSession spans the whole run, so each
+// until Done. One persistent solveSession spans the whole run, so each
 // Feed re-solves an already-hot solver with all learned clauses intact.
 //
-// A Planner is single-goroutine; multi-chip runs parallelize inside the
+// A planner is single-goroutine; multi-chip runs parallelize inside the
 // collect callback (Recover fans each batch out across chips and merges
 // the counts), which is what lets a fleet-wide collection
 // short-circuit the moment any batch decides the code.
-type Planner struct {
+type planner struct {
 	opts    RecoverOptions
 	k       int
-	session *SolveSession
+	session *solveSession
 
 	remaining []Pattern
 	full      int
@@ -70,11 +70,11 @@ type Planner struct {
 	collectTime, solveTime time.Duration
 }
 
-// NewPlanner builds a planner for dataword length k over the pattern
+// newPlanner builds a planner for dataword length k over the pattern
 // family and solver configuration in opts. The planner needs uniqueness to
 // be observable, so it refuses solver configurations that stop at the
 // first candidate (MaxSolutions == 1).
-func NewPlanner(k int, opts RecoverOptions) (*Planner, error) {
+func newPlanner(k int, opts RecoverOptions) (*planner, error) {
 	if opts.Solve.MaxSolutions == 1 {
 		return nil, fmt.Errorf("core: planner needs MaxSolutions != 1 to observe uniqueness")
 	}
@@ -82,7 +82,7 @@ func NewPlanner(k int, opts RecoverOptions) (*Planner, error) {
 	if len(patterns) == 0 {
 		return nil, fmt.Errorf("core: empty pattern family")
 	}
-	p := &Planner{
+	p := &planner{
 		opts:      opts,
 		k:         k,
 		remaining: patterns,
@@ -112,7 +112,7 @@ func NewPlanner(k int, opts RecoverOptions) (*Planner, error) {
 			inner(ev)
 		}
 	}
-	session, err := NewSolveSession(k, solveOpts)
+	session, err := newSolveSession(k, solveOpts)
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +122,7 @@ func NewPlanner(k int, opts RecoverOptions) (*Planner, error) {
 
 // Done reports whether planning is finished: the solver decided the
 // answer, the pattern family is exhausted, or the budget is spent.
-func (p *Planner) Done() bool {
+func (p *planner) Done() bool {
 	return p.decided || len(p.remaining) == 0 || p.used >= p.budget
 }
 
@@ -132,7 +132,7 @@ func (p *Planner) Done() bool {
 // batches are solver-guided: patterns on which the currently known
 // candidate codes disagree come first, since each such pattern is
 // guaranteed to eliminate at least one candidate. Returns nil when Done.
-func (p *Planner) NextBatch() []Pattern {
+func (p *planner) NextBatch() []Pattern {
 	if p.Done() {
 		return nil
 	}
@@ -141,7 +141,7 @@ func (p *Planner) NextBatch() []Pattern {
 	if p.used == 0 {
 		// Opening batch: the leading run of weight-<=1 patterns, or a
 		// plain chunk when the family starts with heavier patterns.
-		for take < limit && p.remaining[take].Weight() <= 1 {
+		for take < limit && p.remaining[take].weight() <= 1 {
 			take++
 		}
 		if take == 0 {
@@ -186,7 +186,7 @@ func (p *Planner) NextBatch() []Pattern {
 // Disagreement is computed with the analytic oracle, so steering costs no
 // SAT work. With fewer than two known candidates it returns nothing and
 // the caller falls back to family order.
-func (p *Planner) discriminatingOrder() []int {
+func (p *planner) discriminatingOrder() []int {
 	if p.last == nil || len(p.last.Codes) < 2 || len(p.remaining) == 0 {
 		return nil
 	}
@@ -214,7 +214,7 @@ func (p *Planner) discriminatingOrder() []int {
 // entries into the persistent solve session and re-enumerates. It returns
 // the current Result; once it reports Unique (or a proven-inconsistent
 // profile), Done becomes true and collection stops.
-func (p *Planner) Feed(ctx context.Context, counts *Counts) (*Result, error) {
+func (p *planner) Feed(ctx context.Context, counts *Counts) (*Result, error) {
 	start := time.Now()
 	defer func() { p.solveTime += time.Since(start) }()
 	p.batches++
@@ -241,7 +241,7 @@ func (p *Planner) Feed(ctx context.Context, counts *Counts) (*Result, error) {
 // the callback, feed the counts, until Done. The callback runs the actual
 // experiment (single chip, or Recover's fan-out over a fleet) and
 // must honor ctx. Returns the final enumeration result.
-func (p *Planner) Run(ctx context.Context, collect func(ctx context.Context, patterns []Pattern) (*Counts, error)) (*Result, error) {
+func (p *planner) Run(ctx context.Context, collect func(ctx context.Context, patterns []Pattern) (*Counts, error)) (*Result, error) {
 	ctx = ctxOrBackground(ctx)
 	for !p.Done() {
 		if err := ctx.Err(); err != nil {
@@ -268,16 +268,16 @@ func (p *Planner) Run(ctx context.Context, collect func(ctx context.Context, pat
 }
 
 // Counts returns the accumulated raw observations across all batches.
-func (p *Planner) Counts() *Counts { return p.counts }
+func (p *planner) Counts() *Counts { return p.counts }
 
 // Profile returns the thresholded profile fed to the solver so far.
-func (p *Planner) Profile() *Profile { return p.session.Profile() }
+func (p *planner) Profile() *Profile { return p.session.Profile() }
 
 // Times reports how long the run spent collecting vs. solving.
-func (p *Planner) Times() (collect, solve time.Duration) { return p.collectTime, p.solveTime }
+func (p *planner) Times() (collect, solve time.Duration) { return p.collectTime, p.solveTime }
 
 // Info summarizes the plan for reports.
-func (p *Planner) Info() PlanInfo {
+func (p *planner) Info() PlanInfo {
 	return PlanInfo{
 		PatternsUsed: p.used,
 		PatternsFull: p.full,

@@ -57,7 +57,7 @@ func TestExactProfileMatchesBruteForce(t *testing.T) {
 	for _, shape := range shapes {
 		for trial := 0; trial < 6; trial++ {
 			code := ecc.RandomHammingWithParity(shape.k, shape.r, rng)
-			patterns := append(Set12.Patterns(shape.k), NCharged(shape.k, 3)...)
+			patterns := append(Set12.Patterns(shape.k), nCharged(shape.k, 3)...)
 			got := ExactProfile(code, patterns)
 			want := bruteProfile(code, patterns)
 			if !got.Equal(want) {
@@ -86,7 +86,7 @@ func TestExactProfileSlicedMatchesScalar(t *testing.T) {
 	for _, shape := range shapes {
 		for trial := 0; trial < 4; trial++ {
 			code := ecc.RandomHammingWithParity(shape.k, shape.r, rng)
-			patterns := append(Set12.Patterns(shape.k), NCharged(shape.k, 3)...)
+			patterns := append(Set12.Patterns(shape.k), nCharged(shape.k, 3)...)
 			for _, anti := range []bool{false, true} {
 				got := exactProfileSliced(code, patterns, anti)
 				want := exactProfileScalar(code, patterns, anti)
@@ -158,7 +158,10 @@ func TestEquivalentCodesShareProfiles(t *testing.T) {
 			rows[i] = p.Row(i)
 		}
 		rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
-		perm := ecc.MustNew(gf2.MatFromRows(rows...))
+		perm, err := ecc.New(gf2.MatFromRows(rows...))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !perm.EquivalentTo(code) {
 			t.Fatal("row permutation must preserve equivalence")
 		}

@@ -166,7 +166,7 @@ func (e *encoder) addCodeValidity() {
 			col[i] = e.p(i, j)
 		}
 		e.s.Add(col...) // nonzero
-		// Weight >= 2: any set bit implies another set bit.
+		// weight >= 2: any set bit implies another set bit.
 		for i := 0; i < e.r; i++ {
 			cl := make([]sat.Lit, 0, e.r)
 			cl = append(cl, e.p(i, j).Not())

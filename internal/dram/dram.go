@@ -107,15 +107,15 @@ func DefaultRetention() RetentionModel {
 	}
 }
 
-// TempFactor returns the retention-time scale factor at the given
+// tempFactor returns the retention-time scale factor at the given
 // temperature: times shrink as temperature rises.
-func (m RetentionModel) TempFactor(tempC float64) float64 {
+func (m RetentionModel) tempFactor(tempC float64) float64 {
 	return math.Exp2((m.ReferenceTempC - tempC) / m.HalvingCelsius)
 }
 
-// CellRetentionSeconds returns the cell's fixed retention time at the
+// cellRetentionSeconds returns the cell's fixed retention time at the
 // reference temperature, derived deterministically from the hash h.
-func (m RetentionModel) CellRetentionSeconds(h uint64) float64 {
+func (m RetentionModel) cellRetentionSeconds(h uint64) float64 {
 	return stats.LogNormal(stats.Uniform01(h), m.MuLog, m.SigmaLog)
 }
 
@@ -123,7 +123,7 @@ func (m RetentionModel) CellRetentionSeconds(h uint64) float64 {
 // cell decays within the given window at the given temperature — the
 // analytic raw bit error rate used for experiment planning (§6.3).
 func (m RetentionModel) FailureProbability(window time.Duration, tempC float64) float64 {
-	eff := window.Seconds() / m.TempFactor(tempC)
+	eff := window.Seconds() / m.tempFactor(tempC)
 	return stats.LogNormalCDF(eff, m.MuLog, m.SigmaLog)
 }
 
@@ -133,9 +133,6 @@ type Layout func(bank, row int) CellType
 // AllTrueLayout is the layout of manufacturers A and B in the paper: every
 // cell is a true-cell.
 func AllTrueLayout(bank, row int) CellType { return TrueCell }
-
-// AllAntiLayout inverts every cell (used in tests).
-func AllAntiLayout(bank, row int) CellType { return AntiCell }
 
 // BlockLayout reproduces manufacturer C's measured layout: alternating
 // true-/anti-cell blocks whose lengths cycle through the given sizes
@@ -221,10 +218,6 @@ type band struct {
 type rowState struct {
 	written bool
 	charges gf2.Vec
-	// locked marks the charged cells that RefreshAll discharged since the
-	// last write, so a flip read can report them against the bits written.
-	// It is allocated on the first refresh that decays the row.
-	locked gf2.Vec
 	// writeStamp is the chip's thermalSeconds at the time of the write.
 	writeStamp float64
 	// levels holds the row's retention levels, one levelWord per word of
@@ -280,7 +273,7 @@ const gridGuard = 1e-9
 
 // retGrid brackets a retention model in the hash domain. Grid cell g holds
 // every hash whose top gridBits bits equal g; retLo/retHi bound
-// CellRetentionSeconds and fLo/fHi bound jitterFactor over those hashes,
+// cellRetentionSeconds and fLo/fHi bound jitterFactor over those hashes,
 // because both are monotone in the hash and the bounds are the values at
 // the cell's two end hashes, widened by gridGuard. A read then decides
 // almost every charged cell from one hash and two integer compares (see
@@ -298,8 +291,8 @@ func newRetGrid(m RetentionModel) *retGrid {
 	for i := range g.retLo {
 		lo := uint64(i) << (64 - gridBits)
 		hi := lo | (1<<(64-gridBits) - 1)
-		g.retLo[i] = m.CellRetentionSeconds(lo) * (1 - gridGuard)
-		g.retHi[i] = m.CellRetentionSeconds(hi) * (1 + gridGuard)
+		g.retLo[i] = m.cellRetentionSeconds(lo) * (1 - gridGuard)
+		g.retHi[i] = m.cellRetentionSeconds(hi) * (1 + gridGuard)
 		g.fLo[i] = m.jitterFactor(lo) * (1 - gridGuard)
 		g.fHi[i] = m.jitterFactor(hi) * (1 + gridGuard)
 		g.vrtLo = min(g.vrtLo, g.fLo[i])
@@ -372,21 +365,9 @@ func New(cfg Config) *Chip {
 	return c
 }
 
-// Banks returns the bank count.
-func (c *Chip) Banks() int { return c.cfg.Banks }
-
-// Rows returns the per-bank row count.
-func (c *Chip) Rows() int { return c.cfg.Rows }
-
-// CellsPerRow returns the number of cells in each row.
-func (c *Chip) CellsPerRow() int { return c.cfg.CellsPerRow }
-
 // SetTemperature sets the ambient temperature in Celsius for subsequent
 // refresh pauses.
 func (c *Chip) SetTemperature(celsius float64) { c.tempC = celsius }
-
-// Temperature returns the current ambient temperature.
-func (c *Chip) Temperature() float64 { return c.tempC }
 
 // PauseRefresh simulates disabling DRAM refresh for the given duration at
 // the current temperature: every written row accumulates decay exposure.
@@ -396,7 +377,7 @@ func (c *Chip) PauseRefresh(d time.Duration) {
 	if d < 0 {
 		panic("dram: negative pause")
 	}
-	c.thermalSeconds += d.Seconds() / c.cfg.Retention.TempFactor(c.tempC)
+	c.thermalSeconds += d.Seconds() / c.cfg.Retention.tempFactor(c.tempC)
 }
 
 func (c *Chip) rowAt(bank, row int) *rowState {
@@ -427,7 +408,6 @@ func (c *Chip) WriteRow(bank, row int, bits gf2.Vec) {
 	if c.cfg.Layout(bank, row) == AntiCell {
 		invert(st.charges)
 	}
-	clear(st.locked.Words())
 	st.written = true
 	st.writeStamp = c.thermalSeconds
 }
@@ -437,14 +417,14 @@ func (c *Chip) WriteRow(bank, row int, bits gf2.Vec) {
 // to logical bits. Reading an unwritten row panics: real cells power up in an
 // undefined state, and the methodology never reads before writing.
 func (c *Chip) ReadRow(bank, row int) gf2.Vec {
-	return c.ReadRowInto(bank, row, gf2.NewVec(c.cfg.CellsPerRow))
+	return c.readRowInto(bank, row, gf2.NewVec(c.cfg.CellsPerRow))
 }
 
-// ReadRowInto is ReadRow writing into caller-owned storage: dst must have
+// readRowInto is ReadRow writing into caller-owned storage: dst must have
 // length CellsPerRow and is returned for convenience. Repeated reads through
 // a reused dst allocate nothing, which is what makes tight read loops
 // (profile collection, BEEP) memory-bound no longer.
-func (c *Chip) ReadRowInto(bank, row int, dst gf2.Vec) gf2.Vec {
+func (c *Chip) readRowInto(bank, row int, dst gf2.Vec) gf2.Vec {
 	st := c.readable(bank, row, dst)
 	// Marking a lost cell in a copy of the charges discharges it.
 	dst.CopyFrom(st.charges)
@@ -458,23 +438,18 @@ func (c *Chip) ReadRowInto(bank, row int, dst gf2.Vec) gf2.Vec {
 	return dst
 }
 
-// ReadRowFlipsInto senses the row like ReadRowInto but returns, in dst, the
+// ReadRowFlipsInto senses the row like readRowInto but returns, in dst, the
 // cells whose read differs from the logical bits last written: the cells
-// discharged since the write (by this read's decay or by RefreshAll) plus
-// this read's transient flips. XORed into the written bits it gives exactly
-// what ReadRowInto would have returned for the same read; it advances the
-// read counter the same way. dst must have length CellsPerRow.
+// this read's decay discharged since the write plus its transient flips.
+// XORed into the written bits it gives exactly what readRowInto would have
+// returned for the same read; it advances the read counter the same way. dst must have length CellsPerRow.
 //
 // A discharged cell flips its logical bit under either cell type, so the
 // flip set needs no inversion, and a row whose cells all hold their charge
 // reads as an all-zero dst.
 func (c *Chip) ReadRowFlipsInto(bank, row int, dst gf2.Vec) gf2.Vec {
 	st := c.readable(bank, row, dst)
-	if st.locked.Len() != 0 {
-		dst.CopyFrom(st.locked)
-	} else {
-		clear(dst.Words())
-	}
+	clear(dst.Words())
 	c.decay(dst.Words(), st, bank, row, true)
 	if c.cfg.TransientBER > 0 {
 		c.injectTransient(dst, bank, row)
@@ -527,47 +502,7 @@ func (c *Chip) injectTransient(bits gf2.Vec, bank, row int) {
 // REAPER and BEEP exist.
 func (c *Chip) RetentionSecondsOf(bank, row, cell int) float64 {
 	h := stats.HashN(c.cfg.Seed, uint64(bank), uint64(row), uint64(cell))
-	return c.cfg.Retention.CellRetentionSeconds(h)
-}
-
-// WeakCells returns the cells of a row whose retention time (at reference
-// temperature) is below the given window — the cells that will fail if left
-// charged for that long. Ground-truth accessor for validation.
-func (c *Chip) WeakCells(bank, row int, window time.Duration) []int {
-	var weak []int
-	for i := 0; i < c.cfg.CellsPerRow; i++ {
-		if c.RetentionSecondsOf(bank, row, i) < window.Seconds() {
-			weak = append(weak, i)
-		}
-	}
-	return weak
-}
-
-// RefreshAll models re-enabling refresh after a pause: any decay that already
-// happened is locked in (refresh rewrites whatever charge remains), and
-// future reads see no additional decay until refresh is paused again. This
-// is implemented by taking the decayed cells, under the plain retention rule
-// (no per-read jitter), off the stored charges; the row remembers them as
-// locked so flip reads still report them against the bits written.
-func (c *Chip) RefreshAll() {
-	for b := 0; b < c.cfg.Banks; b++ {
-		for r := 0; r < c.cfg.Rows; r++ {
-			st := &c.rows[b][r]
-			if !st.written || c.thermalSeconds-st.writeStamp <= 0 {
-				continue
-			}
-			if st.locked.Len() != st.charges.Len() {
-				st.locked = gf2.NewVec(st.charges.Len())
-			}
-			// locked holds no charged cell, so marking adds the lost ones.
-			lw, cw := st.locked.Words(), st.charges.Words()
-			c.decay(lw, st, b, r, false)
-			for i := range cw {
-				cw[i] &^= lw[i]
-			}
-			st.writeStamp = c.thermalSeconds
-		}
-	}
+	return c.cfg.Retention.cellRetentionSeconds(h)
 }
 
 // decay is the one decay kernel: it marks, by flipping its bit in mark,
@@ -581,7 +516,7 @@ func (c *Chip) RefreshAll() {
 //
 // Each verdict equals the exact expression
 //
-//	CellRetentionSeconds(h) * jitterFactor(HashN(h, readCounter)) < exposure
+//	cellRetentionSeconds(h) * jitterFactor(HashN(h, readCounter)) < exposure
 //
 // bit for bit: the grid brackets (see retGrid) bound both factors, and IEEE
 // multiplication is monotone in each positive argument, so a bracket that
@@ -623,7 +558,7 @@ func (c *Chip) decay(mark []uint64, st *rowState, bank, row int, jitter bool) {
 			case gi >= lives:
 				continue
 			case !jitter:
-				if m.CellRetentionSeconds(h) >= exposure {
+				if m.cellRetentionSeconds(h) >= exposure {
 					continue
 				}
 			default:
@@ -633,7 +568,7 @@ func (c *Chip) decay(mark []uint64, st *rowState, bank, row int, jitter bool) {
 				case g.retHi[gi]*g.fHi[gj] < exposure:
 				case g.retLo[gi]*g.fLo[gj] >= exposure:
 					continue
-				case m.CellRetentionSeconds(h)*m.jitterFactor(h2) >= exposure:
+				case m.cellRetentionSeconds(h)*m.jitterFactor(h2) >= exposure:
 					continue
 				}
 			}

@@ -47,7 +47,7 @@ func TestReadUnwrittenPanics(t *testing.T) {
 
 func TestDecayIsUnidirectional(t *testing.T) {
 	c := testChip(nil)
-	n := c.CellsPerRow()
+	n := c.cfg.CellsPerRow
 	ones := allOnes(n)
 	zeros := gf2.NewVec(n)
 	c.WriteRow(0, 0, ones)
@@ -64,8 +64,8 @@ func TestDecayIsUnidirectional(t *testing.T) {
 }
 
 func TestAntiCellPolarity(t *testing.T) {
-	c := testChip(AllAntiLayout)
-	n := c.CellsPerRow()
+	c := testChip(func(bank, row int) CellType { return AntiCell })
+	n := c.cfg.CellsPerRow
 	// For anti-cells, logical 0 is the CHARGED state: writing all-zero and
 	// pausing refresh must produce 0->1 errors, while all-one is immune.
 	c.WriteRow(0, 0, gf2.NewVec(n))
@@ -84,7 +84,7 @@ func TestDecayRepeatability(t *testing.T) {
 		Retention: RetentionModel{ // VRT disabled for exact repeatability
 			MuLog: 8.017, SigmaLog: 0.621, ReferenceTempC: 80, HalvingCelsius: 10,
 		}})
-	n := c.CellsPerRow()
+	n := c.cfg.CellsPerRow
 	c.WriteRow(0, 3, allOnes(n))
 	c.PauseRefresh(30 * time.Minute)
 	first := c.ReadRow(0, 3)
@@ -103,7 +103,7 @@ func TestDecayRepeatability(t *testing.T) {
 
 func TestDecayMonotoneInWindow(t *testing.T) {
 	c := testChip(nil)
-	n := c.CellsPerRow()
+	n := c.cfg.CellsPerRow
 	var prevErrs int
 	for i, pause := range []time.Duration{2, 6, 12, 24, 40} {
 		c.WriteRow(0, 0, allOnes(n))
@@ -122,14 +122,14 @@ func TestDecayMonotoneInWindow(t *testing.T) {
 func TestTemperatureAcceleratesDecay(t *testing.T) {
 	count := func(temp float64) int {
 		c := testChip(nil)
-		n := c.CellsPerRow()
+		n := c.cfg.CellsPerRow
 		c.SetTemperature(temp)
 		total := 0
-		for row := 0; row < c.Rows(); row++ {
+		for row := 0; row < c.cfg.Rows; row++ {
 			c.WriteRow(0, row, allOnes(n))
 		}
 		c.PauseRefresh(20 * time.Minute)
-		for row := 0; row < c.Rows(); row++ {
+		for row := 0; row < c.cfg.Rows; row++ {
 			total += n - c.ReadRow(0, row).Weight()
 		}
 		return total
@@ -143,17 +143,17 @@ func TestTemperatureAcceleratesDecay(t *testing.T) {
 func TestFailureProbabilityMatchesEmpirical(t *testing.T) {
 	c := New(Config{Banks: 1, Rows: 128, CellsPerRow: 1024, Seed: 99,
 		Retention: RetentionModel{MuLog: 8.017, SigmaLog: 0.621, ReferenceTempC: 80, HalvingCelsius: 10}})
-	n := c.CellsPerRow()
+	n := c.cfg.CellsPerRow
 	window := 25 * time.Minute
-	for row := 0; row < c.Rows(); row++ {
+	for row := 0; row < c.cfg.Rows; row++ {
 		c.WriteRow(0, row, allOnes(n))
 	}
 	c.PauseRefresh(window)
 	fails := 0
-	for row := 0; row < c.Rows(); row++ {
+	for row := 0; row < c.cfg.Rows; row++ {
 		fails += n - c.ReadRow(0, row).Weight()
 	}
-	got := float64(fails) / float64(n*c.Rows())
+	got := float64(fails) / float64(n*c.cfg.Rows)
 	want := c.cfg.Retention.FailureProbability(window, 80)
 	if math.Abs(got-want) > 0.25*want+1e-4 {
 		t.Fatalf("empirical BER %v, analytic %v", got, want)
@@ -192,7 +192,7 @@ func TestBlockLayoutAlternates(t *testing.T) {
 
 func TestTransientErrorsInjected(t *testing.T) {
 	c := New(Config{Banks: 1, Rows: 4, CellsPerRow: 4096, Seed: 5, TransientBER: 1e-3})
-	n := c.CellsPerRow()
+	n := c.cfg.CellsPerRow
 	c.WriteRow(0, 0, gf2.NewVec(n))
 	flips := 0
 	reads := 200
@@ -205,20 +205,6 @@ func TestTransientErrorsInjected(t *testing.T) {
 	}
 	if math.Abs(float64(flips)-want) > 0.35*want {
 		t.Fatalf("transient flips %d, want about %.0f", flips, want)
-	}
-}
-
-func TestRefreshAllLocksInDecay(t *testing.T) {
-	c := New(Config{Banks: 1, Rows: 2, CellsPerRow: 512, Seed: 11,
-		Retention: RetentionModel{MuLog: 8.017, SigmaLog: 0.621, ReferenceTempC: 80, HalvingCelsius: 10}})
-	n := c.CellsPerRow()
-	c.WriteRow(0, 0, allOnes(n))
-	c.PauseRefresh(30 * time.Minute)
-	decayed := c.ReadRow(0, 0)
-	c.RefreshAll()
-	// After refresh, reads see the same (locked-in) state with no new decay.
-	if !c.ReadRow(0, 0).Equal(decayed) {
-		t.Fatal("refresh must lock in decayed state, not restore it")
 	}
 }
 
@@ -258,10 +244,23 @@ func TestRetentionSecondsDeterministicAndDistinct(t *testing.T) {
 	}
 }
 
+// weakCells returns the cells of a row whose retention time (at reference
+// temperature) is below the given window: the cells that fail if left
+// charged for that long.
+func weakCells(c *Chip, bank, row int, window time.Duration) []int {
+	var weak []int
+	for i := 0; i < c.cfg.CellsPerRow; i++ {
+		if c.RetentionSecondsOf(bank, row, i) < window.Seconds() {
+			weak = append(weak, i)
+		}
+	}
+	return weak
+}
+
 func TestWeakCellsMonotoneInWindow(t *testing.T) {
 	c := testChip(nil)
-	short := c.WeakCells(0, 0, 10*time.Minute)
-	long := c.WeakCells(0, 0, 60*time.Minute)
+	short := weakCells(c, 0, 0, 10*time.Minute)
+	long := weakCells(c, 0, 0, 60*time.Minute)
 	if len(short) > len(long) {
 		t.Fatal("weak-cell set must grow with the window")
 	}
@@ -277,7 +276,7 @@ func TestWeakCellsMonotoneInWindow(t *testing.T) {
 	// Consistency with actual decay: write all ones, pause, read; the
 	// failed cells must be exactly the weak cells (up to VRT jitter, which
 	// the default test chip config leaves at 2%).
-	n := c.CellsPerRow()
+	n := c.cfg.CellsPerRow
 	c.WriteRow(0, 0, allOnes(n))
 	c.PauseRefresh(60 * time.Minute)
 	got := c.ReadRow(0, 0)

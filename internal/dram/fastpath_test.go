@@ -44,7 +44,7 @@ func referenceRead(c *Chip, bank, row int, charges gf2.Vec, exposure float64, re
 	if exposure > 0 {
 		for _, i := range charges.Support() {
 			h := stats.HashN(c.cfg.Seed, uint64(bank), uint64(row), uint64(i))
-			tRet := m.CellRetentionSeconds(h)
+			tRet := m.cellRetentionSeconds(h)
 			if m.VRTSigmaLog > 0 {
 				jitter := stats.NormalInv(stats.Uniform01(stats.HashN(h, readCounter)))
 				tRet *= math.Exp(m.VRTSigmaLog * jitter)
@@ -114,7 +114,7 @@ func TestRetGridBrackets(t *testing.T) {
 				hs = append(hs, lo|rng.Uint64()>>gridBits)
 			}
 			for _, h := range hs {
-				if r := m.CellRetentionSeconds(h); r < g.retLo[i] || r > g.retHi[i] {
+				if r := m.cellRetentionSeconds(h); r < g.retLo[i] || r > g.retHi[i] {
 					t.Fatalf("vrt %v cell %d: retention %v of hash %#x outside [%v, %v]", sigma, i, r, h, g.retLo[i], g.retHi[i])
 				}
 				f := m.jitterFactor(h)
@@ -156,7 +156,7 @@ func decayReference(c *Chip, mark []uint64, st *rowState, bank, row int, jitter 
 			case gi >= lives:
 				continue
 			case !jitter:
-				if m.CellRetentionSeconds(h) >= exposure {
+				if m.cellRetentionSeconds(h) >= exposure {
 					continue
 				}
 			default:
@@ -166,7 +166,7 @@ func decayReference(c *Chip, mark []uint64, st *rowState, bank, row int, jitter 
 				case g.retHi[gi]*g.fHi[gj] < exposure:
 				case g.retLo[gi]*g.fLo[gj] >= exposure:
 					continue
-				case m.CellRetentionSeconds(h)*m.jitterFactor(h2) >= exposure:
+				case m.cellRetentionSeconds(h)*m.jitterFactor(h2) >= exposure:
 					continue
 				}
 			}
@@ -354,63 +354,12 @@ func TestReadRowExactAtRetentionBoundary(t *testing.T) {
 	}
 }
 
-// TestRefreshAllMatchesRetentionRule holds RefreshAll to the plain rule: a
-// charged cell is discharged exactly when its fixed retention time is below
-// the row's exposure (no jitter), across refresh cycles and both cell types.
-func TestRefreshAllMatchesRetentionRule(t *testing.T) {
-	for _, sigma := range []float64{0, 0.02, 0.5} {
-		m := DefaultRetention()
-		m.VRTSigmaLog = sigma
-		c := New(Config{Banks: 2, Rows: 6, CellsPerRow: 150, Seed: 0x5eed, Retention: m, Layout: BlockLayout(2, 1)})
-		rng := rand.New(rand.NewPCG(7, 8))
-		for b := 0; b < 2; b++ {
-			for r := 0; r < 5; r++ { // row 5 stays unwritten
-				v := gf2.NewVec(150)
-				for i := 0; i < 150; i++ {
-					v.Set(i, rng.IntN(3) != 0)
-				}
-				c.WriteRow(b, r, v)
-			}
-		}
-		for _, pause := range []time.Duration{0, 20 * time.Minute, 40 * time.Minute, 3 * time.Hour} {
-			c.PauseRefresh(pause)
-			want := make([][]gf2.Vec, 2)
-			for b := range want {
-				want[b] = make([]gf2.Vec, 5)
-				for r := range want[b] {
-					st := &c.rows[b][r]
-					exposure := c.thermalSeconds - st.writeStamp
-					want[b][r] = st.charges.Clone()
-					for _, i := range st.charges.Support() {
-						if exposure > 0 && c.RetentionSecondsOf(b, r, i) < exposure {
-							want[b][r].Set(i, false)
-						}
-					}
-				}
-			}
-			c.RefreshAll()
-			for b := range want {
-				for r := range want[b] {
-					if !c.rows[b][r].charges.Equal(want[b][r]) {
-						t.Fatalf("vrt %v pause %v: RefreshAll of (%d,%d) diverges from the retention rule", sigma, pause, b, r)
-					}
-					if c.rows[b][r].writeStamp != c.thermalSeconds {
-						t.Fatalf("RefreshAll left (%d,%d) with a stale write stamp", b, r)
-					}
-				}
-			}
-		}
-	}
-}
-
 // FuzzReadRowExact fuzzes chip seed, row width (1-600 cells), stored bits,
 // the pause sequence, temperature, VRT jitter and transient noise, and
 // checks every read against referenceRead. Row 0 holds true-cells and row 1
 // anti-cells. Rows are read right after the write (zero exposure), then
-// three times after every pause; a pause byte with its top bit set is
-// followed by a RefreshAll, so locked-in decay is fuzzed too, and a zero
-// pause after a refresh reads at zero exposure again. A twin chip built
-// from the same config sees the same writes, pauses and refreshes and makes
+// three times after every pause. A twin chip built from the same config
+// sees the same writes and pauses and makes
 // each read through ReadRowFlipsInto, which XORed into the written bits
 // must equal the first chip's read.
 func FuzzReadRowExact(f *testing.F) {
@@ -461,10 +410,6 @@ func FuzzReadRowExact(f *testing.F) {
 				chip.PauseRefresh(time.Duration(p&0x7f) * 2 * time.Minute)
 			}
 			readAll(3, fmt.Sprintf("pause byte %#x", p))
-			if p&0x80 != 0 {
-				c.RefreshAll()
-				twin.RefreshAll()
-			}
 		}
 	})
 }
@@ -481,14 +426,14 @@ func TestReadRowIntoReuse(t *testing.T) {
 	c.WriteRow(0, 0, v)
 	c.PauseRefresh(20 * time.Minute)
 	dst := gf2.NewVec(128)
-	if c.ReadRowInto(0, 0, dst).Equal(v) {
+	if c.readRowInto(0, 0, dst).Equal(v) {
 		t.Fatal("the warm-up read lost no cell; pick a longer pause")
 	}
 	if c.grid == nil || c.rows[0][0].levels == nil {
 		t.Fatal("the warm-up read left the grid or the level planes unbuilt")
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		c.ReadRowInto(0, 0, dst)
+		c.readRowInto(0, 0, dst)
 	})
 	if allocs != 0 {
 		t.Fatalf("warm ReadRowInto allocated %v times per read", allocs)
@@ -521,7 +466,7 @@ func BenchmarkReadRow(b *testing.B) {
 				c.WriteRow(0, r, v)
 			}
 			c.PauseRefresh(48 * time.Minute)
-			read := c.ReadRowInto
+			read := c.readRowInto
 			if bc.flips {
 				read = c.ReadRowFlipsInto
 			}
@@ -606,10 +551,10 @@ func benchmarkCollectReads(b *testing.B) {
 	}
 	dst := gf2.NewVec(rows[0].Len())
 	for r := range n { // build the level planes
-		c.ReadRowInto(0, r, dst)
+		c.readRowInto(0, r, dst)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.ReadRowInto(0, i%n, dst)
+		c.readRowInto(0, i%n, dst)
 	}
 }

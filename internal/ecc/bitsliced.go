@@ -77,7 +77,7 @@ func (bc *BitCodec) Encode(data, cw gf2.Batch) {
 	}
 }
 
-// Syndrome fills synd (n-k rows) with H * cw for every lane of cw (n rows).
+// syndrome fills synd (n-k rows) with H * cw for every lane of cw (n rows).
 func (bc *BitCodec) Syndrome(cw, synd gf2.Batch) {
 	bc.checkShape("Syndrome codeword", cw, bc.n)
 	bc.checkShape("Syndrome", synd, bc.r)

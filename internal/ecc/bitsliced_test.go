@@ -27,7 +27,7 @@ func diffOneBatch(t *testing.T, code *Code, lanes int, data, mask []gf2.Vec) {
 	}
 	bc.Encode(db, cb)
 	for r := 0; r < n; r++ {
-		cb.Words()[r] ^= mb.Row(r)
+		cb.Words()[r] ^= mb.Words()[r]
 	}
 	bc.Syndrome(cb, sb)
 	dec := bc.Decode(cb, sb, mb.Words())
@@ -64,7 +64,7 @@ func diffOneBatch(t *testing.T, code *Code, lanes int, data, mask []gf2.Vec) {
 func TestBitCodecMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0xb175, 0x11ced))
 	codes := []*Code{
-		MustNew(Hamming74().P()),
+		mustNew(Hamming74().P()),
 		SequentialHamming(16),
 		BitReversedHamming(32),
 		RandomHamming(57, rng), // full-length (63,57)

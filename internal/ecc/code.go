@@ -44,14 +44,14 @@ type Code struct {
 	bits *BitCodec
 }
 
-// ErrNotSEC is wrapped by New when the parity-check block does not describe a
+// errNotSEC is wrapped by New when the parity-check block does not describe a
 // single-error-correcting code.
-var ErrNotSEC = fmt.Errorf("ecc: parity-check matrix is not single-error-correcting")
+var errNotSEC = fmt.Errorf("ecc: parity-check matrix is not single-error-correcting")
 
-// MaxParityBits is the most parity-check rows a code may have: syndrome
+// maxParityBits is the most parity-check rows a code may have: syndrome
 // decoding looks syndromes up in a 2^r-entry table. On-die ECC designs use
 // r <= 8 (k <= 247).
-const MaxParityBits = 16
+const maxParityBits = 16
 
 // New builds a code from the P block of a standard-form parity-check matrix
 // H = [P | I]. It validates the SEC (minimum distance >= 3) requirements:
@@ -62,8 +62,8 @@ func New(p gf2.Mat) (*Code, error) {
 	if r < 1 || k < 1 {
 		return nil, fmt.Errorf("ecc: invalid shape %dx%d for P", r, k)
 	}
-	if r > MaxParityBits {
-		return nil, fmt.Errorf("ecc: %d parity bits exceed the supported maximum of %d", r, MaxParityBits)
+	if r > maxParityBits {
+		return nil, fmt.Errorf("ecc: %d parity bits exceed the supported maximum of %d", r, maxParityBits)
 	}
 	if k+r > math.MaxInt16 {
 		return nil, fmt.Errorf("ecc: codeword length %d exceeds the supported maximum of %d", k+r, math.MaxInt16)
@@ -79,11 +79,11 @@ func New(p gf2.Mat) (*Code, error) {
 		col := p.Col(j)
 		if col.Weight() < 2 {
 			return nil, fmt.Errorf("%w: data column %d has weight %d (collides with a parity column or is zero)",
-				ErrNotSEC, j, col.Weight())
+				errNotSEC, j, col.Weight())
 		}
 		key := col.Uint64()
 		if prev := colOf[key]; prev >= 0 {
-			return nil, fmt.Errorf("%w: data columns %d and %d are identical", ErrNotSEC, prev, j)
+			return nil, fmt.Errorf("%w: data columns %d and %d are identical", errNotSEC, prev, j)
 		}
 		colOf[key] = int16(j)
 	}
@@ -93,9 +93,9 @@ func New(p gf2.Mat) (*Code, error) {
 	return c, nil
 }
 
-// MustNew is New, panicking on error; intended for literals in tests and
+// mustNew is New, panicking on error; intended for literals in tests and
 // examples.
-func MustNew(p gf2.Mat) *Code {
+func mustNew(p gf2.Mat) *Code {
 	c, err := New(p)
 	if err != nil {
 		panic(err)
@@ -118,12 +118,6 @@ func (c *Code) P() gf2.Mat { return c.p.Clone() }
 // H returns a copy of the full standard-form parity-check matrix [P | I].
 func (c *Code) H() gf2.Mat { return c.h.Clone() }
 
-// G returns a copy of the standard-form generator matrix [I | P^T] with shape
-// k x n, so that a codeword is d * G (equivalently Encode).
-func (c *Code) G() gf2.Mat {
-	return gf2.Identity(c.k).HStack(c.p.Transpose())
-}
-
 // Column returns a copy of column j of H (0 <= j < n).
 func (c *Code) Column(j int) gf2.Vec { return c.h.Col(j) }
 
@@ -142,8 +136,8 @@ func (c *Code) Encode(d gf2.Vec) gf2.Vec {
 	return d.Concat(c.p.MulVec(d))
 }
 
-// Syndrome computes H * c' for a received n-bit codeword.
-func (c *Code) Syndrome(cw gf2.Vec) gf2.Vec {
+// syndrome computes H * c' for a received n-bit codeword.
+func (c *Code) syndrome(cw gf2.Vec) gf2.Vec {
 	if cw.Len() != c.n {
 		panic(fmt.Sprintf("ecc: Syndrome codeword length %d, want %d", cw.Len(), c.n))
 	}
@@ -176,7 +170,7 @@ type DecodeResult struct {
 	Data gf2.Vec
 	// Codeword is the full post-correction codeword.
 	Codeword gf2.Vec
-	// Syndrome is H * received.
+	// syndrome is H * received.
 	Syndrome gf2.Vec
 	// FlippedBit is the codeword bit position the decoder flipped, or -1 when
 	// the syndrome was zero or matched no column.
@@ -193,7 +187,7 @@ type DecodeResult struct {
 // correction. The decoder never knows the true error count, so uncorrectable
 // errors may yield silent corruption, partial correction, or miscorrection.
 func (c *Code) Decode(received gf2.Vec) DecodeResult {
-	s := c.Syndrome(received)
+	s := c.syndrome(received)
 	res := DecodeResult{Syndrome: s, FlippedBit: -1}
 	cw := received.Clone()
 	if !s.Zero() {

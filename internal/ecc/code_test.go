@@ -26,23 +26,13 @@ func TestHamming74MatchesPaperEquation1(t *testing.T) {
 	if !c.H().Equal(wantH) {
 		t.Fatalf("H =\n%s\nwant\n%s", c.H(), wantH)
 	}
-	// G from the paper's Equation 1 (G^T shown there; G = [I | P^T]).
-	wantG := gf2.MatFromBits([][]int{
-		{1, 0, 0, 0, 1, 1, 1},
-		{0, 1, 0, 0, 1, 1, 0},
-		{0, 0, 1, 0, 1, 0, 1},
-		{0, 0, 0, 1, 0, 1, 1},
-	})
-	if !c.G().Equal(wantG) {
-		t.Fatalf("G =\n%s\nwant\n%s", c.G(), wantG)
-	}
 }
 
 func TestEncodeProducesValidCodewords(t *testing.T) {
 	c := Hamming74()
 	for d := uint64(0); d < 16; d++ {
 		cw := c.Encode(gf2.VecFromUint(4, d))
-		if !c.Syndrome(cw).Zero() {
+		if !c.syndrome(cw).Zero() {
 			t.Fatalf("H*c != 0 for dataword %04b", d)
 		}
 		if !cw.Slice(0, 4).Equal(gf2.VecFromUint(4, d)) {
@@ -160,7 +150,7 @@ func TestNewRejectsInvalidP(t *testing.T) {
 		}
 	}
 	// A 17-row P is a valid SEC block but outgrows the syndrome table.
-	p := gf2.NewMat(MaxParityBits+1, 2)
+	p := gf2.NewMat(maxParityBits+1, 2)
 	for i := 0; i < p.Rows(); i++ {
 		p.Set(i, 0, true)
 		p.Set(i, 1, i%2 == 0)
@@ -170,7 +160,7 @@ func TestNewRejectsInvalidP(t *testing.T) {
 		t.Errorf("New(17-row P) = %v, want the parity-bit limit error", err)
 	}
 	// The table stores columns as int16, so n may not exceed 32767.
-	_, err = New(gf2.NewMat(MaxParityBits, math.MaxInt16-MaxParityBits+1))
+	_, err = New(gf2.NewMat(maxParityBits, math.MaxInt16-maxParityBits+1))
 	if err == nil || !strings.Contains(err.Error(), "codeword length 32768 exceeds") {
 		t.Errorf("New(n=32768) = %v, want the codeword-length limit error", err)
 	}
@@ -310,19 +300,6 @@ func TestColumnOfSyndromeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCountHammingCodes(t *testing.T) {
-	// r=3: 2^3-3-1 = 4 candidate columns; k=4 ordered choices = 4! = 24.
-	if got := CountHammingCodes(4, 3); got != 24 {
-		t.Fatalf("CountHammingCodes(4,3) = %d, want 24", got)
-	}
-	if got := CountHammingCodes(5, 3); got != 0 {
-		t.Fatalf("CountHammingCodes(5,3) = %d, want 0", got)
-	}
-	if got := CountHammingCodes(128, 8); got != ^uint64(0) {
-		t.Fatalf("CountHammingCodes(128,8) should saturate, got %d", got)
-	}
-}
-
 // Property: decoding an encoded word with at most one injected error always
 // recovers the data, for random codes, datawords and error positions.
 func TestDecodeProperty(t *testing.T) {
@@ -344,24 +321,55 @@ func TestDecodeProperty(t *testing.T) {
 	}
 }
 
-// Property (testing/quick): canonicalization is idempotent, preserves
-// equivalence, and equivalent codes share profiles of decode behavior on
-// single errors.
+// Property (testing/quick): permuting the parity rows preserves
+// equivalence and the canonical key.
 func TestCanonicalizeQuick(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 13))
 		k := 4 + int(seed%20)
 		code := RandomHamming(k, rng)
-		canon := code.Canonicalize()
-		if !canon.EquivalentTo(code) {
-			return false
+		rows := make([]gf2.Vec, code.ParityBits())
+		for i := range rows {
+			rows[i] = code.P().Row(i)
 		}
-		if !canon.Canonicalize().Equal(canon) {
-			return false
-		}
-		return canon.CanonicalKey() == code.CanonicalKey()
+		rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+		perm := mustNew(gf2.MatFromRows(rows...))
+		return perm.EquivalentTo(code) && perm.CanonicalKey() == code.CanonicalKey()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// countHammingCodes returns the number of distinct standard-form (k+r, k) SEC
+// Hamming codes, i.e. the falling factorial (2^r - r - 1)(2^r - r - 2)...
+// over k terms, saturating at math.MaxUint64. This quantifies the design
+// space BEER disambiguates (paper §3.3 "Design Space").
+func countHammingCodes(k, r int) uint64 {
+	avail := (uint64(1) << uint(r)) - uint64(r) - 1
+	if uint64(k) > avail {
+		return 0
+	}
+	total := uint64(1)
+	for i := uint64(0); i < uint64(k); i++ {
+		next := total * (avail - i)
+		if total != 0 && next/total != avail-i {
+			return ^uint64(0) // overflow: saturate
+		}
+		total = next
+	}
+	return total
+}
+
+func TestCountHammingCodes(t *testing.T) {
+	// r=3: 2^3-3-1 = 4 candidate columns; k=4 ordered choices = 4! = 24.
+	if got := countHammingCodes(4, 3); got != 24 {
+		t.Fatalf("countHammingCodes(4,3) = %d, want 24", got)
+	}
+	if got := countHammingCodes(5, 3); got != 0 {
+		t.Fatalf("countHammingCodes(5,3) = %d, want 0", got)
+	}
+	if got := countHammingCodes(128, 8); got != ^uint64(0) {
+		t.Fatalf("countHammingCodes(128,8) should saturate, got %d", got)
 	}
 }

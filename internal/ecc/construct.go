@@ -57,7 +57,7 @@ func RandomHammingWithParity(k, r int, rng *rand.Rand) *Code {
 		panic(fmt.Sprintf("ecc: r=%d parity bits support at most k=%d, requested %d", r, len(vals), k))
 	}
 	rng.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-	return MustNew(pFromColumnValues(k, r, vals[:k]))
+	return mustNew(pFromColumnValues(k, r, vals[:k]))
 }
 
 // SequentialHamming returns the deterministic code whose data columns are the
@@ -67,7 +67,7 @@ func RandomHammingWithParity(k, r int, rng *rand.Rand) *Code {
 func SequentialHamming(k int) *Code {
 	r := MinParityBits(k)
 	vals := dataColumnValues(r)
-	return MustNew(pFromColumnValues(k, r, vals[:k]))
+	return mustNew(pFromColumnValues(k, r, vals[:k]))
 }
 
 // LowWeightHamming returns the deterministic code whose data columns are the
@@ -88,7 +88,7 @@ func LowWeightHamming(k int) *Code {
 			ordered[j], ordered[j-1] = ordered[j-1], ordered[j]
 		}
 	}
-	return MustNew(pFromColumnValues(k, r, ordered[:k]))
+	return mustNew(pFromColumnValues(k, r, ordered[:k]))
 }
 
 // BitReversedHamming returns the code whose data columns are the weight->=2
@@ -110,35 +110,15 @@ func BitReversedHamming(k int) *Code {
 			ordered[j], ordered[j-1] = ordered[j-1], ordered[j]
 		}
 	}
-	return MustNew(pFromColumnValues(k, r, ordered[:k]))
+	return mustNew(pFromColumnValues(k, r, ordered[:k]))
 }
 
 // Hamming74 returns the (7,4,3) Hamming code of the paper's Equation 1, used
 // as the running example for Tables 1 and 2.
 func Hamming74() *Code {
-	return MustNew(gf2.MatFromBits([][]int{
+	return mustNew(gf2.MatFromBits([][]int{
 		{1, 1, 1, 0},
 		{1, 1, 0, 1},
 		{1, 0, 1, 1},
 	}))
-}
-
-// CountHammingCodes returns the number of distinct standard-form (k+r, k) SEC
-// Hamming codes, i.e. the falling factorial (2^r - r - 1)(2^r - r - 2)...
-// over k terms, saturating at math.MaxUint64. This quantifies the design
-// space BEER disambiguates (paper §3.3 "Design Space").
-func CountHammingCodes(k, r int) uint64 {
-	avail := (uint64(1) << uint(r)) - uint64(r) - 1
-	if uint64(k) > avail {
-		return 0
-	}
-	total := uint64(1)
-	for i := uint64(0); i < uint64(k); i++ {
-		next := total * (avail - i)
-		if total != 0 && next/total != avail-i {
-			return ^uint64(0) // overflow: saturate
-		}
-		total = next
-	}
-	return total
 }

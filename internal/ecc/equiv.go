@@ -3,8 +3,6 @@ package ecc
 import (
 	"sort"
 	"strings"
-
-	"repro/internal/gf2"
 )
 
 // Code equivalence.
@@ -18,19 +16,6 @@ import (
 // be a permutation matrix. BEER therefore recovers codes up to this row
 // permutation, and this file provides the canonical representative used to
 // compare recovered functions against ground truth.
-
-// Canonicalize returns the canonical representative of the code's
-// equivalence class: the P block with rows sorted lexicographically.
-func (c *Code) Canonicalize() *Code {
-	rows := make([]gf2.Vec, c.p.Rows())
-	for i := range rows {
-		rows[i] = c.p.Row(i)
-	}
-	sort.Slice(rows, func(a, b int) bool {
-		return strings.Compare(rows[a].String(), rows[b].String()) < 0
-	})
-	return MustNew(gf2.MatFromRows(rows...))
-}
 
 // CanonicalKey returns a string that is identical for exactly the codes in
 // the same equivalence class.

@@ -48,9 +48,9 @@ func TestRunMatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: Run: %v", ci, err)
 		}
-		scalar, err := RunScalar(cfg, rand.New(rand.NewPCG(11, uint64(ci))))
+		scalar, err := runScalar(cfg, rand.New(rand.NewPCG(11, uint64(ci))))
 		if err != nil {
-			t.Fatalf("case %d: RunScalar: %v", ci, err)
+			t.Fatalf("case %d: runScalar: %v", ci, err)
 		}
 		if batch.Words != int64(cfg.Words) || scalar.Words != int64(cfg.Words) {
 			t.Fatalf("case %d: word counts %d/%d, want %d", ci, batch.Words, scalar.Words, cfg.Words)

@@ -14,8 +14,9 @@
 // of 64 lanes through ecc.BitCodec, so encode, injection, syndrome and
 // correction cost one word operation per bit position instead of per word,
 // and batch buffers come from a pooled gf2.Slab so the steady state
-// allocates nothing per batch. RunScalar keeps the original one-word-at-a-
-// time gf2.Vec path as the differential-testing reference.
+// allocates nothing per batch. The original one-word-at-a-time gf2.Vec
+// path, runScalar, lives in a test file as the differential-testing
+// reference.
 //
 // Entry points: Run simulates one Config serially from a caller-supplied
 // RNG; parallel.Engine.Simulate shards the same computation bit-identically
@@ -241,7 +242,7 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // Run simulates cfg.Words ECC words and aggregates statistics. Words are
 // processed in bitsliced batches of up to 64 lanes (the final batch may be
 // ragged); the per-word statistics are identical in distribution to
-// RunScalar, but the RNG consumption differs, so seed-for-seed streams are
+// runScalar, but the RNG consumption differs, so seed-for-seed streams are
 // not comparable between the two.
 func Run(cfg Config, rng *rand.Rand) (*Result, error) {
 	cond, err := validate(cfg)
@@ -418,112 +419,6 @@ func (sc *scratch) injectConditionedBernoulliBatch(mask gf2.Batch, cs *condSampl
 	}
 }
 
-// RunScalar simulates cfg.Words ECC words one at a time through the scalar
-// gf2.Vec / Code.Decode path. It is the reference implementation the
-// bitsliced Run is differentially tested against (FuzzBitsliced holds the
-// codec layers identical; TestRunMatchesScalar holds the aggregate
-// statistics together). Production callers should use Run.
-func RunScalar(cfg Config, rng *rand.Rand) (*Result, error) {
-	cond, err := validate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	n, k := cfg.Code.N(), cfg.Code.K()
-	res := &Result{
-		N: n, K: k,
-		PreErrors:  make([]int64, n),
-		PostErrors: make([]int64, k),
-	}
-	data := gf2.NewVec(k)
-	switch cfg.Pattern {
-	case PatternAllOnes:
-		for i := 0; i < k; i++ {
-			data.Set(i, true)
-		}
-	case PatternCustom:
-		data = cfg.CustomData.Clone()
-	}
-	for w := 0; w < cfg.Words; w++ {
-		if cfg.Pattern == PatternRandom {
-			for i := 0; i < k; i++ {
-				data.Set(i, rng.IntN(2) == 1)
-			}
-		}
-		cw := cfg.Code.Encode(data)
-		var bad gf2.Vec
-		var errPositions []int
-		switch {
-		case cond != nil && cond.probs != nil:
-			bad, errPositions = injectConditionedBernoulli(cw, cond, rng)
-		case cond != nil:
-			bad, errPositions = injectConditioned(cw, cond.cdf, rng)
-		default:
-			bad, errPositions = inject(cfg, cw, rng)
-		}
-		res.Words++
-		for _, p := range errPositions {
-			res.PreErrors[p]++
-		}
-		dec := cfg.Code.Decode(bad)
-		postErrs := 0
-		for b := 0; b < k; b++ {
-			if dec.Data.Get(b) != data.Get(b) {
-				res.PostErrors[b]++
-				postErrs++
-			}
-		}
-		if postErrs > 0 {
-			res.WordsWithPostError++
-		}
-		switch {
-		case len(errPositions) == 0:
-		case len(errPositions) == 1:
-			res.Correctable++
-		case dec.Syndrome.Zero():
-			res.Silent++
-		case dec.FlippedBit >= 0 && contains(errPositions, dec.FlippedBit):
-			res.Partial++
-		case dec.FlippedBit >= 0:
-			res.Miscorrected++
-		default:
-			// Unmatched syndrome on a shortened code: detected but
-			// uncorrected; counts as partial (no new error introduced).
-			res.Partial++
-		}
-	}
-	return res, nil
-}
-
-// inject applies the configured error model to a codeword, returning the
-// corrupted word and the flipped positions.
-func inject(cfg Config, cw gf2.Vec, rng *rand.Rand) (gf2.Vec, []int) {
-	bad := cw.Clone()
-	var errs []int
-	n := cw.Len()
-	if cfg.Model == ModelPerBitBernoulli {
-		for i := 0; i < n; i++ {
-			if p := cfg.BitFailProb[i]; p > 0 && rng.Float64() < p {
-				bad.Flip(i)
-				errs = append(errs, i)
-			}
-		}
-		return bad, errs
-	}
-	if cfg.RBER == 0 {
-		return bad, nil
-	}
-	// Geometric skipping keeps low-RBER simulation fast.
-	pos := nextHit(rng, cfg.RBER, -1)
-	for pos < n {
-		if cfg.Model == ModelUniform || cw.Get(pos) {
-			bad.Flip(pos)
-			errs = append(errs, pos)
-		}
-		pos = nextHit(rng, cfg.RBER, pos)
-	}
-	return bad, errs
-}
-
 // nextHit returns the next position after prev hit by an event of
 // probability p per position.
 func nextHit(rng *rand.Rand, p float64, prev int) int {
@@ -572,34 +467,6 @@ func truncatedBinomialCDF(n int, p float64, min int) []float64 {
 	return cdf
 }
 
-// injectConditioned draws an error count from the truncated binomial CDF and
-// flips that many uniformly-chosen distinct positions.
-func injectConditioned(cw gf2.Vec, cdf []float64, rng *rand.Rand) (gf2.Vec, []int) {
-	u := rng.Float64()
-	m := 0
-	for m < len(cdf)-1 && cdf[m] < u {
-		m++
-	}
-	bad := cw.Clone()
-	n := cw.Len()
-	errs := rng.Perm(n)[:m]
-	for _, p := range errs {
-		bad.Flip(p)
-	}
-	return bad, errs
-}
-
-// injectConditionedBernoulli is the scalar conditioned path for the per-bit
-// Bernoulli model: one count draw, then the conditional per-bit walk.
-func injectConditionedBernoulli(cw gf2.Vec, cs *condSampler, rng *rand.Rand) (gf2.Vec, []int) {
-	bad := cw.Clone()
-	errs := cs.bernoulliPositions(cs.count(rng), nil, rng)
-	for _, p := range errs {
-		bad.Flip(p)
-	}
-	return bad, errs
-}
-
 // poissonBinomialSuffix builds the suffix error-count table for independent
 // per-bit rates: suffix[i][j] = P(exactly j errors among bits i..n-1), so
 // suffix[0] is the Poisson-binomial PMF of the total count.
@@ -645,15 +512,6 @@ func truncateCDF(pmf []float64, min int) []float64 {
 		cdf[m] = acc
 	}
 	return cdf
-}
-
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // Merge adds another batch's statistics into r. Configurations must match.

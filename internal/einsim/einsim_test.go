@@ -276,7 +276,7 @@ func TestPerBitBernoulliRates(t *testing.T) {
 	cfg := Config{Code: code, Pattern: PatternAllOnes, Model: ModelPerBitBernoulli,
 		BitFailProb: probs, Words: 50000}
 	for name, runner := range map[string]func(Config, *rand.Rand) (*Result, error){
-		"bitsliced": Run, "scalar": RunScalar,
+		"bitsliced": Run, "scalar": runScalar,
 	} {
 		res, err := runner(cfg, rand.New(rand.NewPCG(7, 8)))
 		if err != nil {
@@ -339,7 +339,7 @@ func TestPerBitBernoulliScalarBitslicedAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunScalar(cfg, rand.New(rand.NewPCG(62, 63)))
+	b, err := runScalar(cfg, rand.New(rand.NewPCG(62, 63)))
 	if err != nil {
 		t.Fatal(err)
 	}

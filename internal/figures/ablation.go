@@ -12,10 +12,10 @@ import (
 )
 
 func init() {
-	register(Generator{ID: "ablation", Description: "Extensions ablation: anti-cell profiles and lazy vs eager solving (beyond the paper)", Run: Ablation})
+	register(Generator{ID: "ablation", Description: "Extensions ablation: anti-cell profiles and lazy vs eager solving (beyond the paper)", Run: ablation})
 }
 
-// Ablation quantifies the two extensions this reproduction adds on top of
+// ablation quantifies the two extensions this reproduction adds on top of
 // the paper (see README "Beyond the paper"):
 //
 //  1. Anti-cell profiles: for shortened codes where 1-CHARGED true-cell
@@ -24,7 +24,7 @@ func init() {
 //  2. Lazy (CEGAR) solving: how many of the k(k-1)/2 deferred 2-CHARGED
 //     entries does Solve actually materialize, and how does its time
 //     compare with the SolveEager reference encoding?
-func Ablation(ctx context.Context, w io.Writer, scale Scale) error {
+func ablation(ctx context.Context, w io.Writer, scale Scale) error {
 	ks := []int{6, 7, 8, 10}
 	trials := 6
 	if scale != ScaleQuick {

@@ -11,15 +11,15 @@ import (
 )
 
 func init() {
-	register(Generator{ID: "fig7", Description: "Figure 7: worked BEEP example on one (136,128) codeword", Run: Fig7})
-	register(Generator{ID: "fig8", Description: "Figure 8: BEEP success rate, 1 vs 2 passes, by codeword length and error count", Run: Fig8})
-	register(Generator{ID: "fig9", Description: "Figure 9: BEEP success rate vs per-bit error probability", Run: Fig9})
+	register(Generator{ID: "fig7", Description: "Figure 7: worked BEEP example on one (136,128) codeword", Run: fig7})
+	register(Generator{ID: "fig8", Description: "Figure 8: BEEP success rate, 1 vs 2 passes, by codeword length and error count", Run: fig8})
+	register(Generator{ID: "fig9", Description: "Figure 9: BEEP success rate vs per-bit error probability", Run: fig9})
 }
 
-// Fig7 walks through the paper's Figure 7 example: BEEP profiling one
+// fig7 walks through the paper's Figure 7 example: BEEP profiling one
 // 136-bit codeword (128 data bits), printing the three phases for the first
 // few target bits and the final identified error set.
-func Fig7(ctx context.Context, w io.Writer, scale Scale) error {
+func fig7(ctx context.Context, w io.Writer, scale Scale) error {
 	k := 128
 	if scale == ScaleQuick {
 		k = 32
@@ -102,11 +102,11 @@ func fig8Words(n int, scale Scale) int {
 	}
 }
 
-// Fig8 reproduces Figure 8: BEEP success rate for 1 vs 2 passes across
+// fig8 reproduces Figure 8: BEEP success rate for 1 vs 2 passes across
 // codeword lengths {31, 63, 127, 255} and injected error counts
 // {2,3,4,5,10,15,20,25}, with all injected cells failing deterministically
 // (P[error] = 1).
-func Fig8(ctx context.Context, w io.Writer, scale Scale) error {
+func fig8(ctx context.Context, w io.Writer, scale Scale) error {
 	lengths := []int{31, 63, 127, 255}
 	if scale == ScaleQuick {
 		lengths = []int{31, 63}
@@ -142,9 +142,9 @@ func Fig8(ctx context.Context, w io.Writer, scale Scale) error {
 	return nil
 }
 
-// Fig9 reproduces Figure 9: single-pass BEEP success rate for per-bit error
+// fig9 reproduces Figure 9: single-pass BEEP success rate for per-bit error
 // probabilities {1.0, 0.75, 0.5, 0.25} across codeword lengths {31, 63, 127}.
-func Fig9(ctx context.Context, w io.Writer, scale Scale) error {
+func fig9(ctx context.Context, w io.Writer, scale Scale) error {
 	lengths := []int{31, 63, 127}
 	if scale == ScaleQuick {
 		lengths = []int{31, 63}

@@ -13,10 +13,10 @@ import (
 )
 
 func init() {
-	register(Generator{ID: "fig1", Description: "Figure 1: relative per-bit error probabilities for three ECC functions (k=32, 0xFF, uniform RBER 1e-4)", Run: Fig1})
+	register(Generator{ID: "fig1", Description: "Figure 1: relative per-bit error probabilities for three ECC functions (k=32, 0xFF, uniform RBER 1e-4)", Run: fig1})
 }
 
-// Fig1 reproduces Figure 1: three single-error-correcting Hamming codes with
+// fig1 reproduces Figure 1: three single-error-correcting Hamming codes with
 // 32 data bits and 6 parity bits but different parity-check matrices are
 // exposed to identical uniform-random pre-correction errors; the relative
 // post-correction error probability per data bit differs per function.
@@ -32,7 +32,7 @@ func init() {
 // parallel engine as one simulation batch (codes x batches jobs); each job
 // draws from its own seeded stream, keeping the figure bit-identical for any
 // worker count.
-func Fig1(ctx context.Context, w io.Writer, scale Scale) error {
+func fig1(ctx context.Context, w io.Writer, scale Scale) error {
 	k := 32
 	words, batches, resamples := 40000, 20, 200
 	switch scale {

@@ -12,8 +12,8 @@ import (
 )
 
 func init() {
-	register(Generator{ID: "fig3", Description: "Figure 3: 1-CHARGED miscorrection-profile heatmaps for one chip per manufacturer", Run: Fig3})
-	register(Generator{ID: "fig4", Description: "Figure 4: per-bit miscorrection probability distributions across the tREFw sweep (manufacturer B) with threshold filter", Run: Fig4})
+	register(Generator{ID: "fig3", Description: "Figure 3: 1-CHARGED miscorrection-profile heatmaps for one chip per manufacturer", Run: fig3})
+	register(Generator{ID: "fig4", Description: "Figure 4: per-bit miscorrection probability distributions across the tREFw sweep (manufacturer B) with threshold filter", Run: fig4})
 }
 
 // fig3Chip builds the representative chip used for Figures 3 and 4.
@@ -69,13 +69,13 @@ func fig3Counts(ctx context.Context, m ondie.Manufacturer, scale Scale, rounds i
 	})
 }
 
-// Fig3 reproduces Figure 3: for a representative chip of each manufacturer,
+// fig3 reproduces Figure 3: for a representative chip of each manufacturer,
 // the number of errors observed at each data-bit index (x) for each
 // 1-CHARGED pattern (y), rendered as a text heatmap. Manufacturer A's
 // unstructured matrix contrasts with B's and C's repeating patterns, and the
 // diagonal (the charged bit itself) stands out — exactly the paper's
 // qualitative result.
-func Fig3(ctx context.Context, w io.Writer, scale Scale) error {
+func fig3(ctx context.Context, w io.Writer, scale Scale) error {
 	mfrs := []ondie.Manufacturer{ondie.MfrA, ondie.MfrB, ondie.MfrC}
 	// The three chips are independent, so their collections fan out over the
 	// engine; rendering stays in manufacturer order.
@@ -106,12 +106,12 @@ func Fig3(ctx context.Context, w io.Writer, scale Scale) error {
 	return nil
 }
 
-// Fig4 reproduces Figure 4: for a representative manufacturer-B chip, the
+// fig4 reproduces Figure 4: for a representative manufacturer-B chip, the
 // distribution (across the refresh-window sweep) of each bit's share of all
 // observed miscorrections, aggregated over every 1-CHARGED pattern. Zero and
 // nonzero populations separate cleanly, so a simple threshold filter
 // (the paper's example: 1e-3) classifies miscorrection-susceptible bits.
-func Fig4(ctx context.Context, w io.Writer, scale Scale) error {
+func fig4(ctx context.Context, w io.Writer, scale Scale) error {
 	chip, windows := fig3Chip(ondie.MfrB, scale)
 	classes := core.DiscoverCellLayout(chip, core.DefaultLayoutOptions())
 	rows := core.TrueRows(classes)

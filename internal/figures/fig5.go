@@ -11,11 +11,11 @@ import (
 )
 
 func init() {
-	register(Generator{ID: "fig5", Description: "Figure 5: number of candidate ECC functions per pattern set vs dataword length", Run: Fig5})
+	register(Generator{ID: "fig5", Description: "Figure 5: number of candidate ECC functions per pattern set vs dataword length", Run: fig5})
 }
 
-// Fig5Point is one (dataword length, pattern set) measurement.
-type Fig5Point struct {
+// fig5Point is one (dataword length, pattern set) measurement.
+type fig5Point struct {
 	K        int
 	Set      core.PatternSet
 	Min      int
@@ -26,7 +26,7 @@ type Fig5Point struct {
 	SolCount []int
 }
 
-// Fig5Sweep runs the Figure 5 experiment programmatically: for each dataword
+// fig5Sweep runs the Figure 5 experiment programmatically: for each dataword
 // length and pattern family, generate random SEC Hamming codes, compute
 // their exact miscorrection profiles, and count how many candidate functions
 // BEER's solver finds. The paper's result: {1,2}-CHARGED always yields
@@ -41,7 +41,7 @@ type Fig5Point struct {
 // cache is what saves rematerializing the quadratic 2-CHARGED families per
 // trial), but repeated sweeps — benchmark iterations, a figure regenerated
 // at another scale sharing (k, set, trial) prefixes — hit it.
-func Fig5Sweep(ctx context.Context, ks []int, sets []core.PatternSet, trials, cap3 int, seed uint64) ([]Fig5Point, error) {
+func fig5Sweep(ctx context.Context, ks []int, sets []core.PatternSet, trials, cap3 int, seed uint64) ([]fig5Point, error) {
 	const solutionCap = 200 // paper's Figure 5 y-axis tops out near 10^2
 
 	type job struct {
@@ -56,14 +56,14 @@ func Fig5Sweep(ctx context.Context, ks []int, sets []core.PatternSet, trials, ca
 		missing bool // exhausted search did not contain the true code
 	}
 
-	var points []Fig5Point
+	var points []fig5Point
 	var jobs []job
 	for _, k := range ks {
 		for _, set := range sets {
 			if set == core.Set3 && k > cap3 {
 				continue // 3-CHARGED explodes combinatorially; the paper also limits it
 			}
-			points = append(points, Fig5Point{K: k, Set: set, Trials: trials, Min: solutionCap + 1})
+			points = append(points, fig5Point{K: k, Set: set, Trials: trials, Min: solutionCap + 1})
 			for trial := 0; trial < trials; trial++ {
 				jobs = append(jobs, job{point: len(points) - 1, k: k, set: set, trial: trial})
 			}
@@ -128,9 +128,9 @@ func Fig5Sweep(ctx context.Context, ks []int, sets []core.PatternSet, trials, ca
 	return points, nil
 }
 
-// Fig5 renders the sweep. The y-values are counts of unique (up to
+// fig5 renders the sweep. The y-values are counts of unique (up to
 // equivalence) ECC functions matching the miscorrection profile.
-func Fig5(ctx context.Context, w io.Writer, scale Scale) error {
+func fig5(ctx context.Context, w io.Writer, scale Scale) error {
 	var ks []int
 	trials, cap3 := 4, 8
 	switch scale {
@@ -146,7 +146,7 @@ func Fig5(ctx context.Context, w io.Writer, scale Scale) error {
 		trials, cap3 = 20, 16
 	}
 	sets := []core.PatternSet{core.Set1, core.Set2, core.Set3, core.Set12}
-	points, err := Fig5Sweep(ctx, ks, sets, trials, cap3, 0xF5)
+	points, err := fig5Sweep(ctx, ks, sets, trials, cap3, 0xF5)
 	if err != nil {
 		return err
 	}

@@ -13,11 +13,11 @@ import (
 )
 
 func init() {
-	register(Generator{ID: "fig6", Description: "Figure 6: BEER runtime and memory vs ECC code length (determine function vs check uniqueness)", Run: Fig6})
+	register(Generator{ID: "fig6", Description: "Figure 6: BEER runtime and memory vs ECC code length (determine function vs check uniqueness)", Run: fig6})
 }
 
-// Fig6Point is one code-length measurement of solver cost.
-type Fig6Point struct {
+// fig6Point is one code-length measurement of solver cost.
+type fig6Point struct {
 	K             int
 	DetermineTime time.Duration
 	UniqueTime    time.Duration
@@ -26,11 +26,11 @@ type Fig6Point struct {
 	Vars, Clauses int
 }
 
-// Fig6Measure runs BEER's SAT phases for one dataword length with 1-CHARGED
+// fig6Measure runs BEER's SAT phases for one dataword length with 1-CHARGED
 // profiles (the paper's Figure 6 configuration) and reports wall-clock time
 // split into determine-function and check-uniqueness phases plus memory
 // allocated.
-func Fig6Measure(ctx context.Context, k int, seed uint64) (Fig6Point, error) {
+func fig6Measure(ctx context.Context, k int, seed uint64) (fig6Point, error) {
 	rng := rand.New(rand.NewPCG(seed, uint64(k)))
 	code := ecc.RandomHamming(k, rng)
 	prof := core.ExactProfile(code, core.OneCharged(k))
@@ -39,10 +39,10 @@ func Fig6Measure(ctx context.Context, k int, seed uint64) (Fig6Point, error) {
 	runtime.ReadMemStats(&before)
 	res, err := core.Solve(ctx, prof, core.SolveOptions{ParityBits: code.ParityBits(), MaxSolutions: 2})
 	if err != nil {
-		return Fig6Point{}, err
+		return fig6Point{}, err
 	}
 	runtime.ReadMemStats(&after)
-	return Fig6Point{
+	return fig6Point{
 		K:             k,
 		DetermineTime: res.DetermineTime,
 		UniqueTime:    res.UniquenessTime,
@@ -53,12 +53,12 @@ func Fig6Measure(ctx context.Context, k int, seed uint64) (Fig6Point, error) {
 	}, nil
 }
 
-// Fig6 renders the runtime/memory scaling table. The paper reports the same
+// fig6 renders the runtime/memory scaling table. The paper reports the same
 // series for Z3 on Xeon servers (negligible for short codes; 57.1 h median
 // and 6.3 GiB for 128-bit codes); the pure-Go CDCL solver's absolute numbers
 // differ but the scaling shape — a jump at every added parity bit — is the
 // comparison target.
-func Fig6(ctx context.Context, w io.Writer, scale Scale) error {
+func fig6(ctx context.Context, w io.Writer, scale Scale) error {
 	var ks []int
 	switch scale {
 	case ScaleQuick:
@@ -72,7 +72,7 @@ func Fig6(ctx context.Context, w io.Writer, scale Scale) error {
 	fmt.Fprintf(w, "%-6s %-14s %-14s %-14s %-10s %-8s %s\n",
 		"k", "determine", "uniqueness", "total", "alloc MiB", "vars", "clauses")
 	for _, k := range ks {
-		p, err := Fig6Measure(ctx, k, 0xF6)
+		p, err := fig6Measure(ctx, k, 0xF6)
 		if err != nil {
 			return err
 		}

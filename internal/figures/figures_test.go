@@ -45,7 +45,7 @@ func TestParseScale(t *testing.T) {
 
 func TestTable1Content(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Table1(context.Background(), &buf, ScaleQuick); err != nil {
+	if err := table1(context.Background(), &buf, ScaleQuick); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -64,7 +64,7 @@ func TestTable1Content(t *testing.T) {
 
 func TestTable2Content(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Table2(context.Background(), &buf, ScaleQuick); err != nil {
+	if err := table2(context.Background(), &buf, ScaleQuick); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -107,7 +107,7 @@ func TestAllGeneratorsQuick(t *testing.T) {
 }
 
 func TestFig5SweepInvariants(t *testing.T) {
-	points, err := Fig5Sweep(context.Background(), []int{4, 6}, nil, 2, 8, 1)
+	points, err := fig5Sweep(context.Background(), []int{4, 6}, nil, 2, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestFig5SweepInvariants(t *testing.T) {
 		t.Fatal("no sets requested should give no points")
 	}
 	sets := []core.PatternSet{core.Set1, core.Set2, core.Set3, core.Set12}
-	points, err = Fig5Sweep(context.Background(), []int{4}, sets, 3, 8, 2)
+	points, err = fig5Sweep(context.Background(), []int{4}, sets, 3, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestFig5SweepInvariants(t *testing.T) {
 }
 
 func TestFig6MeasureSane(t *testing.T) {
-	p, err := Fig6Measure(context.Background(), 8, 1)
+	p, err := fig6Measure(context.Background(), 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestFig5PaperCheckpoints(t *testing.T) {
 		t.Skip("sweep takes a few seconds")
 	}
 	sets := []core.PatternSet{core.Set1, core.Set12}
-	points, err := Fig5Sweep(context.Background(), []int{4, 8, 11}, sets, 4, 8, 0xCF)
+	points, err := fig5Sweep(context.Background(), []int{4, 8, 11}, sets, 4, 8, 0xCF)
 	if err != nil {
 		t.Fatal(err)
 	}

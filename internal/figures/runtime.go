@@ -11,16 +11,16 @@ import (
 )
 
 func init() {
-	register(Generator{ID: "runtime", Description: "Section 6.3: analytical experiment-runtime model for the tREFw sweep", Run: RuntimeModel})
+	register(Generator{ID: "runtime", Description: "Section 6.3: analytical experiment-runtime model for the tREFw sweep", Run: runtimeModel})
 }
 
-// RuntimeModel reproduces §6.3's analytical runtime analysis: experiment
+// runtimeModel reproduces §6.3's analytical runtime analysis: experiment
 // time is dominated by the refresh pauses, so the total is the sum of tested
 // windows (4.2 hours for the paper's 2..22-minute sweep); chip I/O is
 // negligible (168 ms to read a full 2 GiB LPDDR4-3200 chip). It also prints
 // the analytic raw bit error rate the retention model yields per window, the
 // planning data for choosing a sweep.
-func RuntimeModel(ctx context.Context, w io.Writer, _ Scale) error {
+func runtimeModel(ctx context.Context, w io.Writer, _ Scale) error {
 	var opts core.CollectOptions
 	for m := 2; m <= 22; m++ {
 		opts.Windows = append(opts.Windows, time.Duration(m)*time.Minute)

@@ -12,18 +12,18 @@ import (
 )
 
 func init() {
-	register(Generator{ID: "table1", Description: "Table 1: error patterns, syndromes and outcomes for the Equation-3 codeword of the (7,4) Hamming code", Run: Table1})
-	register(Generator{ID: "table2", Description: "Table 2: miscorrection profile of the (7,4) Hamming code under the 1-CHARGED patterns", Run: Table2})
+	register(Generator{ID: "table1", Description: "Table 1: error patterns, syndromes and outcomes for the Equation-3 codeword of the (7,4) Hamming code", Run: table1})
+	register(Generator{ID: "table2", Description: "Table 2: miscorrection profile of the (7,4) Hamming code under the 1-CHARGED patterns", Run: table2})
 }
 
-// Table1 reproduces the paper's Table 1. The Equation-3 codeword is
+// table1 reproduces the paper's Table 1. The Equation-3 codeword is
 // [D D C D | D C C]: data bit 2 and parity bits 1 and 2 (codeword positions
 // 5 and 6) are CHARGED. Since only CHARGED cells can experience
 // data-retention errors, the 2^3 subsets of {2, 5, 6} are the possible error
 // patterns; the syndrome of each is the XOR of the matching parity-check
 // columns, and the outcome follows from the error count (No error /
 // Correctable / Uncorrectable for a single-error-correcting code).
-func Table1(ctx context.Context, w io.Writer, _ Scale) error {
+func table1(ctx context.Context, w io.Writer, _ Scale) error {
 	code := ecc.Hamming74()
 	charged := []int{2, 5, 6} // codeword positions of CHARGED cells (Eq. 3)
 	fmt.Fprintln(w, "Table 1: data-retention error patterns for codeword [D D C D | D C C] (Eq. 3)")
@@ -83,9 +83,9 @@ func classify(errCount int) string {
 	}
 }
 
-// Table2 reproduces the paper's Table 2: the 1-CHARGED miscorrection profile
+// table2 reproduces the paper's Table 2: the 1-CHARGED miscorrection profile
 // of the Equation-1 code, printed with the paper's -, 1, ? notation.
-func Table2(ctx context.Context, w io.Writer, _ Scale) error {
+func table2(ctx context.Context, w io.Writer, _ Scale) error {
 	code := ecc.Hamming74()
 	prof := core.ExactProfile(code, core.OneCharged(code.K()))
 	fmt.Fprintln(w, "Table 2: miscorrection profile of the (7,4) Hamming code (Eq. 1)")

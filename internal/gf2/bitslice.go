@@ -2,7 +2,6 @@ package gf2
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 )
 
@@ -20,12 +19,6 @@ type Batch struct {
 	bits  int
 	lanes int
 	w     []uint64 // len == bits; row-indexed
-}
-
-// NewBatch returns an all-zero batch of the given shape with fresh storage.
-func NewBatch(bitsN, lanes int) Batch {
-	checkShape(bitsN, lanes)
-	return Batch{bits: bitsN, lanes: lanes, w: make([]uint64, bitsN)}
 }
 
 func checkShape(bitsN, lanes int) {
@@ -53,43 +46,7 @@ func (b Batch) LaneMask() uint64 {
 
 // Words returns the backing row words. The slice aliases the batch: writes
 // through it mutate the batch, and callers must keep inactive-lane bits zero.
-// This is the hot-path accessor; Get/Set exist for tests and glue.
 func (b Batch) Words() []uint64 { return b.w }
-
-// Row returns row r (bit position r across all lanes).
-func (b Batch) Row(r int) uint64 { return b.w[r] }
-
-// Get reports whether bit r of lane j is set.
-func (b Batch) Get(r, j int) bool {
-	b.checkAt(r, j)
-	return b.w[r]>>uint(j)&1 == 1
-}
-
-// Set sets bit r of lane j.
-func (b Batch) Set(r, j int, bit bool) {
-	b.checkAt(r, j)
-	if bit {
-		b.w[r] |= 1 << uint(j)
-	} else {
-		b.w[r] &^= 1 << uint(j)
-	}
-}
-
-func (b Batch) checkAt(r, j int) {
-	if r < 0 || r >= b.bits {
-		panic(fmt.Sprintf("gf2: batch row %d out of range [0,%d)", r, b.bits))
-	}
-	if j < 0 || j >= b.lanes {
-		panic(fmt.Sprintf("gf2: batch lane %d out of range [0,%d)", j, b.lanes))
-	}
-}
-
-// ZeroRows clears every row.
-func (b Batch) ZeroRows() {
-	for i := range b.w {
-		b.w[i] = 0
-	}
-}
 
 // PackVec scatters scalar vector v into lane j. v.Len() must equal Bits().
 func (b Batch) PackVec(j int, v Vec) {
@@ -109,28 +66,12 @@ func (b Batch) PackVec(j int, v Vec) {
 // UnpackLane gathers lane j into a fresh scalar vector of length Bits().
 func (b Batch) UnpackLane(j int) Vec {
 	v := NewVec(b.bits)
-	b.UnpackLaneInto(j, v)
-	return v
-}
-
-// UnpackLaneInto gathers lane j into dst, which must have length Bits().
-func (b Batch) UnpackLaneInto(j int, dst Vec) {
-	if dst.Len() != b.bits {
-		panic(fmt.Sprintf("gf2: unpacking %d-bit batch lane into length-%d vector", b.bits, dst.Len()))
-	}
-	for i := range dst.w {
-		dst.w[i] = 0
-	}
 	for r := 0; r < b.bits; r++ {
 		if b.w[r]>>uint(j)&1 == 1 {
-			dst.w[r/wordBits] |= 1 << (uint(r) % wordBits)
+			v.w[r/wordBits] |= 1 << (uint(r) % wordBits)
 		}
 	}
-}
-
-// PopRow returns the number of active lanes whose bit r is set.
-func (b Batch) PopRow(r int) int {
-	return bits.OnesCount64(b.w[r] & b.LaneMask())
+	return v
 }
 
 // Slab is a bump allocator for batch rows: one backing array serves every

@@ -124,40 +124,15 @@ func (m Mat) MulVec(v Vec) Vec {
 	}
 	out := NewVec(m.rows)
 	for i := 0; i < m.rows; i++ {
-		if m.r[i].Dot(v) == 1 {
+		if m.r[i].dot(v) == 1 {
 			out.Set(i, true)
 		}
 	}
 	return out
 }
 
-// VecMul returns v^T * m (a row vector times the matrix), i.e. the XOR of the
-// rows of m selected by the set bits of v. v must have length Rows().
-func (m Mat) VecMul(v Vec) Vec {
-	if v.Len() != m.rows {
-		panic(fmt.Sprintf("gf2: VecMul length %d, want %d", v.Len(), m.rows))
-	}
-	out := NewVec(m.cols)
-	for _, i := range v.Support() {
-		out.XorInto(m.r[i])
-	}
-	return out
-}
-
-// Mul returns the matrix product m * x.
-func (m Mat) Mul(x Mat) Mat {
-	if m.cols != x.rows {
-		panic(fmt.Sprintf("gf2: Mul shape mismatch %dx%d * %dx%d", m.rows, m.cols, x.rows, x.cols))
-	}
-	out := NewMat(m.rows, x.cols)
-	for i := 0; i < m.rows; i++ {
-		out.r[i] = x.VecMul(m.r[i])
-	}
-	return out
-}
-
-// Transpose returns m^T.
-func (m Mat) Transpose() Mat {
+// transpose returns m^T.
+func (m Mat) transpose() Mat {
 	t := NewMat(m.cols, m.rows)
 	for i := 0; i < m.rows; i++ {
 		row := m.r[i]

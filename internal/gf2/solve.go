@@ -5,9 +5,9 @@ package gf2
 // package's generator/parity-check manipulation and BEEP's Equation-4 solve
 // for pre-correction codewords.
 
-// RREF returns the reduced row-echelon form of m together with the pivot
+// rref returns the reduced row-echelon form of m together with the pivot
 // column indices (one per nonzero row of the result, in increasing order).
-func (m Mat) RREF() (Mat, []int) {
+func (m Mat) rref() (Mat, []int) {
 	a := m.Clone()
 	var pivots []int
 	row := 0
@@ -36,12 +36,6 @@ func (m Mat) RREF() (Mat, []int) {
 	return a, pivots
 }
 
-// Rank returns the rank of m over GF(2).
-func (m Mat) Rank() int {
-	_, pivots := m.RREF()
-	return len(pivots)
-}
-
 // Solve finds one solution x of m * x = b, reporting ok=false when the system
 // is inconsistent. When the system is underdetermined the free variables are
 // set to zero.
@@ -49,8 +43,8 @@ func (m Mat) Solve(b Vec) (x Vec, ok bool) {
 	if b.Len() != m.rows {
 		panic("gf2: Solve dimension mismatch")
 	}
-	aug := m.HStack(MatFromRows(b).Transpose())
-	r, pivots := aug.RREF()
+	aug := m.HStack(MatFromRows(b).transpose())
+	r, pivots := aug.rref()
 	x = NewVec(m.cols)
 	for i, p := range pivots {
 		if p == m.cols {
@@ -66,7 +60,7 @@ func (m Mat) Solve(b Vec) (x Vec, ok bool) {
 // NullSpace returns a basis of the right null space of m (vectors x with
 // m * x = 0). The returned slice is empty when the kernel is trivial.
 func (m Mat) NullSpace() []Vec {
-	r, pivots := m.RREF()
+	r, pivots := m.rref()
 	isPivot := make([]bool, m.cols)
 	for _, p := range pivots {
 		isPivot[p] = true
@@ -86,23 +80,4 @@ func (m Mat) NullSpace() []Vec {
 		basis = append(basis, v)
 	}
 	return basis
-}
-
-// Inverse returns the inverse of a square matrix, reporting ok=false when m
-// is singular.
-func (m Mat) Inverse() (Mat, bool) {
-	if m.rows != m.cols {
-		panic("gf2: Inverse of non-square matrix")
-	}
-	aug := m.HStack(Identity(m.rows))
-	r, pivots := aug.RREF()
-	if len(pivots) != m.rows {
-		return Mat{}, false
-	}
-	for i, p := range pivots {
-		if p != i {
-			return Mat{}, false // pivot escaped the left block: singular
-		}
-	}
-	return r.SubMatrix(0, m.rows, m.cols, 2*m.cols), true
 }

@@ -88,14 +88,6 @@ func (v Vec) Get(i int) bool {
 	return v.w[i/wordBits]>>(uint(i)%wordBits)&1 == 1
 }
 
-// Bit returns bit i as 0 or 1.
-func (v Vec) Bit(i int) int {
-	if v.Get(i) {
-		return 1
-	}
-	return 0
-}
-
 // Set sets bit i to b.
 func (v Vec) Set(i int, b bool) {
 	v.check(i)
@@ -172,36 +164,8 @@ func (v Vec) Xor(u Vec) Vec {
 	return c
 }
 
-// AndInto sets v = v AND u. Lengths must match.
-func (v Vec) AndInto(u Vec) {
-	v.sameLen(u)
-	for i := range v.w {
-		v.w[i] &= u.w[i]
-	}
-}
-
-// And returns v AND u as a new vector.
-func (v Vec) And(u Vec) Vec {
-	c := v.Clone()
-	c.AndInto(u)
-	return c
-}
-
-// SubsetOf reports whether the support of v is contained in the support of u,
-// i.e. every set bit of v is also set in u. This is the 1-CHARGED
-// miscorrection condition from the BEER analysis (DESIGN.md §4).
-func (v Vec) SubsetOf(u Vec) bool {
-	v.sameLen(u)
-	for i := range v.w {
-		if v.w[i]&^u.w[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Dot returns the GF(2) inner product of v and u (parity of AND).
-func (v Vec) Dot(u Vec) int {
+// dot returns the GF(2) inner product of v and u (parity of AND).
+func (v Vec) dot(u Vec) int {
 	v.sameLen(u)
 	var acc uint64
 	for i := range v.w {
@@ -221,16 +185,6 @@ func (v Vec) Support() []int {
 		}
 	}
 	return s
-}
-
-// FirstSet returns the index of the lowest set bit, or -1 if v is zero.
-func (v Vec) FirstSet() int {
-	for wi, w := range v.w {
-		if w != 0 {
-			return wi*wordBits + bits.TrailingZeros64(w)
-		}
-	}
-	return -1
 }
 
 // Slice returns a copy of bits [lo, hi) as a new vector of length hi-lo.

@@ -15,9 +15,7 @@
 // deterministically (for simulation-driven evaluation of the noisy
 // recovery path — the generator counterpart is einsim's
 // ModelPerBitBernoulli, which injects such errors during Monte-Carlo
-// simulation). SupportFromCounts scores each profile entry's observation
-// support so the drop-k relaxation in core (SolveOptions.Noisy) retracts
-// the weakest-supported entries of an UNSAT core first.
+// simulation).
 package noise
 
 import (
@@ -60,15 +58,15 @@ func (m Model) Validate() error {
 	return nil
 }
 
-// Zero reports whether the model never corrupts anything.
-func (m Model) Zero() bool { return m.FP == 0 && m.FN == 0 }
+// zero reports whether the model never corrupts anything.
+func (m Model) zero() bool { return m.FP == 0 && m.FN == 0 }
 
-// Perturb returns a corrupted copy of a profile plus the indexes of the
+// perturb returns a corrupted copy of a profile plus the indexes of the
 // entries it changed (ascending). CHARGED positions are never touched —
 // they are ambiguous by construction ('?' in the paper's Table 2) and
 // carry no constraint. The input profile is not modified. Determinism: the
 // corruption depends only on (Model, profile shape), not on call order.
-func (m Model) Perturb(p *core.Profile) (*core.Profile, []int) {
+func (m Model) perturb(p *core.Profile) (*core.Profile, []int) {
 	rng := rand.New(rand.NewPCG(m.Seed, 0x9e3779b97f4a7c15))
 	out := &core.Profile{K: p.K, Entries: make([]core.Entry, len(p.Entries))}
 	var touched []int
@@ -104,58 +102,11 @@ func (m Model) Perturb(p *core.Profile) (*core.Profile, []int) {
 // recovery pipeline's injection point between thresholding and solving. A
 // zero model returns nil so the exact pipeline stays untouched.
 func (m Model) Perturber() func(*core.Profile) *core.Profile {
-	if m.Zero() {
+	if m.zero() {
 		return nil
 	}
 	return func(p *core.Profile) *core.Profile {
-		out, _ := m.Perturb(p)
+		out, _ := m.perturb(p)
 		return out
 	}
-}
-
-// SupportFromCounts scores each profile entry's observation support in
-// (0, 1], aligned with prof.Entries, for core.NoisyOptions.Support. An
-// entry's support is the observation count of its weakest possible-bit
-// normalized by the strongest such count across entries — a bit that
-// barely cleared the §5.2 threshold (the false-positive signature) drags
-// its entry's score down, while entries whose every possible-bit was seen
-// often score near 1. Entries with no possible bits score 1: their
-// all-impossible claim is backed by the entire word count. The profile
-// must be the counts' Threshold output (same entry order).
-func SupportFromCounts(c *core.Counts, prof *core.Profile) ([]float64, error) {
-	if c == nil || prof == nil {
-		return nil, fmt.Errorf("noise: nil counts or profile")
-	}
-	if len(c.Entries) != len(prof.Entries) || c.K != prof.K {
-		return nil, fmt.Errorf("noise: counts (k=%d, %d entries) do not match profile (k=%d, %d entries)",
-			c.K, len(c.Entries), prof.K, len(prof.Entries))
-	}
-	weakest := make([]int64, len(prof.Entries))
-	var strongest int64
-	for i, e := range prof.Entries {
-		ce := c.Entries[i]
-		min := int64(-1)
-		for b := 0; b < prof.K; b++ {
-			if e.Pattern.Has(b) || !e.Possible.Get(b) {
-				continue
-			}
-			if n := ce.Errors[b]; min < 0 || n < min {
-				min = n
-			}
-		}
-		weakest[i] = min
-		if min > strongest {
-			strongest = min
-		}
-	}
-	support := make([]float64, len(prof.Entries))
-	for i, w := range weakest {
-		switch {
-		case w < 0 || strongest == 0:
-			support[i] = 1
-		default:
-			support[i] = float64(w) / float64(strongest)
-		}
-	}
-	return support, nil
 }

@@ -2,6 +2,7 @@ package noise
 
 import (
 	"context"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -18,8 +19,8 @@ func testProfile(t *testing.T, k int, seed uint64) (*ecc.Code, *core.Profile) {
 func TestPerturbDeterministic(t *testing.T) {
 	_, prof := testProfile(t, 16, 3)
 	m := Model{FP: 0.1, FN: 0.2, Seed: 42}
-	a, touchedA := m.Perturb(prof)
-	b, touchedB := m.Perturb(prof)
+	a, touchedA := m.perturb(prof)
+	b, touchedB := m.perturb(prof)
 	if len(touchedA) != len(touchedB) {
 		t.Fatalf("same model touched %d then %d entries", len(touchedA), len(touchedB))
 	}
@@ -34,7 +35,7 @@ func TestPerturbDeterministic(t *testing.T) {
 		}
 	}
 	// A different seed draws an independent corruption pattern.
-	c, _ := Model{FP: 0.1, FN: 0.2, Seed: 43}.Perturb(prof)
+	c, _ := Model{FP: 0.1, FN: 0.2, Seed: 43}.perturb(prof)
 	same := true
 	for i := range a.Entries {
 		if !a.Entries[i].Possible.Equal(c.Entries[i].Possible) {
@@ -52,7 +53,7 @@ func TestPerturbDoesNotModifyInput(t *testing.T) {
 	for i, e := range prof.Entries {
 		before[i] = e.Possible.String()
 	}
-	Model{FP: 1, FN: 1, Seed: 1}.Perturb(prof)
+	Model{FP: 1, FN: 1, Seed: 1}.perturb(prof)
 	for i, e := range prof.Entries {
 		if e.Possible.String() != before[i] {
 			t.Fatalf("Perturb modified input entry %d", i)
@@ -65,7 +66,7 @@ func TestPerturbDoesNotModifyInput(t *testing.T) {
 // construction and must never be corrupted.
 func TestPerturbChargedInvariant(t *testing.T) {
 	_, prof := testProfile(t, 10, 5)
-	out, touched := Model{FP: 1, FN: 1, Seed: 9}.Perturb(prof)
+	out, touched := Model{FP: 1, FN: 1, Seed: 9}.perturb(prof)
 	if len(touched) != len(prof.Entries) {
 		t.Fatalf("rates 1/1 touched %d of %d entries", len(touched), len(prof.Entries))
 	}
@@ -85,14 +86,14 @@ func TestPerturbChargedInvariant(t *testing.T) {
 }
 
 func TestZeroModel(t *testing.T) {
-	if !(Model{}).Zero() || (Model{FP: 0.1}).Zero() {
+	if !(Model{}).zero() || (Model{FP: 0.1}).zero() {
 		t.Fatal("Zero() misclassifies")
 	}
 	if (Model{Seed: 99}).Perturber() != nil {
 		t.Fatal("zero model must yield a nil Perturber")
 	}
 	_, prof := testProfile(t, 8, 1)
-	out, touched := (Model{}).Perturb(prof)
+	out, touched := (Model{}).perturb(prof)
 	if len(touched) != 0 {
 		t.Fatalf("zero model touched entries %v", touched)
 	}
@@ -114,6 +115,53 @@ func TestValidate(t *testing.T) {
 			t.Fatalf("%+v validated", m)
 		}
 	}
+}
+
+// supportFromCounts scores each profile entry's observation support in
+// (0, 1], aligned with prof.Entries, for core.NoisyOptions.Support. An
+// entry's support is the observation count of its weakest possible-bit
+// normalized by the strongest such count across entries — a bit that
+// barely cleared the §5.2 threshold (the false-positive signature) drags
+// its entry's score down, while entries whose every possible-bit was seen
+// often score near 1. Entries with no possible bits score 1: their
+// all-impossible claim is backed by the entire word count. The profile
+// must be the counts' Threshold output (same entry order).
+func supportFromCounts(c *core.Counts, prof *core.Profile) ([]float64, error) {
+	if c == nil || prof == nil {
+		return nil, fmt.Errorf("noise: nil counts or profile")
+	}
+	if len(c.Entries) != len(prof.Entries) || c.K != prof.K {
+		return nil, fmt.Errorf("noise: counts (k=%d, %d entries) do not match profile (k=%d, %d entries)",
+			c.K, len(c.Entries), prof.K, len(prof.Entries))
+	}
+	weakest := make([]int64, len(prof.Entries))
+	var strongest int64
+	for i, e := range prof.Entries {
+		ce := c.Entries[i]
+		min := int64(-1)
+		for b := 0; b < prof.K; b++ {
+			if e.Pattern.Has(b) || !e.Possible.Get(b) {
+				continue
+			}
+			if n := ce.Errors[b]; min < 0 || n < min {
+				min = n
+			}
+		}
+		weakest[i] = min
+		if min > strongest {
+			strongest = min
+		}
+	}
+	support := make([]float64, len(prof.Entries))
+	for i, w := range weakest {
+		switch {
+		case w < 0 || strongest == 0:
+			support[i] = 1
+		default:
+			support[i] = float64(w) / float64(strongest)
+		}
+	}
+	return support, nil
 }
 
 // TestSupportFromCounts: an entry whose weakest possible-bit observation
@@ -146,7 +194,7 @@ func TestSupportFromCounts(t *testing.T) {
 	if weak < 0 {
 		t.Fatal("profile has no entry with possible bits")
 	}
-	support, err := SupportFromCounts(counts, prof)
+	support, err := supportFromCounts(counts, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,22 +215,22 @@ func TestSupportFromCounts(t *testing.T) {
 	}
 
 	// Shape mismatches are rejected.
-	if _, err := SupportFromCounts(counts, &core.Profile{K: prof.K}); err == nil {
+	if _, err := supportFromCounts(counts, &core.Profile{K: prof.K}); err == nil {
 		t.Fatal("entry-count mismatch accepted")
 	}
-	if _, err := SupportFromCounts(nil, prof); err == nil {
+	if _, err := supportFromCounts(nil, prof); err == nil {
 		t.Fatal("nil counts accepted")
 	}
 }
 
 // TestPerturbThenNoisySolveRecovers is the package-level integration: a
 // false-positive Model corrupts an exact 1-CHARGED profile, and the drop-k
-// engine — steered by support scores shaped like SupportFromCounts output —
+// engine — steered by per-entry support scores —
 // retracts the corrupted entries and recovers the ground truth.
 func TestPerturbThenNoisySolveRecovers(t *testing.T) {
 	code, prof := testProfile(t, 24, 17)
 	m := Model{FP: 0.01, Seed: 23}
-	corrupted, touched := m.Perturb(prof)
+	corrupted, touched := m.perturb(prof)
 	if len(touched) == 0 {
 		t.Skip("model touched nothing at this seed; pick another")
 	}

@@ -16,7 +16,7 @@ import (
 // instrumentation overhead is ratcheted by CI rather than assumed
 // negligible.
 func BenchmarkMetricsHotPath(b *testing.B) {
-	r := NewRegistry()
+	r := newRegistry()
 	c := r.Counter("bench_events_total", "x")
 	h := r.Histogram("bench_latency_seconds", "x", nil)
 	workers := runtime.GOMAXPROCS(0)

@@ -23,14 +23,14 @@ type Sample struct {
 	Value  float64
 }
 
-// ParseExposition parses and validates a Prometheus text-format document,
+// parseExposition parses and validates a Prometheus text-format document,
 // returning the families keyed by name. It enforces the grammar the smoke
 // suites and golden tests gate on: metric/label name character sets, HELP
 // and TYPE appearing at most once and before any sample of their family,
 // parseable sample values, and — for histograms — cumulative
 // non-decreasing buckets whose +Inf bucket equals _count. A family with
 // metadata but zero samples is legal (a labeled family before first use).
-func ParseExposition(text string) (map[string]*Family, error) {
+func parseExposition(text string) (map[string]*Family, error) {
 	families := make(map[string]*Family)
 	// sampled tracks families that have emitted at least one sample, to
 	// reject metadata appearing after samples.
@@ -321,7 +321,7 @@ func checkHistogram(f *Family) error {
 // the shared assertion behind the golden test and both smoke suites'
 // /metrics scrapes. Returns the parsed families for further checks.
 func CheckFamilies(text string, want ...string) (map[string]*Family, error) {
-	fams, err := ParseExposition(text)
+	fams, err := parseExposition(text)
 	if err != nil {
 		return nil, fmt.Errorf("malformed exposition: %w", err)
 	}

@@ -93,42 +93,11 @@ func (h *HDR) Record(v int64) {
 	h.mu.Unlock()
 }
 
-// Merge folds o's observations into h (per-worker histograms merged after a
-// run).
-func (h *HDR) Merge(o *HDR) {
-	o.mu.Lock()
-	counts, total, sum, omin, omax := o.counts, o.total, o.sum, o.min, o.max
-	o.mu.Unlock()
-	if total == 0 {
-		return
-	}
-	h.mu.Lock()
-	for i, c := range counts {
-		h.counts[i] += c
-	}
-	h.total += total
-	h.sum += sum
-	if h.min < 0 || (omin >= 0 && omin < h.min) {
-		h.min = omin
-	}
-	if omax > h.max {
-		h.max = omax
-	}
-	h.mu.Unlock()
-}
-
-// Count returns the number of recorded observations.
-func (h *HDR) Count() int64 {
+// count returns the number of recorded observations.
+func (h *HDR) count() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.total
-}
-
-// Sum returns the sum of recorded values.
-func (h *HDR) Sum() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
 }
 
 // Mean returns the arithmetic mean of recorded values (0 when empty).
@@ -141,8 +110,8 @@ func (h *HDR) Mean() float64 {
 	return float64(h.sum) / float64(h.total)
 }
 
-// Min returns the smallest recorded value (0 when empty).
-func (h *HDR) Min() int64 {
+// minValue returns the smallest recorded value (0 when empty).
+func (h *HDR) minValue() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return max(h.min, 0)
@@ -190,5 +159,5 @@ func (h *HDR) Quantile(q float64) int64 {
 // String summarizes the distribution for logs.
 func (h *HDR) String() string {
 	return fmt.Sprintf("count=%d min=%d p50=%d p95=%d p99=%d max=%d",
-		h.Count(), h.Min(), h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99), h.Max())
+		h.count(), h.minValue(), h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99), h.Max())
 }

@@ -67,7 +67,7 @@ func (h *Hub) Middleware(next http.Handler) http.Handler {
 		start := time.Now()
 		sc, _ := ParseTraceparent(r.Header.Get(TraceparentHeader))
 		if sc.Valid() {
-			r = r.WithContext(ContextWithSpan(r.Context(), sc))
+			r = r.WithContext(contextWithSpan(r.Context(), sc))
 		}
 		sw := &statusWriter{ResponseWriter: w}
 		next.ServeHTTP(sw, r)

@@ -29,8 +29,8 @@ type family struct {
 	collect         func(b *strings.Builder)
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
+// newRegistry returns an empty registry.
+func newRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
@@ -135,9 +135,9 @@ func labelString(names, values []string) string {
 	return b.String()
 }
 
-// WritePrometheus renders every registered family, sorted by name, in the
+// writePrometheus renders every registered family, sorted by name, in the
 // text exposition format.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+func (r *Registry) writePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	fams := make([]*family, 0, len(r.families))
 	for _, f := range r.families {
@@ -160,7 +160,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		r.WritePrometheus(w)
+		r.writePrometheus(w)
 	})
 }
 
@@ -206,40 +206,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	})
 }
 
-// Gauge is a float metric that can go up and down.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds delta with a CAS loop.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Gauge registers and returns a gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.register(name, help, "gauge", nil, func(b *strings.Builder) {
-		b.WriteString(name)
-		b.WriteByte(' ')
-		b.WriteString(formatValue(g.Value()))
-		b.WriteByte('\n')
-	})
-	return g
-}
-
 // GaugeFunc registers a gauge read from fn at scrape time (goroutine
 // counts, heap bytes, registry sizes — anything already counted elsewhere).
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
@@ -251,8 +217,8 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	})
 }
 
-// DefBuckets are the classic Prometheus duration buckets (seconds).
-var DefBuckets = []float64{.005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
+// defBuckets are the classic Prometheus duration buckets (seconds).
+var defBuckets = []float64{.005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
 
 // Histogram is a classic cumulative-bucket histogram. Observations are two
 // atomic adds plus a CAS for the sum; bucket counts are kept per-bucket
@@ -285,15 +251,12 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
+// sum returns the sum of observed values.
+func (h *Histogram) sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
 func newHistogram(buckets []float64) *Histogram {
 	if len(buckets) == 0 {
-		buckets = DefBuckets
+		buckets = defBuckets
 	}
 	for i := 1; i < len(buckets); i++ {
 		if buckets[i] <= buckets[i-1] {
@@ -328,7 +291,7 @@ func (h *Histogram) writeSamples(b *strings.Builder, name, extra string) {
 		b.WriteString(strconv.FormatInt(cum, 10))
 		b.WriteByte('\n')
 	}
-	total := h.Count()
+	total := h.count.Load()
 	b.WriteString(name)
 	b.WriteString(`_bucket{`)
 	if extra != "" {
@@ -347,7 +310,7 @@ func (h *Histogram) writeSamples(b *strings.Builder, name, extra string) {
 	b.WriteString("_sum")
 	b.WriteString(suffix)
 	b.WriteByte(' ')
-	b.WriteString(formatValue(h.Sum()))
+	b.WriteString(formatValue(h.sum()))
 	b.WriteByte('\n')
 	b.WriteString(name)
 	b.WriteString("_count")
@@ -358,7 +321,7 @@ func (h *Histogram) writeSamples(b *strings.Builder, name, extra string) {
 }
 
 // Histogram registers and returns a histogram. Nil buckets selects
-// DefBuckets.
+// defBuckets.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	h := newHistogram(buckets)
 	r.register(name, help, "histogram", nil, func(b *strings.Builder) {
@@ -468,7 +431,7 @@ func (v *HistogramVec) collect(b *strings.Builder) {
 }
 
 // HistogramVec registers a labeled histogram family. Nil buckets selects
-// DefBuckets.
+// defBuckets.
 func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
 	v := &HistogramVec{name: name, labels: labels, buckets: buckets, children: make(map[string]*Histogram)}
 	r.register(name, help, "histogram", labels, v.collect)

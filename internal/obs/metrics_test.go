@@ -11,24 +11,22 @@ import (
 func render(t *testing.T, r *Registry) string {
 	t.Helper()
 	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
+	if err := r.writePrometheus(&sb); err != nil {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
 	return sb.String()
 }
 
 func TestCounterGaugeExposition(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	c := r.Counter("test_ops_total", "Ops.")
-	g := r.Gauge("test_depth", "Depth.")
+	r.GaugeFunc("test_depth", "Depth.", func() float64 { return 1.5 })
 	c.Inc()
 	c.Add(4)
 	c.Add(-3) // ignored: counters only grow
-	g.Set(2.5)
-	g.Add(-1)
 
 	text := render(t, r)
-	fams, err := ParseExposition(text)
+	fams, err := parseExposition(text)
 	if err != nil {
 		t.Fatalf("own output fails validation: %v\n%s", err, text)
 	}
@@ -44,13 +42,13 @@ func TestCounterGaugeExposition(t *testing.T) {
 }
 
 func TestHistogramCumulativeBuckets(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	h := r.Histogram("test_seconds", "Latency.", []float64{0.1, 1, 10})
 	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
 		h.Observe(v)
 	}
 	text := render(t, r)
-	fams, err := ParseExposition(text)
+	fams, err := parseExposition(text)
 	if err != nil {
 		t.Fatalf("validation: %v\n%s", err, text)
 	}
@@ -69,13 +67,13 @@ func TestHistogramCumulativeBuckets(t *testing.T) {
 			t.Errorf("sum = %v, want 56.05", s.Value)
 		}
 	}
-	if h.Count() != 5 {
-		t.Errorf("Count() = %d, want 5", h.Count())
+	if h.count.Load() != 5 {
+		t.Errorf("count = %d, want 5", h.count.Load())
 	}
 }
 
 func TestVecsAndLabelEscaping(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	cv := r.CounterVec("test_jobs_total", "Jobs.", "type", "state")
 	cv.With("recover", "succeeded").Add(3)
 	cv.With(`we"ird\val`+"\n", "failed").Inc()
@@ -84,7 +82,7 @@ func TestVecsAndLabelEscaping(t *testing.T) {
 	hv.With("solve").Observe(2)
 
 	text := render(t, r)
-	fams, err := ParseExposition(text)
+	fams, err := parseExposition(text)
 	if err != nil {
 		t.Fatalf("validation: %v\n%s", err, text)
 	}
@@ -106,7 +104,7 @@ func TestVecsAndLabelEscaping(t *testing.T) {
 }
 
 func TestFuncCollectorsAndHandler(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	v := 7.0
 	r.GaugeFunc("test_live", "Live.", func() float64 { return v })
 	r.CounterFunc("test_seen_total", "Seen.", func() float64 { return 42 })
@@ -136,7 +134,7 @@ func TestFuncCollectorsAndHandler(t *testing.T) {
 }
 
 func TestRegistryRejectsBadAndDuplicateNames(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
 		defer func() {
@@ -155,10 +153,9 @@ func TestRegistryRejectsBadAndDuplicateNames(t *testing.T) {
 }
 
 func TestConcurrentIncrements(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	c := r.Counter("test_total", "x")
 	h := r.Histogram("test_lat", "x", nil)
-	g := r.Gauge("test_g", "x")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -167,7 +164,6 @@ func TestConcurrentIncrements(t *testing.T) {
 			for j := 0; j < 1000; j++ {
 				c.Inc()
 				h.Observe(0.01)
-				g.Add(1)
 			}
 		}()
 	}
@@ -175,13 +171,10 @@ func TestConcurrentIncrements(t *testing.T) {
 	if c.Value() != 8000 {
 		t.Errorf("counter = %d, want 8000", c.Value())
 	}
-	if h.Count() != 8000 {
-		t.Errorf("histogram count = %d, want 8000", h.Count())
+	if h.count.Load() != 8000 {
+		t.Errorf("histogram count = %d, want 8000", h.count.Load())
 	}
-	if g.Value() != 8000 {
-		t.Errorf("gauge = %v, want 8000", g.Value())
-	}
-	if _, err := ParseExposition(render(t, r)); err != nil {
+	if _, err := parseExposition(render(t, r)); err != nil {
 		t.Fatalf("validation after contention: %v", err)
 	}
 }
@@ -202,12 +195,12 @@ func TestParseExpositionRejectsMalformed(t *testing.T) {
 		"# TYPE h histogram\nh_bucket{le=\"+Inf\"} 4\nh_count 5\nh_sum 1\n",
 	}
 	for _, text := range bad {
-		if _, err := ParseExposition(text); err == nil {
+		if _, err := parseExposition(text); err == nil {
 			t.Errorf("accepted malformed exposition:\n%s", text)
 		}
 	}
 	good := "# HELP m total ops\n# TYPE m counter\nm{a=\"b\"} 1\nm{a=\"c\"} 2\n"
-	if _, err := ParseExposition(good); err != nil {
+	if _, err := parseExposition(good); err != nil {
 		t.Errorf("rejected valid exposition: %v", err)
 	}
 }

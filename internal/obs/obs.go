@@ -18,8 +18,8 @@ import (
 	"log/slog"
 )
 
-// DefaultTraceCapacity is the span ring-buffer size a Hub is built with.
-const DefaultTraceCapacity = 512
+// defaultTraceCapacity is the span ring-buffer size a Hub is built with.
+const defaultTraceCapacity = 512
 
 // Hub bundles the three observability facilities a beerd process shares
 // across its subsystems. Fields are never nil.
@@ -37,8 +37,8 @@ func NewHub(logger *slog.Logger) *Hub {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	h := &Hub{
-		Metrics: NewRegistry(),
-		Tracer:  NewTracer(DefaultTraceCapacity),
+		Metrics: newRegistry(),
+		Tracer:  newTracer(defaultTraceCapacity),
 		Log:     logger,
 	}
 	registerRuntimeMetrics(h.Metrics)

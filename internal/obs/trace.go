@@ -15,41 +15,35 @@ import (
 // job's root, its execution and its stages — carries the same TraceID.
 type TraceID [16]byte
 
-// IsZero reports whether the id is the invalid all-zero id.
-func (t TraceID) IsZero() bool { return t == TraceID{} }
+// isZero reports whether the id is the invalid all-zero id.
+func (t TraceID) isZero() bool { return t == TraceID{} }
 
 // String renders the id as 32 lowercase hex digits.
 func (t TraceID) String() string { return hex.EncodeToString(t[:]) }
 
-// SpanID identifies one span within a trace.
-type SpanID [8]byte
+// spanID identifies one span within a trace.
+type spanID [8]byte
 
-// IsZero reports whether the id is the invalid all-zero id.
-func (s SpanID) IsZero() bool { return s == SpanID{} }
+// isZero reports whether the id is the invalid all-zero id.
+func (s spanID) isZero() bool { return s == spanID{} }
 
 // String renders the id as 16 lowercase hex digits.
-func (s SpanID) String() string { return hex.EncodeToString(s[:]) }
+func (s spanID) String() string { return hex.EncodeToString(s[:]) }
 
 // SpanContext is the propagated slice of a span: enough to parent a child
 // span in another goroutine or another process.
 type SpanContext struct {
 	Trace TraceID
-	Span  SpanID
+	Span  spanID
 }
 
 // Valid reports whether both ids are nonzero.
-func (sc SpanContext) Valid() bool { return !sc.Trace.IsZero() && !sc.Span.IsZero() }
+func (sc SpanContext) Valid() bool { return !sc.Trace.isZero() && !sc.Span.isZero() }
 
 // TraceparentHeader is the HTTP header spans propagate through, following
 // the W3C Trace Context format: 00-<32 hex trace-id>-<16 hex parent-id>-<2
 // hex flags>.
 const TraceparentHeader = "traceparent"
-
-// Traceparent renders the context as a traceparent header value (sampled
-// flag always set — the ring buffer keeps everything).
-func (sc SpanContext) Traceparent() string {
-	return fmt.Sprintf("00-%s-%s-01", sc.Trace, sc.Span)
-}
 
 // ParseTraceparent parses a traceparent header value. It accepts any
 // version except the reserved ff, and rejects all-zero ids per the spec.
@@ -85,9 +79,9 @@ func ParseTraceparent(h string) (SpanContext, error) {
 
 type ctxKey struct{}
 
-// ContextWithSpan returns ctx carrying sc, for in-process propagation
+// contextWithSpan returns ctx carrying sc, for in-process propagation
 // (middleware → handler → submit).
-func ContextWithSpan(ctx context.Context, sc SpanContext) context.Context {
+func contextWithSpan(ctx context.Context, sc SpanContext) context.Context {
 	return context.WithValue(ctx, ctxKey{}, sc)
 }
 
@@ -121,17 +115,17 @@ type Tracer struct {
 	dropped uint64
 }
 
-// NewTracer builds a tracer retaining up to capacity finished spans.
-func NewTracer(capacity int) *Tracer {
+// newTracer builds a tracer retaining up to capacity finished spans.
+func newTracer(capacity int) *Tracer {
 	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
+		capacity = defaultTraceCapacity
 	}
 	return &Tracer{buf: make([]SpanData, 0, capacity)}
 }
 
 func randTraceID() TraceID {
 	var id TraceID
-	for id.IsZero() {
+	for id.isZero() {
 		hi, lo := rand.Uint64(), rand.Uint64()
 		for i := 0; i < 8; i++ {
 			id[i] = byte(hi >> (8 * i))
@@ -141,9 +135,9 @@ func randTraceID() TraceID {
 	return id
 }
 
-func randSpanID() SpanID {
-	var id SpanID
-	for id.IsZero() {
+func randSpanID() spanID {
+	var id spanID
+	for id.isZero() {
 		v := rand.Uint64()
 		for i := 0; i < 8; i++ {
 			id[i] = byte(v >> (8 * i))
@@ -276,8 +270,8 @@ func (t *Tracer) Spans() []SpanData {
 	return out
 }
 
-// TraceDump is the GET /debug/traces response body.
-type TraceDump struct {
+// traceDump is the GET /debug/traces response body.
+type traceDump struct {
 	Capacity int        `json:"capacity"`
 	Recorded uint64     `json:"recorded"`
 	Dropped  uint64     `json:"dropped"`
@@ -303,7 +297,7 @@ func (t *Tracer) Handler() http.Handler {
 			spans = filtered
 		}
 		t.mu.Lock()
-		dump := TraceDump{Capacity: cap(t.buf), Recorded: t.total, Dropped: t.dropped, Spans: spans}
+		dump := traceDump{Capacity: cap(t.buf), Recorded: t.total, Dropped: t.dropped, Spans: spans}
 		t.mu.Unlock()
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)

@@ -3,14 +3,21 @@ package obs
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"testing"
 )
 
+// traceparent renders sc as a traceparent header value (sampled flag
+// set).
+func traceparent(sc SpanContext) string {
+	return fmt.Sprintf("00-%s-%s-01", sc.Trace, sc.Span)
+}
+
 func TestTraceparentRoundTrip(t *testing.T) {
-	tr := NewTracer(8)
+	tr := newTracer(8)
 	root := tr.StartSpan(SpanContext{}, "root")
-	h := root.Context().Traceparent()
+	h := traceparent(root.Context())
 	sc, err := ParseTraceparent(h)
 	if err != nil {
 		t.Fatalf("ParseTraceparent(%q): %v", h, err)
@@ -34,7 +41,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 }
 
 func TestSpanParentingAndRing(t *testing.T) {
-	tr := NewTracer(4)
+	tr := newTracer(4)
 	root := tr.StartSpan(SpanContext{}, "root")
 	child := tr.StartSpan(root.Context(), "child")
 	if child.Context().Trace != root.Context().Trace {
@@ -90,7 +97,7 @@ func TestNilTracerAndSpanAreSafe(t *testing.T) {
 }
 
 func TestTraceDumpHandler(t *testing.T) {
-	tr := NewTracer(8)
+	tr := newTracer(8)
 	a := tr.StartSpan(SpanContext{}, "a")
 	tr.StartSpan(a.Context(), "b").End()
 	a.End()
@@ -105,7 +112,7 @@ func TestTraceDumpHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var dump TraceDump
+	var dump traceDump
 	if err := json.NewDecoder(resp.Body).Decode(&dump); err != nil {
 		t.Fatalf("decode: %v", err)
 	}

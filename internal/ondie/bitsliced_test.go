@@ -58,7 +58,7 @@ func TestBitslicedRowsMatchScalar(t *testing.T) {
 								data[i] = 0xff
 							}
 						}
-						for w := 0; w < fast.WordsPerRow(); w++ {
+						for w := 0; w < fast.wordsPerRow; w++ {
 							bit := rng.IntN(k)
 							i := (w/2)*fast.RegionBytes() + 2*(bit/8) + w%2
 							data[i] ^= 1 << uint(bit%8)
@@ -146,8 +146,8 @@ func TestManyWordsPerRow(t *testing.T) {
 	fast := MustNew(cfg)
 	cfg.ScalarECC = true
 	ref := MustNew(cfg)
-	if fast.WordsPerRow() <= 64 {
-		t.Fatalf("config does not exceed 64 words per row (%d)", fast.WordsPerRow())
+	if fast.wordsPerRow <= 64 {
+		t.Fatalf("config does not exceed 64 words per row (%d)", fast.wordsPerRow)
 	}
 	data := make([]byte, fast.DataBytesPerRow())
 	for i := range data {
@@ -211,7 +211,7 @@ func set12Rows(c *Chip, rng *rand.Rand) [][]byte {
 	rows := make([][]byte, 8)
 	for r := range rows {
 		data := make([]byte, c.DataBytesPerRow())
-		for w := 0; w < c.WordsPerRow(); w++ {
+		for w := 0; w < c.wordsPerRow; w++ {
 			for i := 1 + rng.IntN(2); i > 0; i-- {
 				bit := rng.IntN(k)
 				data[(w/2)*c.RegionBytes()+2*(bit/8)+w%2] |= 1 << uint(bit%8)

@@ -79,20 +79,6 @@ type Config struct {
 	ScalarECC bool
 }
 
-// DefaultConfig returns a chip configuration comparable to the paper's
-// devices but sized for simulation: k=128 datawords, one bank, and enough
-// rows that manufacturer C's alternating cell blocks appear.
-func DefaultConfig(m Manufacturer) Config {
-	return Config{
-		Manufacturer:  m,
-		DataBits:      128,
-		Banks:         1,
-		Rows:          2048,
-		RegionsPerRow: 8,
-		Seed:          1,
-	}
-}
-
 // Chip is a DRAM chip with on-die ECC. The system-visible surface is
 // WriteRow/ReadRow over data bytes plus refresh and temperature control;
 // everything else about the ECC is hidden.
@@ -212,7 +198,7 @@ func (c *Chip) DataBytesPerRow() int { return c.wordsPerRow * c.dataBytes }
 // paper's 32B granularity for 16B words).
 func (c *Chip) RegionBytes() int { return 2 * c.dataBytes }
 
-// LayoutKey implements core's LayoutKeyer extension for discovery caching:
+// LayoutKey implements core's layoutKeyer extension for discovery caching:
 // two freshly-constructed chips with equal keys are bit-identical, so one
 // chip's discovered layout stands for every chip sharing the key. A chip
 // built with an injected Code override reports no key (opting out of the
@@ -424,9 +410,6 @@ func (c *Chip) storeDataword(data []byte, w int, d gf2.Vec) {
 		data[base+2*b+phase] = by
 	}
 }
-
-// WordsPerRow returns the number of ECC words stored in each row.
-func (c *Chip) WordsPerRow() int { return c.wordsPerRow }
 
 // GroundTruthCode returns the chip's secret ECC function. Validation only:
 // in a real chip this is exactly the information BEER exists to recover.

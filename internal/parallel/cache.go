@@ -61,17 +61,12 @@ func codeFingerprint(c *ecc.Code) uint64 {
 func (e *Engine) ExactProfile(code *ecc.Code, set core.PatternSet, anti bool) *core.Profile {
 	key := profileKey{fp: codeFingerprint(code), n: code.N(), k: code.K(), set: set, anti: anti}
 	return e.profiles.Get(key, func() *core.Profile {
-		patterns := e.Patterns(set, code.K())
+		patterns := e.patternFamily(set, code.K())
 		if anti {
 			return core.ExactProfileAnti(code, patterns)
 		}
 		return core.ExactProfile(code, patterns)
 	})
-}
-
-// CacheStats reports the profile cache's (hits, requests) counters.
-func (e *Engine) CacheStats() (hits, requests int64) {
-	return e.profiles.Stats()
 }
 
 // patternKey identifies a materialized pattern family.
@@ -80,10 +75,10 @@ type patternKey struct {
 	k   int
 }
 
-// Patterns materializes a pattern family for dataword length k, memoized.
+// patternFamily materializes a pattern family for dataword length k, memoized.
 // The 2-CHARGED family is quadratic in k and sweeps like Figure 5 request it
 // once per trial; callers must not mutate the returned slice.
-func (e *Engine) Patterns(set core.PatternSet, k int) []core.Pattern {
+func (e *Engine) patternFamily(set core.PatternSet, k int) []core.Pattern {
 	return e.patterns.Get(patternKey{set: set, k: k}, func() []core.Pattern {
 		return set.Patterns(k)
 	})

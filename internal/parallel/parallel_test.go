@@ -118,13 +118,43 @@ func TestSimulateBatch(t *testing.T) {
 	}
 }
 
+// simulateMerged runs a batch of same-shape configs and merges every result
+// into one aggregate, failing on the lowest-index job error.
+func simulateMerged(e *Engine, ctx context.Context, jobs []SimJob) (*einsim.Result, error) {
+	results := make([]*einsim.Result, len(jobs))
+	var firstErr error
+	errIndex := len(jobs)
+	for r := range e.SimulateBatch(ctx, jobs) {
+		if r.Err != nil {
+			if r.Index < errIndex {
+				errIndex, firstErr = r.Index, r.Err
+			}
+			continue
+		}
+		results[r.Index] = r.Result
+	}
+	if firstErr != nil {
+		return nil, fmt.Errorf("parallel: batch job %d: %w", errIndex, firstErr)
+	}
+	if len(results) == 0 {
+		return nil, fmt.Errorf("parallel: empty simulation batch")
+	}
+	merged := results[0]
+	for _, res := range results[1:] {
+		if err := merged.Merge(res); err != nil {
+			return nil, err
+		}
+	}
+	return merged, nil
+}
+
 func TestSimulateMerged(t *testing.T) {
 	e := New(4)
 	jobs := []SimJob{
 		{Config: simConfig(1000), Seed: 3},
 		{Config: simConfig(1500), Seed: 4},
 	}
-	merged, err := e.SimulateMerged(context.Background(), jobs)
+	merged, err := simulateMerged(e, context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +162,7 @@ func TestSimulateMerged(t *testing.T) {
 		t.Fatalf("merged %d words, want 2500", merged.Words)
 	}
 	bad := append(jobs, SimJob{Config: einsim.Config{}, Seed: 1})
-	if _, err := e.SimulateMerged(context.Background(), bad); err == nil {
+	if _, err := simulateMerged(e, context.Background(), bad); err == nil {
 		t.Fatal("invalid job did not fail the batch")
 	}
 }
@@ -356,7 +386,7 @@ func TestProfileCacheHit(t *testing.T) {
 	if first != second {
 		t.Fatal("cache hit returned a different profile object")
 	}
-	if hits, reqs := e.CacheStats(); hits != 1 || reqs != 2 {
+	if hits, reqs := e.profiles.Stats(); hits != 1 || reqs != 2 {
 		t.Fatalf("cache stats = (%d hits, %d reqs), want (1, 2)", hits, reqs)
 	}
 	if anti := e.ExactProfile(codeA, core.Set1, true); anti == first {
@@ -413,8 +443,8 @@ func TestProfileCacheEviction(t *testing.T) {
 
 func TestPatternsCached(t *testing.T) {
 	e := New(1)
-	a := e.Patterns(core.Set2, 12)
-	b := e.Patterns(core.Set2, 12)
+	a := e.patternFamily(core.Set2, 12)
+	b := e.patternFamily(core.Set2, 12)
 	if &a[0] != &b[0] {
 		t.Fatal("pattern family recomputed on repeat query")
 	}

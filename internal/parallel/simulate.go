@@ -2,7 +2,6 @@ package parallel
 
 import (
 	"context"
-	"fmt"
 	"math/rand/v2"
 	"sync/atomic"
 
@@ -172,34 +171,4 @@ func finishJob(index int, results []*einsim.Result, errs []error) SimResult {
 		}
 	}
 	return SimResult{Index: index, Result: merged}
-}
-
-// SimulateMerged runs a batch of same-shape configs and merges every result
-// into one aggregate, failing on the lowest-index job error.
-func (e *Engine) SimulateMerged(ctx context.Context, jobs []SimJob) (*einsim.Result, error) {
-	results := make([]*einsim.Result, len(jobs))
-	var firstErr error
-	errIndex := len(jobs)
-	for r := range e.SimulateBatch(ctx, jobs) {
-		if r.Err != nil {
-			if r.Index < errIndex {
-				errIndex, firstErr = r.Index, r.Err
-			}
-			continue
-		}
-		results[r.Index] = r.Result
-	}
-	if firstErr != nil {
-		return nil, fmt.Errorf("parallel: batch job %d: %w", errIndex, firstErr)
-	}
-	if len(results) == 0 {
-		return nil, fmt.Errorf("parallel: empty simulation batch")
-	}
-	merged := results[0]
-	for _, res := range results[1:] {
-		if err := merged.Merge(res); err != nil {
-			return nil, err
-		}
-	}
-	return merged, nil
 }

@@ -27,9 +27,9 @@ import (
 	"repro/internal/gf2"
 )
 
-// Event describes what the controller's ECC logic observed on one read,
+// event describes what the controller's ECC logic observed on one read,
 // mirroring the corrected-error reporting of server memory controllers.
-type Event struct {
+type event struct {
 	// Detected is true when the syndrome was nonzero.
 	Detected bool
 	// Corrected is true when the syndrome matched a codeword bit and the
@@ -60,25 +60,16 @@ func New(code *ecc.Code, words int) *Controller {
 	return c
 }
 
-// K returns the dataword width.
-func (c *Controller) K() int { return c.code.K() }
-
-// N returns the codeword width carried on the bus.
-func (c *Controller) N() int { return c.code.N() }
-
-// Words returns the number of codewords in the rank.
-func (c *Controller) Words() int { return len(c.words) }
-
-// Write encodes and stores a dataword.
-func (c *Controller) Write(addr int, data gf2.Vec) {
+// write encodes and stores a dataword.
+func (c *Controller) write(addr int, data gf2.Vec) {
 	c.words[addr] = c.code.Encode(data)
 }
 
-// Read decodes a stored codeword, returning the corrected data and the
+// read decodes a stored codeword, returning the corrected data and the
 // ECC event report.
-func (c *Controller) Read(addr int) (gf2.Vec, Event) {
+func (c *Controller) read(addr int) (gf2.Vec, event) {
 	res := c.code.Decode(c.words[addr])
-	return res.Data, Event{
+	return res.Data, event{
 		Detected:   !res.Syndrome.Zero(),
 		Corrected:  res.FlippedBit >= 0,
 		Syndrome:   res.Syndrome,
@@ -86,34 +77,31 @@ func (c *Controller) Read(addr int) (gf2.Vec, Event) {
 	}
 }
 
-// InjectBusFault flips one stored codeword bit, modeling an interposer or
+// injectBusFault flips one stored codeword bit, modeling an interposer or
 // fault injector on the DDR bus (the hardware capability Cojocar et al.
 // rely on). bit may address parity positions — impossible for on-die ECC.
-func (c *Controller) InjectBusFault(addr, bit int) {
+func (c *Controller) injectBusFault(addr, bit int) {
 	if bit < 0 || bit >= c.code.N() {
 		panic(fmt.Sprintf("ranklevel: bit %d out of codeword range %d", bit, c.code.N()))
 	}
 	c.words[addr].Flip(bit)
 }
 
-// GroundTruth exposes the controller's ECC function for validation.
-func (c *Controller) GroundTruth() *ecc.Code { return c.code }
-
 // DirectRecovery implements the paper's §4.1 systematic approach: for each
 // codeword bit position, inject a 1-hot error and read; the reported
 // syndrome is exactly that column of the parity-check matrix (Equation 2).
 // Returns the reconstructed code and the number of injections used.
 func DirectRecovery(c *Controller) (*ecc.Code, int, error) {
-	n, k := c.N(), c.K()
+	n, k := c.code.N(), c.code.K()
 	r := n - k
 	h := gf2.NewMat(r, n)
 	injections := 0
 	for bit := 0; bit < n; bit++ {
-		addr := bit % c.Words()
-		c.Write(addr, gf2.NewVec(k)) // any codeword works: H*c = 0
-		c.InjectBusFault(addr, bit)
+		addr := bit % len(c.words)
+		c.write(addr, gf2.NewVec(k)) // any codeword works: H*c = 0
+		c.injectBusFault(addr, bit)
 		injections++
-		_, ev := c.Read(addr)
+		_, ev := c.read(addr)
 		if !ev.Detected {
 			return nil, injections, fmt.Errorf("ranklevel: injection at bit %d went undetected", bit)
 		}

@@ -14,9 +14,9 @@ func TestControllerCorrectsSingleFault(t *testing.T) {
 	code := ecc.RandomHamming(16, rand.New(rand.NewPCG(1, 2)))
 	ctrl := New(code, 4)
 	data := gf2.VecFromSupport(16, 0, 5, 9)
-	ctrl.Write(2, data)
-	ctrl.InjectBusFault(2, 5)
-	got, ev := ctrl.Read(2)
+	ctrl.write(2, data)
+	ctrl.injectBusFault(2, 5)
+	got, ev := ctrl.read(2)
 	if !got.Equal(data) {
 		t.Fatal("single fault not corrected")
 	}
@@ -25,7 +25,7 @@ func TestControllerCorrectsSingleFault(t *testing.T) {
 	}
 	// Clean read reports nothing (fault was in the stored word, now fixed?
 	// No: Read does not scrub; re-reading sees the same fault corrected).
-	got, ev = ctrl.Read(2)
+	got, ev = ctrl.read(2)
 	if !got.Equal(data) || !ev.Corrected {
 		t.Fatal("fault should persist in storage and be re-corrected")
 	}
@@ -82,7 +82,7 @@ func TestInjectBusFaultBounds(t *testing.T) {
 			t.Fatal("expected panic on out-of-range injection")
 		}
 	}()
-	ctrl.InjectBusFault(0, 7)
+	ctrl.injectBusFault(0, 7)
 }
 
 // Double faults exercise the SEC limits through the controller path.
@@ -93,10 +93,10 @@ func TestControllerDoubleFaultOutcomes(t *testing.T) {
 	sawMiss := false
 	for i := 0; i < code.N(); i++ {
 		for j := i + 1; j < code.N(); j++ {
-			ctrl.Write(0, data)
-			ctrl.InjectBusFault(0, i)
-			ctrl.InjectBusFault(0, j)
-			got, ev := ctrl.Read(0)
+			ctrl.write(0, data)
+			ctrl.injectBusFault(0, i)
+			ctrl.injectBusFault(0, j)
+			got, ev := ctrl.read(0)
 			if !ev.Detected {
 				t.Fatalf("double fault (%d,%d) undetected for full-length code", i, j)
 			}

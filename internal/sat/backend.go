@@ -154,8 +154,8 @@ func (d *Dimacs) Statistics() Stats { return d.inner.Statistics() }
 // dimacsLit renders a literal in DIMACS convention: 1-based variable
 // numbers, negative for negated.
 func dimacsLit(l Lit) int {
-	v := l.Var() + 1
-	if l.Sign() {
+	v := l.variable() + 1
+	if l.sign() {
 		return -v
 	}
 	return v

@@ -81,7 +81,7 @@ func TestSolveUnderAssumptionsGuards(t *testing.T) {
 	if ok, err := s.Solve(); err != nil || !ok {
 		t.Fatalf("guarded PHP without assumption = (%v, %v), want SAT", ok, err)
 	}
-	if s.Value(g.Var()) {
+	if s.Value(g.variable()) {
 		t.Fatal("model satisfies guarded UNSAT core with the guard asserted")
 	}
 	// Permanently disabling the guard keeps everything satisfiable.
@@ -108,13 +108,13 @@ func TestSolveUnderAssumptionsMatchesUnitClauses(t *testing.T) {
 		for c := 0; c < 2+next(12); c++ {
 			var cl []Lit
 			for l := 0; l < 1+next(3); l++ {
-				cl = append(cl, MkLit(next(nvars), next(2) == 1))
+				cl = append(cl, mkLit(next(nvars), next(2) == 1))
 			}
 			clauses = append(clauses, cl)
 		}
 		var assumps []Lit
 		for a := 0; a < 1+next(2); a++ {
-			assumps = append(assumps, MkLit(next(nvars), next(2) == 1))
+			assumps = append(assumps, mkLit(next(nvars), next(2) == 1))
 		}
 
 		inc := New()

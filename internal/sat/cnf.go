@@ -6,10 +6,10 @@ package sat
 // miscorrection conditions). Everything here Tseitin-encodes into plain
 // clauses.
 //
-// The helpers come in two forms: package-level functions generic over the
-// Builder interface (usable with any Backend, including the DIMACS-export
-// one), and the historical *Solver methods, which are thin wrappers over
-// the generic functions.
+// The helpers are package-level functions generic over the Builder
+// interface (usable with any Backend, including the DIMACS-export one);
+// ReifyAnd also has a *Solver method form, and Solver.Implies asserts an
+// implication.
 
 // Builder is the clause-construction surface the CNF helpers need. Every
 // Backend (and therefore *Solver) implements it.
@@ -27,9 +27,6 @@ func True(b Builder) Lit {
 	return l
 }
 
-// False returns a literal that is constant false on b.
-func False(b Builder) Lit { return True(b).Not() }
-
 // ReifyXor2 returns a fresh literal y constrained so that y <-> (a XOR c).
 func ReifyXor2(b Builder, a, c Lit) Lit {
 	y := PosLit(b.NewVar())
@@ -44,30 +41,13 @@ func ReifyXor2(b Builder, a, c Lit) Lit {
 // XOR of no literals is constant false.
 func ReifyXor(b Builder, lits ...Lit) Lit {
 	if len(lits) == 0 {
-		return False(b)
+		return True(b).Not()
 	}
 	acc := lits[0]
 	for _, l := range lits[1:] {
 		acc = ReifyXor2(b, acc, l)
 	}
 	return acc
-}
-
-// AddXor asserts XOR(lits) == rhs. An empty XOR equals false, so rhs=true
-// over no literals makes the formula unsatisfiable.
-func AddXor(b Builder, lits []Lit, rhs bool) {
-	if len(lits) == 0 {
-		if rhs {
-			b.Add() // empty clause: UNSAT
-		}
-		return
-	}
-	acc := ReifyXor(b, lits...)
-	if rhs {
-		b.Add(acc)
-	} else {
-		b.Add(acc.Not())
-	}
 }
 
 // ReifyAnd returns a fresh literal y with y <-> AND(lits). The AND of no
@@ -94,7 +74,7 @@ func ReifyAnd(b Builder, lits ...Lit) Lit {
 // literals is constant false.
 func ReifyOr(b Builder, lits ...Lit) Lit {
 	if len(lits) == 0 {
-		return False(b)
+		return True(b).Not()
 	}
 	if len(lits) == 1 {
 		return lits[0]
@@ -106,106 +86,21 @@ func ReifyOr(b Builder, lits ...Lit) Lit {
 	return ReifyAnd(b, neg...).Not()
 }
 
-// AtMostOne asserts that at most one of the literals is true, using the
-// pairwise encoding (fine for the small cardinalities this project needs).
-func AtMostOne(b Builder, lits ...Lit) {
-	for i := 0; i < len(lits); i++ {
-		for j := i + 1; j < len(lits); j++ {
-			b.Add(lits[i].Not(), lits[j].Not())
-		}
-	}
-}
-
-// ExactlyOne asserts that exactly one of the literals is true.
-func ExactlyOne(b Builder, lits ...Lit) {
-	b.Add(lits...)
-	AtMostOne(b, lits...)
-}
-
-// Implies asserts a -> b on the builder.
-func Implies(b Builder, x, y Lit) { b.Add(x.Not(), y) }
-
 // BlockModel adds a clause to the backend forbidding its current assignment
 // restricted to the given variables; used for model enumeration. Returns
 // false when the backend became (or already was) unsatisfiable.
 func BlockModel(b Backend, vars []int) bool {
 	lits := make([]Lit, len(vars))
 	for i, v := range vars {
-		lits[i] = MkLit(v, b.Value(v)) // negate the assigned polarity
+		lits[i] = mkLit(v, b.Value(v)) // negate the assigned polarity
 	}
 	return b.Add(lits...)
 }
 
-// EnumerateModels repeatedly solves b and blocks solutions projected onto
-// the given variables, invoking fn with each projected model until the
-// formula is exhausted, fn returns false, or limit models have been produced
-// (limit <= 0 means no limit). It returns the number of models found and a
-// non-nil error only if the conflict budget was exhausted or the solve was
-// interrupted.
-func EnumerateModels(b Backend, vars []int, limit int, fn func(model []bool) bool) (int, error) {
-	count := 0
-	for {
-		if limit > 0 && count >= limit {
-			return count, nil
-		}
-		sat, err := b.Solve()
-		if err != nil {
-			return count, err
-		}
-		if !sat {
-			return count, nil
-		}
-		count++
-		proj := make([]bool, len(vars))
-		for i, v := range vars {
-			proj[i] = b.Value(v)
-		}
-		if fn != nil && !fn(proj) {
-			return count, nil
-		}
-		if !BlockModel(b, vars) {
-			return count, nil
-		}
-	}
-}
-
-// --- Method forms on *Solver (wrappers over the generic helpers) ---
-
-// True returns a literal that is constant true (backed by a lazily-created,
-// unit-asserted variable).
-func (s *Solver) True() Lit { return True(s) }
-
-// False returns a literal that is constant false.
-func (s *Solver) False() Lit { return False(s) }
-
-// ReifyXor2 returns a fresh literal y constrained so that y <-> (a XOR b).
-func (s *Solver) ReifyXor2(a, b Lit) Lit { return ReifyXor2(s, a, b) }
-
-// ReifyXor returns a literal equal to the XOR of all given literals.
-func (s *Solver) ReifyXor(lits ...Lit) Lit { return ReifyXor(s, lits...) }
+// --- Method forms on *Solver ---
 
 // ReifyAnd returns a fresh literal y with y <-> AND(lits).
 func (s *Solver) ReifyAnd(lits ...Lit) Lit { return ReifyAnd(s, lits...) }
 
-// ReifyOr returns a fresh literal y with y <-> OR(lits).
-func (s *Solver) ReifyOr(lits ...Lit) Lit { return ReifyOr(s, lits...) }
-
-// AtMostOne asserts that at most one of the literals is true.
-func (s *Solver) AtMostOne(lits ...Lit) { AtMostOne(s, lits...) }
-
-// ExactlyOne asserts that exactly one of the literals is true.
-func (s *Solver) ExactlyOne(lits ...Lit) { ExactlyOne(s, lits...) }
-
 // Implies asserts a -> b.
-func (s *Solver) Implies(a, b Lit) { Implies(s, a, b) }
-
-// BlockModel adds a clause forbidding the current assignment restricted to
-// the given variables; used for model enumeration. Returns false when the
-// solver became (or already was) unsatisfiable.
-func (s *Solver) BlockModel(vars []int) bool { return BlockModel(s, vars) }
-
-// EnumerateModels repeatedly solves and blocks solutions projected onto the
-// given variables; see the package-level EnumerateModels.
-func (s *Solver) EnumerateModels(vars []int, limit int, fn func(model []bool) bool) (int, error) {
-	return EnumerateModels(s, vars, limit, fn)
-}
+func (s *Solver) Implies(a, b Lit) { s.Add(a.Not(), b) }

@@ -24,19 +24,19 @@ type CNF struct {
 	Assumptions []Lit
 }
 
-// MaxVar returns the highest 0-based variable index referenced by any
+// maxVar returns the highest 0-based variable index referenced by any
 // clause or assumption, or -1 for a formula with no literals.
-func (c *CNF) MaxVar() int {
+func (c *CNF) maxVar() int {
 	maxVar := -1
 	for _, cl := range c.Clauses {
 		for _, l := range cl {
-			if v := l.Var(); v > maxVar {
+			if v := l.variable(); v > maxVar {
 				maxVar = v
 			}
 		}
 	}
 	for _, a := range c.Assumptions {
-		if v := a.Var(); v > maxVar {
+		if v := a.variable(); v > maxVar {
 			maxVar = v
 		}
 	}
@@ -49,7 +49,7 @@ func (c *CNF) MaxVar() int {
 // headers after post-write growth (see WriteDIMACS).
 func (c *CNF) headerVars() int {
 	n := c.Vars
-	if m := c.MaxVar() + 1; m > n {
+	if m := c.maxVar() + 1; m > n {
 		n = m
 	}
 	return n
@@ -109,11 +109,11 @@ func (c *CNF) Feed(b Builder) {
 // solver output.
 func (c *CNF) Satisfied(assignment []bool) (ok bool, violated []Lit) {
 	litVal := func(l Lit) bool {
-		v := l.Var()
+		v := l.variable()
 		if v >= len(assignment) {
-			return l.Sign() // unassigned defaults false
+			return l.sign() // unassigned defaults false
 		}
-		return assignment[v] != l.Sign()
+		return assignment[v] != l.sign()
 	}
 	for _, cl := range c.Clauses {
 		sat := false
@@ -212,7 +212,7 @@ done:
 	// published files disagree with their own headers) but the variable
 	// count must cover every literal.
 	_ = declaredClauses
-	if m := cnf.MaxVar() + 1; m > cnf.Vars {
+	if m := cnf.maxVar() + 1; m > cnf.Vars {
 		cnf.Vars = m
 	}
 	return cnf, nil

@@ -28,7 +28,7 @@ func fuzzFormula(data []byte) (nvars int, clauses [][]Lit) {
 			continue
 		}
 		v := int(b) % (2 * nvars)
-		cur = append(cur, MkLit(v/2, v%2 == 1))
+		cur = append(cur, mkLit(v/2, v%2 == 1))
 		if len(cur) == 3 {
 			clauses = append(clauses, cur)
 			cur = nil
@@ -47,7 +47,7 @@ func fuzzFormula(data []byte) (nvars int, clauses [][]Lit) {
 // every clause and every extra unit literal.
 func bruteSat(nvars int, clauses [][]Lit, units []Lit) bool {
 	for m := 0; m < 1<<uint(nvars); m++ {
-		val := func(l Lit) bool { return (m>>uint(l.Var()))&1 == 1 != l.Sign() }
+		val := func(l Lit) bool { return (m>>uint(l.variable()))&1 == 1 != l.sign() }
 		ok := true
 		for _, u := range units {
 			if !val(u) {
@@ -106,7 +106,7 @@ func FuzzSolver(f *testing.F) {
 			for _, cl := range clauses {
 				sat := false
 				for _, l := range cl {
-					if s.Value(l.Var()) != l.Sign() {
+					if s.Value(l.variable()) != l.sign() {
 						sat = true
 						break
 					}
@@ -120,10 +120,10 @@ func FuzzSolver(f *testing.F) {
 		// Assumption query: equivalent to unit clauses, without side effects.
 		var assumps []Lit
 		if len(data) > 2 {
-			assumps = append(assumps, MkLit(int(data[1])%nvars, data[2]%2 == 1))
+			assumps = append(assumps, mkLit(int(data[1])%nvars, data[2]%2 == 1))
 		}
 		if len(data) > 4 {
-			assumps = append(assumps, MkLit(int(data[3])%nvars, data[4]%2 == 1))
+			assumps = append(assumps, mkLit(int(data[3])%nvars, data[4]%2 == 1))
 		}
 		gotA, err := s.SolveUnderAssumptions(assumps...)
 		if err != nil {
@@ -171,7 +171,7 @@ func FuzzCNFBuilder(f *testing.F) {
 			var args []Lit
 			for i := 0; i < width && i < len(rest); i++ {
 				v := int(rest[i]) % (2 * nvars)
-				args = append(args, MkLit(v/2, v%2 == 1))
+				args = append(args, mkLit(v/2, v%2 == 1))
 			}
 			if len(args) < width {
 				break
@@ -191,7 +191,7 @@ func FuzzCNFBuilder(f *testing.F) {
 		// Force every input variable to its fuzz-chosen value; the gadget
 		// definitions must stay satisfiable.
 		for i := 0; i < nvars; i++ {
-			s.Add(MkLit(i, !vals[i]))
+			s.Add(mkLit(i, !vals[i]))
 		}
 		ok, err := s.Solve()
 		if err != nil {
@@ -200,7 +200,7 @@ func FuzzCNFBuilder(f *testing.F) {
 		if !ok {
 			t.Fatalf("definitional gadgets with forced inputs reported UNSAT (inputs %v)", vals)
 		}
-		litVal := func(l Lit) bool { return s.Value(l.Var()) != l.Sign() }
+		litVal := func(l Lit) bool { return s.Value(l.variable()) != l.sign() }
 		for _, g := range gadgets {
 			var want bool
 			switch g.op {

@@ -40,8 +40,8 @@ type Lit int32
 // litUndef is a sentinel literal distinct from every real literal.
 const litUndef Lit = -1
 
-// MkLit constructs a literal for variable v (>= 0), negated when neg is set.
-func MkLit(v int, neg bool) Lit {
+// mkLit constructs a literal for variable v (>= 0), negated when neg is set.
+func mkLit(v int, neg bool) Lit {
 	l := Lit(v << 1)
 	if neg {
 		l |= 1
@@ -50,26 +50,26 @@ func MkLit(v int, neg bool) Lit {
 }
 
 // PosLit returns the positive literal of variable v.
-func PosLit(v int) Lit { return MkLit(v, false) }
+func PosLit(v int) Lit { return mkLit(v, false) }
 
 // NegLit returns the negative literal of variable v.
-func NegLit(v int) Lit { return MkLit(v, true) }
+func NegLit(v int) Lit { return mkLit(v, true) }
 
-// Var returns the literal's variable index.
-func (l Lit) Var() int { return int(l >> 1) }
+// variable returns the literal's variable index.
+func (l Lit) variable() int { return int(l >> 1) }
 
-// Sign reports whether the literal is negated.
-func (l Lit) Sign() bool { return l&1 == 1 }
+// sign reports whether the literal is negated.
+func (l Lit) sign() bool { return l&1 == 1 }
 
 // Not returns the complementary literal.
 func (l Lit) Not() Lit { return l ^ 1 }
 
 // String renders the literal as "x3" or "~x3".
 func (l Lit) String() string {
-	if l.Sign() {
-		return fmt.Sprintf("~x%d", l.Var())
+	if l.sign() {
+		return fmt.Sprintf("~x%d", l.variable())
 	}
-	return fmt.Sprintf("x%d", l.Var())
+	return fmt.Sprintf("x%d", l.variable())
 }
 
 type lbool int8
@@ -353,8 +353,8 @@ func (s *Solver) NewVar() int {
 }
 
 func (s *Solver) valueLit(l Lit) lbool {
-	val := s.assigns[l.Var()]
-	if l.Sign() {
+	val := s.assigns[l.variable()]
+	if l.sign() {
 		return -val
 	}
 	return val
@@ -390,7 +390,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	gen := s.stampGen
 	out := s.addBuf[:0]
 	for _, l := range lits {
-		if l.Var() >= s.NumVars() {
+		if l.variable() >= s.NumVars() {
 			panic(fmt.Sprintf("sat: literal %v references unknown variable", l))
 		}
 		switch {
@@ -434,10 +434,10 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 func (s *Solver) AddXor(lits []Lit, rhs bool) bool {
 	vars := make([]int, len(lits))
 	for i, l := range lits {
-		if l.Sign() {
+		if l.sign() {
 			rhs = !rhs
 		}
-		vars[i] = l.Var()
+		vars[i] = l.variable()
 	}
 	return s.addXorVars(rhs, vars)
 }
@@ -483,7 +483,7 @@ func (s *Solver) addXorVars(rhs bool, vars []int) bool {
 		}
 		return s.ok
 	case 1:
-		s.uncheckedEnqueue(MkLit(out[0], !rhs), nil)
+		s.uncheckedEnqueue(mkLit(out[0], !rhs), nil)
 		if s.propagate() != nil {
 			s.ok = false
 		}
@@ -514,8 +514,8 @@ func (s *Solver) attach(c *clause) {
 }
 
 func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
-	v := l.Var()
-	if l.Sign() {
+	v := l.variable()
+	if l.sign() {
 		s.assigns[v] = lFalse
 	} else {
 		s.assigns[v] = lTrue
@@ -599,7 +599,7 @@ func (s *Solver) propagate() *clause {
 			s.uncheckedEnqueue(first, c)
 		}
 		s.watches[p] = ws[:j]
-		if confl := s.propagateXor(p.Var()); confl != nil {
+		if confl := s.propagateXor(p.variable()); confl != nil {
 			return &confl.scratch
 		}
 	}
@@ -660,11 +660,11 @@ func (s *Solver) propagateXor(pv int) *xorClause {
 			}
 		}
 		if s.assigns[other] == lUndef {
-			forced := MkLit(other, !parity)
+			forced := mkLit(other, !parity)
 			xc.scratch.lits = append(xc.scratch.lits[:0], forced)
 			for _, u := range xc.vars {
 				if u != other {
-					xc.scratch.lits = append(xc.scratch.lits, MkLit(u, s.assigns[u] == lTrue))
+					xc.scratch.lits = append(xc.scratch.lits, mkLit(u, s.assigns[u] == lTrue))
 				}
 			}
 			s.uncheckedEnqueue(forced, &xc.scratch)
@@ -673,7 +673,7 @@ func (s *Solver) propagateXor(pv int) *xorClause {
 		if (s.assigns[other] == lTrue) != parity {
 			xc.scratch.lits = xc.scratch.lits[:0]
 			for _, u := range xc.vars {
-				xc.scratch.lits = append(xc.scratch.lits, MkLit(u, s.assigns[u] == lTrue))
+				xc.scratch.lits = append(xc.scratch.lits, mkLit(u, s.assigns[u] == lTrue))
 			}
 			for i++; i < len(xw); i++ {
 				xw[j] = xw[i]
@@ -701,7 +701,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 			if p != litUndef && q == p {
 				continue
 			}
-			v := q.Var()
+			v := q.variable()
 			if !s.seen[v] && s.level[v] > 0 {
 				s.varBump(v)
 				s.seen[v] = true
@@ -712,17 +712,17 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 				}
 			}
 		}
-		for !s.seen[s.trail[idx].Var()] {
+		for !s.seen[s.trail[idx].variable()] {
 			idx--
 		}
 		p = s.trail[idx]
 		idx--
-		s.seen[p.Var()] = false
+		s.seen[p.variable()] = false
 		pathC--
 		if pathC == 0 {
 			break
 		}
-		confl = s.reason[p.Var()]
+		confl = s.reason[p.variable()]
 	}
 	learnt[0] = p.Not()
 
@@ -744,7 +744,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 	// Backtrack level: the highest level among the non-asserting literals.
 	btLevel := 0
 	for i := 1; i < len(learnt); i++ {
-		if lv := int(s.level[learnt[i].Var()]); lv > btLevel {
+		if lv := int(s.level[learnt[i].variable()]); lv > btLevel {
 			btLevel = lv
 			// Keep the literal with the backtrack level at position 1 so the
 			// learnt clause watches sensibly.
@@ -752,10 +752,10 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 		}
 	}
 	for _, l := range learnt {
-		s.seen[l.Var()] = false
+		s.seen[l.variable()] = false
 	}
 	for _, l := range removed {
-		s.seen[l.Var()] = false
+		s.seen[l.variable()] = false
 	}
 	return learnt, btLevel
 }
@@ -763,15 +763,15 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 // litRedundant reports whether every antecedent of l's reason clause is
 // already in the learnt clause (marked seen) or at the root level.
 func (s *Solver) litRedundant(l Lit) bool {
-	c := s.reason[l.Var()]
+	c := s.reason[l.variable()]
 	if c == nil {
 		return false
 	}
 	for _, q := range c.lits {
-		if q.Var() == l.Var() {
+		if q.variable() == l.variable() {
 			continue
 		}
-		if !s.seen[q.Var()] && s.level[q.Var()] > 0 {
+		if !s.seen[q.variable()] && s.level[q.variable()] > 0 {
 			return false
 		}
 	}
@@ -793,10 +793,10 @@ func (s *Solver) analyzeFinal(p Lit) {
 	if s.decisionLevel() == 0 {
 		return
 	}
-	s.seen[p.Var()] = true
+	s.seen[p.variable()] = true
 	bound := s.trailLim[0]
 	for i := len(s.trail) - 1; i >= bound; i-- {
-		v := s.trail[i].Var()
+		v := s.trail[i].variable()
 		if !s.seen[v] {
 			continue
 		}
@@ -806,14 +806,14 @@ func (s *Solver) analyzeFinal(p Lit) {
 			}
 		} else {
 			for _, q := range c.lits {
-				if q.Var() != v && s.level[q.Var()] > 0 {
-					s.seen[q.Var()] = true
+				if q.variable() != v && s.level[q.variable()] > 0 {
+					s.seen[q.variable()] = true
 				}
 			}
 		}
 		s.seen[v] = false
 	}
-	s.seen[p.Var()] = false
+	s.seen[p.variable()] = false
 }
 
 func (s *Solver) cancelUntil(level int) {
@@ -822,7 +822,7 @@ func (s *Solver) cancelUntil(level int) {
 	}
 	bound := s.trailLim[level]
 	for i := len(s.trail) - 1; i >= bound; i-- {
-		v := s.trail[i].Var()
+		v := s.trail[i].variable()
 		s.polarity[v] = s.assigns[v] == lFalse
 		s.assigns[v] = lUndef
 		s.reason[v] = nil
@@ -893,7 +893,7 @@ func (s *Solver) reduceDB() {
 	keep := ls[:0]
 	limit := len(ls) / 2
 	for i, c := range ls {
-		locked := s.reason[c.lits[0].Var()] == c
+		locked := s.reason[c.lits[0].variable()] == c
 		if len(c.lits) <= 2 || locked || i >= limit {
 			keep = append(keep, c)
 		} else {
@@ -958,7 +958,7 @@ func (s *Solver) SolveUnderAssumptions(assumptions ...Lit) (bool, error) {
 		return false, nil
 	}
 	for _, a := range assumptions {
-		if a.Var() >= s.NumVars() {
+		if a.variable() >= s.NumVars() {
 			panic(fmt.Sprintf("sat: assumption %v references unknown variable", a))
 		}
 	}
@@ -1101,7 +1101,7 @@ func (s *Solver) SolveUnderAssumptions(assumptions ...Lit) (bool, error) {
 					return false, err
 				}
 			}
-			next = MkLit(v, s.polarity[v])
+			next = mkLit(v, s.polarity[v])
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
 		s.uncheckedEnqueue(next, nil)
@@ -1116,9 +1116,6 @@ func (s *Solver) Value(v int) bool {
 	}
 	return s.model[v]
 }
-
-// ValueLit returns literal l's value in the most recent model.
-func (s *Solver) ValueLit(l Lit) bool { return s.Value(l.Var()) != l.Sign() }
 
 // Model returns a copy of the most recent satisfying assignment.
 func (s *Solver) Model() []bool {

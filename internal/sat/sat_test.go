@@ -14,6 +14,9 @@ func mustSolve(t *testing.T, s *Solver) bool {
 	return ok
 }
 
+// valueLit returns literal l's value in s's most recent model.
+func valueLit(s *Solver, l Lit) bool { return s.Value(l.variable()) != l.sign() }
+
 func TestTrivialSat(t *testing.T) {
 	s := New()
 	a := PosLit(s.NewVar())
@@ -23,8 +26,8 @@ func TestTrivialSat(t *testing.T) {
 	if !mustSolve(t, s) {
 		t.Fatal("expected SAT")
 	}
-	if s.ValueLit(a) || !s.ValueLit(b) {
-		t.Fatalf("model a=%v b=%v, want a=false b=true", s.ValueLit(a), s.ValueLit(b))
+	if valueLit(s, a) || !valueLit(s, b) {
+		t.Fatalf("model a=%v b=%v, want a=false b=true", valueLit(s, a), valueLit(s, b))
 	}
 }
 
@@ -83,7 +86,7 @@ func TestUnitPropagationChain(t *testing.T) {
 		t.Fatal("expected SAT")
 	}
 	for i, l := range lits {
-		if !s.ValueLit(l) {
+		if !valueLit(s, l) {
 			t.Fatalf("x%d should be forced true", i)
 		}
 	}
@@ -134,8 +137,8 @@ func bruteForceSat(n int, cnf [][]Lit) (bool, int) {
 		for _, cl := range cnf {
 			clauseOK := false
 			for _, l := range cl {
-				val := m>>uint(l.Var())&1 == 1
-				if val != l.Sign() {
+				val := m>>uint(l.variable())&1 == 1
+				if val != l.sign() {
 					clauseOK = true
 					break
 				}
@@ -166,7 +169,7 @@ func TestRandomCNFAgainstBruteForce(t *testing.T) {
 			width := 1 + rng.IntN(3)
 			cl := make([]Lit, width)
 			for j := range cl {
-				cl[j] = MkLit(rng.IntN(n), rng.IntN(2) == 1)
+				cl[j] = mkLit(rng.IntN(n), rng.IntN(2) == 1)
 			}
 			cnf[i] = cl
 		}
@@ -190,7 +193,7 @@ func TestRandomCNFAgainstBruteForce(t *testing.T) {
 		for ci, cl := range cnf {
 			ok := false
 			for _, l := range cl {
-				if s.ValueLit(l) {
+				if valueLit(s, l) {
 					ok = true
 					break
 				}
@@ -208,7 +211,7 @@ func TestRandomCNFAgainstBruteForce(t *testing.T) {
 		for _, cl := range cnf {
 			s2.AddClause(cl...)
 		}
-		gotCount, err := s2.EnumerateModels(vars, 0, nil)
+		gotCount, err := enumerateModels(s2, vars, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +234,7 @@ func TestXorConstraints(t *testing.T) {
 		}
 		rhs := rng.IntN(2) == 1
 		s.AddXor(lits, rhs)
-		count, err := s.EnumerateModels(vars, 0, func(m []bool) bool {
+		count, err := enumerateModels(s, vars, 0, func(m []bool) bool {
 			parity := false
 			for _, b := range m {
 				parity = parity != b
@@ -269,13 +272,13 @@ func TestReifyAndOr(t *testing.T) {
 	s := New()
 	a, b, c := PosLit(s.NewVar()), PosLit(s.NewVar()), PosLit(s.NewVar())
 	and := s.ReifyAnd(a, b, c)
-	or := s.ReifyOr(a, b, c)
-	vars := []int{a.Var(), b.Var(), c.Var(), and.Var(), or.Var()}
-	count, err := s.EnumerateModels(vars, 0, func(m []bool) bool {
+	or := ReifyOr(s, a, b, c)
+	vars := []int{a.variable(), b.variable(), c.variable(), and.variable(), or.variable()}
+	count, err := enumerateModels(s, vars, 0, func(m []bool) bool {
 		wantAnd := m[0] && m[1] && m[2]
 		wantOr := m[0] || m[1] || m[2]
-		gotAnd := m[3] != and.Sign()
-		gotOr := m[4] != or.Sign()
+		gotAnd := m[3] != and.sign()
+		gotOr := m[4] != or.sign()
 		if gotAnd != wantAnd || gotOr != wantOr {
 			t.Fatalf("inputs %v: and=%v (want %v), or=%v (want %v)",
 				m[:3], gotAnd, wantAnd, gotOr, wantOr)
@@ -293,12 +296,12 @@ func TestReifyAndOr(t *testing.T) {
 	s2 := New()
 	a2, b2, c2 := PosLit(s2.NewVar()), PosLit(s2.NewVar()), PosLit(s2.NewVar())
 	and2 := s2.ReifyAnd(a2, b2, c2)
-	or2 := s2.ReifyOr(a2, b2, c2)
+	or2 := ReifyOr(s2, a2, b2, c2)
 	s2.AddClause(and2)
 	if !mustSolve(t, s2) {
 		t.Fatal("AND forced true should be SAT")
 	}
-	if !(s2.ValueLit(a2) && s2.ValueLit(b2) && s2.ValueLit(c2)) {
+	if !(valueLit(s2, a2) && valueLit(s2, b2) && valueLit(s2, c2)) {
 		t.Fatal("AND true must force all inputs true")
 	}
 	s2.AddClause(or2.Not())
@@ -316,8 +319,8 @@ func TestExactlyOne(t *testing.T) {
 		vars[i] = s.NewVar()
 		lits[i] = PosLit(vars[i])
 	}
-	s.ExactlyOne(lits...)
-	count, err := s.EnumerateModels(vars, 0, func(m []bool) bool {
+	exactlyOne(s, lits...)
+	count, err := enumerateModels(s, vars, 0, func(m []bool) bool {
 		ones := 0
 		for _, b := range m {
 			if b {
@@ -345,7 +348,7 @@ func TestIncrementalSolving(t *testing.T) {
 	if !mustSolve(t, s) {
 		t.Fatal("expected SAT")
 	}
-	s.AddClause(MkLit(a.Var(), s.Value(a.Var())), MkLit(b.Var(), s.Value(b.Var())))
+	s.AddClause(mkLit(a.variable(), s.Value(a.variable())), mkLit(b.variable(), s.Value(b.variable())))
 	if !mustSolve(t, s) {
 		t.Fatal("one blocked model of three should leave SAT")
 	}
@@ -375,8 +378,8 @@ func TestLuby(t *testing.T) {
 }
 
 func TestLitBasics(t *testing.T) {
-	l := MkLit(5, true)
-	if l.Var() != 5 || !l.Sign() || l.Not().Sign() || l.Not().Var() != 5 {
+	l := mkLit(5, true)
+	if l.variable() != 5 || !l.sign() || l.Not().sign() || l.Not().variable() != 5 {
 		t.Fatal("literal encoding broken")
 	}
 	if l.String() != "~x5" || l.Not().String() != "x5" {
@@ -403,7 +406,7 @@ func TestGraphColoring(t *testing.T) {
 			for c := range vars[i] {
 				vars[i][c] = PosLit(s.NewVar())
 			}
-			s.ExactlyOne(vars[i]...)
+			exactlyOne(s, vars[i]...)
 		}
 		for _, e := range edges {
 			for c := 0; c < colors; c++ {
@@ -468,5 +471,54 @@ func TestDecisionOrderOrdersDecisions(t *testing.T) {
 	if !s.Value(x1) || s.Value(x0) {
 		t.Fatalf("model x0=%v x1=%v; x1 should be decided first as true",
 			s.Value(x0), s.Value(x1))
+	}
+}
+
+// atMostOne asserts that at most one of the literals is true, using the
+// pairwise encoding (fine for the small cardinalities this project needs).
+func atMostOne(b Builder, lits ...Lit) {
+	for i := 0; i < len(lits); i++ {
+		for j := i + 1; j < len(lits); j++ {
+			b.Add(lits[i].Not(), lits[j].Not())
+		}
+	}
+}
+
+// exactlyOne asserts that exactly one of the literals is true.
+func exactlyOne(b Builder, lits ...Lit) {
+	b.Add(lits...)
+	atMostOne(b, lits...)
+}
+
+// enumerateModels repeatedly solves b and blocks solutions projected onto
+// the given variables, invoking fn with each projected model until the
+// formula is exhausted, fn returns false, or limit models have been produced
+// (limit <= 0 means no limit). It returns the number of models found and a
+// non-nil error only if the conflict budget was exhausted or the solve was
+// interrupted.
+func enumerateModels(b Backend, vars []int, limit int, fn func(model []bool) bool) (int, error) {
+	count := 0
+	for {
+		if limit > 0 && count >= limit {
+			return count, nil
+		}
+		sat, err := b.Solve()
+		if err != nil {
+			return count, err
+		}
+		if !sat {
+			return count, nil
+		}
+		count++
+		proj := make([]bool, len(vars))
+		for i, v := range vars {
+			proj[i] = b.Value(v)
+		}
+		if fn != nil && !fn(proj) {
+			return count, nil
+		}
+		if !BlockModel(b, vars) {
+			return count, nil
+		}
 	}
 }

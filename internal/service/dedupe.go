@@ -13,7 +13,7 @@ import (
 // out. Single-flighting on it is safe: a joined caller observes exactly the
 // status stream and result it would have computed itself.
 func dedupeKey(spec JobSpec) string {
-	spec = spec.Normalized()
+	spec = spec.normalized()
 	switch spec.Type {
 	case "recover":
 		// MaxDrop distinguishes nil (robust solver off) from explicit values,

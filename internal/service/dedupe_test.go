@@ -102,7 +102,7 @@ func TestConcurrentSubmitDedupe(t *testing.T) {
 	}
 	// One execution means one solver invocation — N independent runs would
 	// each have solved (or raced on) the profile.
-	if inv, _ := srv.SolveCounters(); inv != 1 {
+	if inv, _ := srv.solveCounters(); inv != 1 {
 		t.Fatalf("solver invoked %d times, want 1", inv)
 	}
 
@@ -182,5 +182,41 @@ func TestDedupeIgnoresLazySolverFlag(t *testing.T) {
 	}
 	if final := waitTerminal(t, ts.URL, subs[0].status.ID); final.State != StateSucceeded {
 		t.Fatalf("job finished %s: %s", final.State, final.Error)
+	}
+}
+
+// TestDedupeKeyIgnoresInertFields: specs that request the same work share
+// a key even when they spell an inert field differently, and fields that
+// change the work still split keys.
+func TestDedupeKeyIgnoresInertFields(t *testing.T) {
+	drop := func(n int) *int { return &n }
+	base := JobSpec{Type: "recover", Manufacturer: "B", K: 16, Seed: 7}
+	with := func(f func(*JobSpec)) JobSpec {
+		s := base
+		f(&s)
+		return s
+	}
+	same := [][2]JobSpec{
+		// Every negative max_drop means unlimited.
+		{with(func(s *JobSpec) { s.MaxDrop = drop(-1) }), with(func(s *JobSpec) { s.MaxDrop = drop(-5) })},
+		{with(func(s *JobSpec) { s.NoiseFP, s.MaxDrop = 0.01, drop(-2) }), with(func(s *JobSpec) { s.NoiseFP = 0.01 })},
+		// noise_seed draws nothing without noise_fp or noise_fn.
+		{base, with(func(s *JobSpec) { s.NoiseSeed = 9 })},
+		{with(func(s *JobSpec) { s.MaxDrop = drop(3) }), with(func(s *JobSpec) { s.MaxDrop, s.NoiseSeed = drop(3), 4 })},
+	}
+	for i, p := range same {
+		if a, b := dedupeKey(p[0]), dedupeKey(p[1]); a != b {
+			t.Errorf("pair %d: same work, different keys:\n %s\n %s", i, a, b)
+		}
+	}
+	distinct := [][2]JobSpec{
+		{base, with(func(s *JobSpec) { s.MaxDrop = drop(-1) })},
+		{with(func(s *JobSpec) { s.MaxDrop = drop(0) }), with(func(s *JobSpec) { s.MaxDrop = drop(-1) })},
+		{with(func(s *JobSpec) { s.NoiseFP, s.NoiseSeed = 0.01, 1 }), with(func(s *JobSpec) { s.NoiseFP, s.NoiseSeed = 0.01, 2 })},
+	}
+	for i, p := range distinct {
+		if dedupeKey(p[0]) == dedupeKey(p[1]) {
+			t.Errorf("pair %d: different work, one key %s", i, dedupeKey(p[0]))
+		}
 	}
 }

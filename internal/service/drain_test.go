@@ -34,10 +34,10 @@ func TestDrainFinishesInFlightJobs(t *testing.T) {
 		drained <- srv.Drain(ctx)
 	}()
 
-	// Draining flips quickly; new submissions must bounce with 503 +
+	// isDraining flips quickly; new submissions must bounce with 503 +
 	// Retry-After while the old job still runs.
 	deadline := time.Now().Add(5 * time.Second)
-	for !srv.Draining() {
+	for !srv.isDraining() {
 		if time.Now().After(deadline) {
 			t.Fatal("server never started draining")
 		}

@@ -90,11 +90,13 @@ func (spec JobSpec) chipCount() int {
 	return 0
 }
 
-// Normalized returns a copy of the spec with every defaulted field filled
-// in — the single place the documented defaults live. buildRunner validates
-// the normalized form, and the dedupe key is derived from it, so two
-// submissions that differ only in spelled-out defaults are the same job.
-func (spec JobSpec) Normalized() JobSpec {
+// normalized returns a copy of the spec with every defaulted field filled
+// in — the single place the documented defaults live — and every inert
+// field in one canonical form: a negative max_drop becomes -1, and
+// noise_seed becomes 0 when no noise model draws from it. buildRunner
+// validates the normalized form, and the dedupe key is derived from it, so
+// two submissions that request the same work are the same job.
+func (spec JobSpec) normalized() JobSpec {
 	out := spec
 	switch out.Type {
 	case "recover":
@@ -128,6 +130,12 @@ func (spec JobSpec) Normalized() JobSpec {
 				unlimited := -1
 				out.MaxDrop = &unlimited
 			}
+		} else {
+			out.NoiseSeed = 0 // no noise model draws from it
+		}
+		if out.MaxDrop != nil && *out.MaxDrop < -1 {
+			unlimited := -1 // core reads every negative budget as unlimited
+			out.MaxDrop = &unlimited
 		}
 	case "simulate":
 		if out.Words == 0 {
@@ -187,7 +195,7 @@ func buildRunner(spec JobSpec, extraOpts ...repro.Option) (runner, error) {
 }
 
 func buildRecoverRunner(spec JobSpec, extraOpts []repro.Option) (runner, error) {
-	spec = spec.Normalized()
+	spec = spec.normalized()
 	mfr := repro.Manufacturer(spec.Manufacturer)
 	if mfr != repro.MfrA && mfr != repro.MfrB && mfr != repro.MfrC {
 		return nil, fmt.Errorf("unknown manufacturer %q (want A, B or C)", spec.Manufacturer)
@@ -270,7 +278,7 @@ func buildRecoverRunner(spec JobSpec, extraOpts []repro.Option) (runner, error) 
 			Candidates:  len(report.Result.Codes),
 			CollectMS:   report.CollectTime.Seconds() * 1e3,
 			SolveMS:     report.SolveTime.Seconds() * 1e3,
-			Solver: &SolverStats{
+			Solver: &solverStats{
 				Conflicts:       report.Result.Stats.Conflicts,
 				Propagations:    report.Result.Stats.Propagations,
 				Learned:         report.Result.Stats.Learnt,
@@ -283,7 +291,7 @@ func buildRecoverRunner(spec JobSpec, extraOpts []repro.Option) (runner, error) 
 			res.Recover.PatternsFull = report.Plan.PatternsFull
 		}
 		if ni := report.Result.Noise; ni != nil {
-			res.Recover.Noise = &NoiseReport{
+			res.Recover.Noise = &noiseReport{
 				Total:          ni.Total,
 				Retained:       ni.Retained,
 				Dropped:        ni.Dropped,
@@ -313,7 +321,7 @@ func buildRecoverRunner(spec JobSpec, extraOpts []repro.Option) (runner, error) 
 }
 
 func buildSimulateRunner(spec JobSpec) (runner, error) {
-	spec = spec.Normalized()
+	spec = spec.normalized()
 	words := spec.Words
 	if words < 1 || words > maxWords {
 		return nil, fmt.Errorf("words=%d out of range [1, %d]", spec.Words, maxWords)
@@ -364,7 +372,7 @@ func buildSimulateRunner(spec JobSpec) (runner, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &JobResult{Simulate: &SimulateResult{
+		return &JobResult{Simulate: &simulateResult{
 			N:            res.N,
 			K:            res.K,
 			Words:        res.Words,
@@ -380,7 +388,7 @@ func buildSimulateRunner(spec JobSpec) (runner, error) {
 // is set, matching the job type.
 type JobResult struct {
 	Recover  *RecoverResult  `json:"recover,omitempty"`
-	Simulate *SimulateResult `json:"simulate,omitempty"`
+	Simulate *simulateResult `json:"simulate,omitempty"`
 }
 
 // RecoverResult reports a finished recovery job.
@@ -412,17 +420,17 @@ type RecoverResult struct {
 	PatternsFull int `json:"patterns_full,omitempty"`
 	// Noise reports the drop-k outcome of a confidence-weighted recovery
 	// (jobs submitted with noise_fp/noise_fn/max_drop only).
-	Noise *NoiseReport `json:"noise,omitempty"`
+	Noise *noiseReport `json:"noise,omitempty"`
 	// Solver carries the run's SAT-engine counters.
-	Solver *SolverStats `json:"solver,omitempty"`
+	Solver *solverStats `json:"solver,omitempty"`
 	// CollectMS and SolveMS time the experiment and solver phases.
 	CollectMS float64 `json:"collect_ms"`
 	SolveMS   float64 `json:"solve_ms"`
 }
 
-// NoiseReport is the "noise" block of a confidence-weighted recovery
+// noiseReport is the "noise" block of a confidence-weighted recovery
 // result (core.NoiseInfo on the wire).
-type NoiseReport struct {
+type noiseReport struct {
 	// Total, Retained and Dropped count the solved profile's entries
 	// (total = retained + dropped).
 	Total    int `json:"total"`
@@ -441,10 +449,10 @@ type NoiseReport struct {
 	Margin float64 `json:"margin"`
 }
 
-// SolverStats reports the SAT engine's work for one recovery: cumulative
+// solverStats reports the SAT engine's work for one recovery: cumulative
 // conflicts, propagations, learnt clauses and restarts, plus how many
 // profile entries the incremental engine never had to encode.
-type SolverStats struct {
+type solverStats struct {
 	Conflicts       int64 `json:"conflicts"`
 	Propagations    int64 `json:"propagations"`
 	Learned         int64 `json:"learned"`
@@ -452,8 +460,8 @@ type SolverStats struct {
 	PatternsSkipped int   `json:"patterns_skipped,omitempty"`
 }
 
-// SimulateResult reports a finished simulation job.
-type SimulateResult struct {
+// simulateResult reports a finished simulation job.
+type simulateResult struct {
 	N            int   `json:"n"`
 	K            int   `json:"k"`
 	Words        int64 `json:"words"`
@@ -484,14 +492,14 @@ type ProgressStatus struct {
 	// Solver streams the live SAT-engine counters (and, for planned jobs,
 	// patterns collected vs. the full sweep). Like the stage counters it is
 	// monotonic: values only grow while the job runs.
-	Solver SolverProgress `json:"solver,omitzero"`
+	Solver solverProgress `json:"solver,omitzero"`
 }
 
-// SolverProgress is the live solver block of a status response. All
+// solverProgress is the live solver block of a status response. All
 // counters are monotonic except Confidence, which tracks the noisy solver's
 // current grading of the surviving candidate set (it follows the freshest
 // report: more candidates mean less confidence).
-type SolverProgress struct {
+type solverProgress struct {
 	Conflicts       int64   `json:"conflicts,omitempty"`
 	Propagations    int64   `json:"propagations,omitempty"`
 	Learned         int64   `json:"learned,omitempty"`
@@ -612,9 +620,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		parent, _ = obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
 	}
 	j, err := s.submit(spec, parent)
-	var saturated *SaturatedError
+	var saturated *saturatedError
 	switch {
-	case errors.Is(err, ErrDraining), errors.Is(err, ErrShuttingDown):
+	case errors.Is(err, errDraining), errors.Is(err, errShuttingDown):
 		// The server still answers status and result reads; only new work
 		// is refused. Retry-After tells clients and load balancers when to
 		// try again (or to try elsewhere).
@@ -622,7 +630,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	case errors.As(err, &saturated):
-		w.Header().Set("Retry-After", strconv.Itoa(int(saturated.RetryAfter().Seconds())))
+		w.Header().Set("Retry-After", strconv.Itoa(int(saturated.retryAfter().Seconds())))
 		writeError(w, http.StatusTooManyRequests, "%v", err)
 		return
 	case err != nil:
@@ -698,7 +706,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	invocations, hits := s.SolveCounters()
+	invocations, hits := s.solveCounters()
 	totals := s.solve.totals()
 	noisyJobs, entriesDropped := s.solve.noisyTotals()
 	codes := 0
@@ -711,7 +719,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"in_flight": s.engine.InFlight(),
 		"executor":  s.executor.Describe(),
 		"jobs":      s.table.counts(),
-		"running":   s.RunningJobs(),
+		"running":   s.runningJobs(),
 		"store":     s.store.Describe(),
 		"codes":     codes,
 		"solver": map[string]any{
@@ -729,16 +737,16 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.maxJobs > 0 {
 		payload["max_concurrent"] = s.maxJobs
 	}
-	if s.Draining() {
+	if s.isDraining() {
 		payload["draining"] = true
 	}
 	writeJSON(w, http.StatusOK, payload)
 }
 
-// CodeListing is one entry of the GET /codes registry listing: the first
+// codeListing is one entry of the GET /codes registry listing: the first
 // candidate function in the export wire format (store.CodeExport) plus the
 // record's registry metadata.
-type CodeListing struct {
+type codeListing struct {
 	store.CodeExport
 	// Candidates counts every function consistent with the profile; the
 	// embedded export is the first. GET /codes/{profile_hash} returns all.
@@ -752,9 +760,9 @@ type CodeListing struct {
 	UniquenessMS float64 `json:"uniqueness_ms"`
 }
 
-// CodeDetail is the body of GET /codes/{profile_hash}: the full registry
+// codeDetail is the body of GET /codes/{profile_hash}: the full registry
 // record with every candidate exported.
-type CodeDetail struct {
+type codeDetail struct {
 	ProfileHash  string             `json:"profile_hash"`
 	K            int                `json:"k"`
 	N            int                `json:"n"`
@@ -777,13 +785,13 @@ func (s *Server) handleCodes(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "reading code registry: %v", err)
 		return
 	}
-	listings := make([]CodeListing, 0, len(recs))
+	listings := make([]codeListing, 0, len(recs))
 	for _, rec := range recs {
 		exps, err := rec.Export()
 		if err != nil || len(exps) == 0 {
 			continue
 		}
-		listings = append(listings, CodeListing{
+		listings = append(listings, codeListing{
 			CodeExport:   exps[0],
 			Candidates:   len(rec.Codes),
 			CreatedAt:    rec.CreatedAt,
@@ -812,7 +820,7 @@ func (s *Server) handleCode(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "exporting record: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, CodeDetail{
+	writeJSON(w, http.StatusOK, codeDetail{
 		ProfileHash:  rec.ProfileHash,
 		K:            rec.K,
 		N:            rec.N,

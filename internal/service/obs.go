@@ -16,9 +16,6 @@ import (
 // logs nowhere.
 func WithObservability(h *obs.Hub) Option { return func(s *Server) { s.hub = h } }
 
-// Observability returns the server's hub (never nil after New).
-func (s *Server) Observability() *obs.Hub { return s.hub }
-
 // serverMetrics holds every instrument the service layer feeds. Families
 // follow the beerd_* naming scheme documented in DESIGN.md §14: subsystem
 // prefix, snake_case, _total for counters, _seconds for latency
@@ -103,11 +100,11 @@ func newServerMetrics(s *Server) *serverMetrics {
 		func() float64 { return float64(s.engine.Runs()) })
 	r.GaugeFunc("beerd_jobs_executing",
 		"Jobs currently executing (what admission control counts).",
-		func() float64 { return float64(s.RunningJobs()) })
+		func() float64 { return float64(s.runningJobs()) })
 	r.GaugeFunc("beerd_draining",
 		"1 while the server is draining for shutdown, else 0.",
 		func() float64 {
-			if s.Draining() {
+			if s.isDraining() {
 				return 1
 			}
 			return 0

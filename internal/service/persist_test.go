@@ -57,7 +57,7 @@ func TestRestartPreservesCompletedJobs(t *testing.T) {
 
 	// The registry lists the recovered function while the first server runs.
 	_, body = do(t, http.MethodGet, ts1.URL+"/codes", nil)
-	listing := decode[struct{ Codes []CodeListing }](t, body)
+	listing := decode[struct{ Codes []codeListing }](t, body)
 	if len(listing.Codes) != 1 || listing.Codes[0].ProfileHash != original.Recover.ProfileHash {
 		t.Fatalf("codes listing before restart: %s", body)
 	}
@@ -92,7 +92,7 @@ func TestRestartPreservesCompletedJobs(t *testing.T) {
 		t.Fatalf("replayed result differs:\n%+v\nvs\n%+v", restored.Recover, original.Recover)
 	}
 	_, body = do(t, http.MethodGet, ts2.URL+"/codes", nil)
-	listing = decode[struct{ Codes []CodeListing }](t, body)
+	listing = decode[struct{ Codes []codeListing }](t, body)
 	if len(listing.Codes) != 1 || listing.Codes[0].ProfileHash != original.Recover.ProfileHash {
 		t.Fatalf("codes listing lost across restart: %s", body)
 	}
@@ -101,7 +101,7 @@ func TestRestartPreservesCompletedJobs(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("code detail: %s: %s", resp.Status, body)
 	}
-	detail := decode[CodeDetail](t, body)
+	detail := decode[codeDetail](t, body)
 	if !detail.Unique || len(detail.Codes) != 1 || detail.K != 16 {
 		t.Fatalf("code detail: %s", body)
 	}
@@ -471,12 +471,12 @@ func TestDuplicateProfileSkipsSolver(t *testing.T) {
 	}
 
 	first := submit()
-	if inv, hits := srv.SolveCounters(); inv != 1 || hits != 0 {
+	if inv, hits := srv.solveCounters(); inv != 1 || hits != 0 {
 		t.Fatalf("after first job: invocations=%d hits=%d", inv, hits)
 	}
 
 	second := submit()
-	inv, hits := srv.SolveCounters()
+	inv, hits := srv.solveCounters()
 	if inv != 1 {
 		t.Fatalf("duplicate profile re-ran the solver: invocations=%d", inv)
 	}
@@ -494,7 +494,7 @@ func TestDuplicateProfileSkipsSolver(t *testing.T) {
 	// The registry lists exactly one record for the shared profile, sourced
 	// from the job that actually solved it.
 	_, body := do(t, http.MethodGet, ts.URL+"/codes", nil)
-	listing := decode[struct{ Codes []CodeListing }](t, body)
+	listing := decode[struct{ Codes []codeListing }](t, body)
 	if len(listing.Codes) != 1 || listing.Codes[0].ProfileHash != first.Recover.ProfileHash {
 		t.Fatalf("registry after duplicate jobs: %s", body)
 	}

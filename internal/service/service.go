@@ -210,7 +210,7 @@ type Option func(*Server)
 func WithExecutor(x Executor) Option { return func(s *Server) { s.executor = x } }
 
 // WithMaxConcurrent caps how many jobs may execute at once (0 = unlimited).
-// A submission over the cap is rejected with a SaturatedError, which the
+// A submission over the cap is rejected with a saturatedError, which the
 // HTTP handler maps to 429 + Retry-After — the backpressure signal clients
 // back off on. Jobs resumed from the store
 // at startup bypass the cap: they were admitted before the restart.
@@ -280,11 +280,11 @@ func (s *Server) Executor() Executor { return s.executor }
 // Store returns the server's result store (never nil).
 func (s *Server) Store() *store.Store { return s.store }
 
-// SolveCounters reports how many times recovery jobs reached the solve
+// solveCounters reports how many times recovery jobs reached the solve
 // stage and how many of those were served from the content-addressed
 // registry without invoking the SAT solver. invocations counts actual
 // solver runs: lookups minus hits.
-func (s *Server) SolveCounters() (invocations, cacheHits int64) {
+func (s *Server) solveCounters() (invocations, cacheHits int64) {
 	return s.solve.counters()
 }
 
@@ -294,7 +294,7 @@ func (s *Server) SolveCounters() (invocations, cacheHits int64) {
 type solveCounter struct {
 	mu            sync.Mutex
 	lookups, hits int64
-	stats         SolverStats
+	stats         solverStats
 	// noisyJobs and entriesDropped tally confidence-weighted recoveries:
 	// how many jobs ran the drop-k solver and how many profile entries it
 	// retracted in total (the /healthz "noisy_recoveries" and
@@ -310,7 +310,7 @@ func (c *solveCounter) counters() (invocations, cacheHits int64) {
 }
 
 // addStats folds one finished recovery's solver counters into the totals.
-func (c *solveCounter) addStats(s *SolverStats) {
+func (c *solveCounter) addStats(s *solverStats) {
 	if s == nil {
 		return
 	}
@@ -325,7 +325,7 @@ func (c *solveCounter) addStats(s *SolverStats) {
 
 // addNoise folds one finished noisy recovery's drop-k outcome into the
 // totals.
-func (c *solveCounter) addNoise(n *NoiseReport) {
+func (c *solveCounter) addNoise(n *noiseReport) {
 	if n == nil {
 		return
 	}
@@ -343,7 +343,7 @@ func (c *solveCounter) noisyTotals() (noisyJobs, entriesDropped int64) {
 }
 
 // totals returns the accumulated solver work.
-func (c *solveCounter) totals() SolverStats {
+func (c *solveCounter) totals() solverStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
@@ -351,7 +351,7 @@ func (c *solveCounter) totals() SolverStats {
 
 // countingCache wraps a job's store-backed solve cache with the server-wide
 // counters. Every recovery job gets one, so a cache hit is observable as
-// "zero new solver invocations" on /healthz and SolveCounters.
+// "zero new solver invocations" on /healthz and solveCounters.
 type countingCache struct {
 	counter *solveCounter
 	metrics *serverMetrics
@@ -381,7 +381,7 @@ func (c countingCache) Store(p *repro.Profile, res *repro.SolveResult) { c.inner
 func (s *Server) Engine() *repro.Engine { return s.engine }
 
 // Drain gracefully quiesces the server: new submissions are rejected with
-// ErrDraining (503 on the HTTP surface) while status, results and the code
+// errDraining (503 on the HTTP surface) while status, results and the code
 // registry stay readable, and Drain blocks until every in-flight job has
 // finished — or ctx expires, in which case the still-running jobs are left
 // running (their count is in the error) for Close to cancel and persist as
@@ -406,23 +406,20 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// Draining reports whether Drain has been called.
-func (s *Server) Draining() bool {
+// isDraining reports whether Drain has been called.
+func (s *Server) isDraining() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.draining
 }
 
-// RunningJobs counts the jobs currently executing (what admission control
+// runningJobs counts the jobs currently executing (what admission control
 // compares against the WithMaxConcurrent cap).
-func (s *Server) RunningJobs() int {
+func (s *Server) runningJobs() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.running
 }
-
-// MaxConcurrent returns the admission cap (0 = unlimited).
-func (s *Server) MaxConcurrent() int { return s.maxJobs }
 
 // Close cancels every running job and blocks until all job goroutines have
 // exited. The HTTP handler stays functional afterwards (status and results
@@ -564,26 +561,26 @@ func (j *job) snapshot() jobSnapshot {
 	}
 }
 
-// ErrDraining rejects submissions while the server drains for shutdown;
+// errDraining rejects submissions while the server drains for shutdown;
 // the HTTP handler maps it to 503 + Retry-After.
-var ErrDraining = errors.New("server is draining")
+var errDraining = errors.New("server is draining")
 
-// ErrShuttingDown rejects submissions after Close began.
-var ErrShuttingDown = errors.New("server is shutting down")
+// errShuttingDown rejects submissions after Close began.
+var errShuttingDown = errors.New("server is shutting down")
 
-// SaturatedError rejects a submission over the WithMaxConcurrent cap; the
+// saturatedError rejects a submission over the WithMaxConcurrent cap; the
 // HTTP handler maps it to 429 + Retry-After.
-type SaturatedError struct {
+type saturatedError struct {
 	Limit, Running int
 }
 
-func (e *SaturatedError) Error() string {
+func (e *saturatedError) Error() string {
 	return fmt.Sprintf("saturated: %d of %d job slots in use", e.Running, e.Limit)
 }
 
-// RetryAfter suggests how long a client should wait before resubmitting.
+// retryAfter suggests how long a client should wait before resubmitting.
 // There is no queue to measure, so the hint is a flat nudge.
-func (e *SaturatedError) RetryAfter() time.Duration { return time.Second }
+func (e *saturatedError) retryAfter() time.Duration { return time.Second }
 
 // submit validates a spec, registers a new job, persists it and starts its
 // goroutine. parent, when valid, is the submitting client's span context
@@ -609,7 +606,7 @@ func (s *Server) submit(spec JobSpec, parent obs.SpanContext) (*job, error) {
 	s.mu.Lock()
 	if s.baseCtx.Err() != nil {
 		s.mu.Unlock()
-		return nil, ErrShuttingDown
+		return nil, errShuttingDown
 	}
 	if prev, ok := s.inflight[key]; ok {
 		s.mu.Unlock()
@@ -620,10 +617,10 @@ func (s *Server) submit(spec JobSpec, parent obs.SpanContext) (*job, error) {
 	}
 	if s.draining {
 		s.mu.Unlock()
-		return nil, ErrDraining
+		return nil, errDraining
 	}
 	if s.maxJobs > 0 && s.running >= s.maxJobs {
-		err := &SaturatedError{Limit: s.maxJobs, Running: s.running}
+		err := &saturatedError{Limit: s.maxJobs, Running: s.running}
 		s.mu.Unlock()
 		return nil, err
 	}
@@ -818,7 +815,7 @@ type progressState struct {
 	collectDone   int
 	candidates    int
 	solveDone     bool
-	solver        SolverProgress
+	solver        solverProgress
 }
 
 // observe is the repro.ProgressFunc wired into each job's pipeline.

@@ -24,7 +24,7 @@ func (instantExecutor) Prepare(spec JobSpec) (Execution, error) {
 		if spec.Seed%5 == 0 {
 			return nil, fmt.Errorf("seed %d fails", spec.Seed)
 		}
-		return &JobResult{Simulate: &SimulateResult{Words: int64(spec.Seed)}}, nil
+		return &JobResult{Simulate: &simulateResult{Words: int64(spec.Seed)}}, nil
 	}, nil
 }
 

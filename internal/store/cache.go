@@ -35,14 +35,14 @@ func (c *SolveCacheView) Lookup(p *core.Profile) (*core.Result, bool) {
 		if err != nil || !ok {
 			return nil
 		}
-		out, err := rec.Result()
+		out, err := rec.result()
 		if err != nil {
 			return nil
 		}
 		return out
 	})
 	if res == nil {
-		c.store.results.Remove(hash)
+		c.store.results.remove(hash)
 		return nil, false
 	}
 	return res, true
@@ -58,16 +58,16 @@ func (c *SolveCacheView) Store(p *core.Profile, res *core.Result) {
 	hash := p.Hash()
 	keep := false
 	if rec, ok, err := c.store.GetCode(hash); err == nil && ok {
-		if _, err := rec.Result(); err == nil {
+		if _, err := rec.result(); err == nil {
 			keep = true
 		}
 	}
 	if !keep {
 		// Persistence failures are deliberately non-fatal: the solve already
 		// succeeded, and the in-memory cache still serves this process.
-		_ = c.store.PutCode(RecordFromResult(hash, p.K, res, c.source))
+		_ = c.store.putCode(recordFromResult(hash, p.K, res, c.source))
 	}
-	c.store.results.Add(hash, res)
+	c.store.results.add(hash, res)
 }
 
 var _ core.SolveCache = (*SolveCacheView)(nil)

@@ -43,9 +43,6 @@ func NewFileBackend(dir string) (*FileBackend, error) {
 	return &FileBackend{root: dir}, nil
 }
 
-// Root returns the backing directory.
-func (f *FileBackend) Root() string { return f.root }
-
 func (f *FileBackend) path(bucket, key string) string {
 	return filepath.Join(f.root, bucket, key+fileExt)
 }
@@ -128,7 +125,7 @@ func (f *FileBackend) Delete(bucket, key string) error {
 // skipped, so a backup tool dropping extra files into a bucket directory
 // cannot corrupt listings.
 func (f *FileBackend) Keys(bucket string) ([]string, error) {
-	if !ValidKey(bucket) {
+	if !validKey(bucket) {
 		return nil, fmt.Errorf("store: invalid bucket name %q", bucket)
 	}
 	entries, err := os.ReadDir(filepath.Join(f.root, bucket))
@@ -145,7 +142,7 @@ func (f *FileBackend) Keys(bucket string) ([]string, error) {
 			continue
 		}
 		key := strings.TrimSuffix(name, fileExt)
-		if !ValidKey(key) {
+		if !validKey(key) {
 			continue
 		}
 		keys = append(keys, key)

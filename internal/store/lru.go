@@ -66,10 +66,10 @@ func (c *LRU[K, V]) Get(key K, compute func() V) V {
 	return entry.val
 }
 
-// Add inserts (or overwrites) a ready value for key, marking it most
+// add inserts (or overwrites) a ready value for key, marking it most
 // recently used. Waiters on a previous in-flight entry for the same key
 // still receive that entry's computed value; subsequent Gets see v.
-func (c *LRU[K, V]) Add(key K, v V) {
+func (c *LRU[K, V]) add(key K, v V) {
 	entry := &lruEntry[K, V]{key: key, ready: make(chan struct{}), val: v}
 	close(entry.ready)
 	c.mu.Lock()
@@ -81,11 +81,11 @@ func (c *LRU[K, V]) Add(key K, v V) {
 	c.mu.Unlock()
 }
 
-// Remove drops the entry for key, if any. Waiters on an in-flight entry
+// remove drops the entry for key, if any. Waiters on an in-flight entry
 // still receive its computed value; the next Get recomputes. Used to avoid
 // caching negative results: compute-returned misses are removed so a value
 // that appears later (e.g. in a shared durable backend) is seen.
-func (c *LRU[K, V]) Remove(key K) {
+func (c *LRU[K, V]) remove(key K) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
 		c.ll.Remove(el)
@@ -108,11 +108,4 @@ func (c *LRU[K, V]) Stats() (hits, requests int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.reqs
-}
-
-// Len returns the current number of cached entries.
-func (c *LRU[K, V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }

@@ -151,8 +151,8 @@ type CodeRecord struct {
 	Source    string    `json:"source,omitempty"`
 }
 
-// RecordFromResult converts a successful solve into a registry record.
-func RecordFromResult(profileHash string, k int, res *core.Result, source string) *CodeRecord {
+// recordFromResult converts a successful solve into a registry record.
+func recordFromResult(profileHash string, k int, res *core.Result, source string) *CodeRecord {
 	rec := &CodeRecord{
 		ProfileHash:     profileHash,
 		K:               k,
@@ -177,10 +177,10 @@ func RecordFromResult(profileHash string, k int, res *core.Result, source string
 	return rec
 }
 
-// Result reconstructs the core.Result the record was created from. Timing
+// result reconstructs the core.Result the record was created from. Timing
 // and encoding statistics replay from the original run; per-conflict SAT
 // stats are not persisted and come back zero.
-func (r *CodeRecord) Result() (*core.Result, error) {
+func (r *CodeRecord) result() (*core.Result, error) {
 	res := &core.Result{
 		Unique:          r.Unique,
 		Exhausted:       r.Exhausted,
@@ -200,17 +200,17 @@ func (r *CodeRecord) Result() (*core.Result, error) {
 	return res, nil
 }
 
-// PutCode writes a registry record under its profile hash, overwriting any
+// putCode writes a registry record under its profile hash, overwriting any
 // previous record for the hash. The caller yields ownership: the record is
 // cached and later GetCode callers share it read-only.
-func (s *Store) PutCode(rec *CodeRecord) error {
+func (s *Store) putCode(rec *CodeRecord) error {
 	if rec.ProfileHash == "" {
 		return fmt.Errorf("store: code record without profile hash")
 	}
 	if err := s.putJSON(BucketCodes, rec.ProfileHash, rec); err != nil {
 		return err
 	}
-	s.codes.Add(rec.ProfileHash, codeEntry{rec: rec})
+	s.codes.add(rec.ProfileHash, codeEntry{rec: rec})
 	return nil
 }
 
@@ -234,7 +234,7 @@ func (s *Store) GetCode(profileHash string) (*CodeRecord, bool, error) {
 		return codeEntry{rec: rec}
 	})
 	if e.rec == nil {
-		s.codes.Remove(profileHash)
+		s.codes.remove(profileHash)
 		return nil, false, e.err
 	}
 	return e.rec, true, nil
@@ -284,7 +284,7 @@ type JobRecord struct {
 	Created  time.Time `json:"created"`
 	Started  time.Time `json:"started,omitzero"`
 	Finished time.Time `json:"finished,omitzero"`
-	// Result is the JobResult JSON of a succeeded job.
+	// result is the JobResult JSON of a succeeded job.
 	Result json.RawMessage `json:"result,omitempty"`
 	// ProfileHash links a succeeded recovery job to its BucketCodes record.
 	ProfileHash string `json:"profile_hash,omitempty"`

@@ -143,8 +143,8 @@ func TestCodeRecordRoundTrip(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			st := New(b)
 			prof, res := solveHamming74(t)
-			rec := RecordFromResult(prof.Hash(), prof.K, res, "test")
-			if err := st.PutCode(rec); err != nil {
+			rec := recordFromResult(prof.Hash(), prof.K, res, "test")
+			if err := st.putCode(rec); err != nil {
 				t.Fatal(err)
 			}
 
@@ -155,7 +155,7 @@ func TestCodeRecordRoundTrip(t *testing.T) {
 			if got.K != 4 || got.N != 7 || !got.Unique || got.Source != "test" {
 				t.Fatalf("record mangled: %+v", got)
 			}
-			back, err := got.Result()
+			back, err := got.result()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -267,7 +267,7 @@ func TestSolveCacheHealsCorruptRecord(t *testing.T) {
 	hash := prof.Hash()
 
 	// Corrupt: valid JSON, unparsable code text.
-	if err := st.PutCode(&CodeRecord{ProfileHash: hash, K: 4, Codes: []string{"garbage"}}); err != nil {
+	if err := st.putCode(&CodeRecord{ProfileHash: hash, K: 4, Codes: []string{"garbage"}}); err != nil {
 		t.Fatal(err)
 	}
 	cache := st.SolveCache("healer")
@@ -365,7 +365,7 @@ func TestLookupDoesNotCacheMisses(t *testing.T) {
 		t.Fatal("empty registry hit")
 	}
 	// Seed the backend directly, bypassing this store's Store() path.
-	if err := st.PutCode(RecordFromResult(prof.Hash(), prof.K, res, "external")); err != nil {
+	if err := st.putCode(recordFromResult(prof.Hash(), prof.K, res, "external")); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := cache.Lookup(prof)
@@ -378,7 +378,7 @@ func TestLookupDoesNotCacheMisses(t *testing.T) {
 // hash and uniqueness attached.
 func TestRecordExport(t *testing.T) {
 	prof, res := solveHamming74(t)
-	rec := RecordFromResult(prof.Hash(), prof.K, res, "test")
+	rec := recordFromResult(prof.Hash(), prof.K, res, "test")
 	exps, err := rec.Export()
 	if err != nil {
 		t.Fatal(err)
@@ -405,13 +405,13 @@ func TestLRU(t *testing.T) {
 	if get(2) != 20 || calls != 4 {
 		t.Fatalf("eviction order wrong: calls=%d", calls)
 	}
-	c.Add(2, 99)
+	c.add(2, 99)
 	if get(2) != 99 {
 		t.Fatal("Add did not overwrite")
 	}
 	hits, reqs := c.Stats()
-	if hits < 2 || reqs < 6 || c.Len() != 2 {
-		t.Fatalf("stats: hits=%d reqs=%d len=%d", hits, reqs, c.Len())
+	if hits < 2 || reqs < 6 || c.ll.Len() != 2 {
+		t.Fatalf("stats: hits=%d reqs=%d len=%d", hits, reqs, c.ll.Len())
 	}
 }
 

@@ -37,8 +37,6 @@ const (
 // Pattern families (WithPatternSet).
 const (
 	Set1  = core.Set1
-	Set2  = core.Set2
-	Set3  = core.Set3
 	Set12 = core.Set12
 )
 
@@ -97,11 +95,6 @@ func WithWorkers(n int) Option { return func(p *Pipeline) { p.engine = parallel.
 // (the default) uniquely identifies shortened codes too.
 func WithPatternSet(ps PatternSet) Option { return func(p *Pipeline) { p.recover.PatternSet = ps } }
 
-// WithWindows sets the refresh-window sweep collected during recovery.
-func WithWindows(windows ...time.Duration) Option {
-	return func(p *Pipeline) { p.recover.Collect.Windows = append([]time.Duration(nil), windows...) }
-}
-
 // sweepTo builds the canonical simulated-chip window sweep: 4-minute steps
 // up to maxMinutes — deep enough into the compressed retention distribution
 // that thousands of words cover every possible miscorrection.
@@ -124,11 +117,6 @@ func WithWindowSweep(maxMinutes int) Option {
 // pattern-to-word assignments.
 func WithRounds(n int) Option { return func(p *Pipeline) { p.recover.Collect.Rounds = n } }
 
-// WithTemperature sets the ambient temperature of the sweep in Celsius.
-func WithTemperature(celsius float64) Option {
-	return func(p *Pipeline) { p.recover.Collect.TempC = celsius }
-}
-
 // WithFastWindows tunes the sweep for small simulated chips: the canonical
 // sweep up to 48 minutes, three rounds.
 func WithFastWindows() Option {
@@ -138,18 +126,14 @@ func WithFastWindows() Option {
 	}
 }
 
-// WithMaxRows caps how many true-cell rows recovery collects from (0 = all).
-func WithMaxRows(n int) Option { return func(p *Pipeline) { p.recover.MaxRows = n } }
-
 // WithAntiRows additionally collects inverted-pattern profiles from
 // anti-cell rows (extension; see core.RecoverOptions.UseAntiRows).
 func WithAntiRows() Option { return func(p *Pipeline) { p.recover.UseAntiRows = true } }
 
 // WithPlanner replaces the exhaustive pattern sweep with the adaptive
-// pattern planner (core.Planner): collection proceeds in solver-guided
-// batches feeding one persistent incremental SAT session, and stops — fleet
-// wide, on multi-chip runs — the moment the ECC function is uniquely
-// determined. Report.Plan records patterns used vs. the full sweep.
+// pattern planner: collection proceeds in solver-guided batches feeding one
+// persistent incremental SAT session, and stops — fleet wide, on multi-chip
+// runs — the moment the ECC function is uniquely determined. Report.Plan records patterns used vs. the full sweep.
 // Incompatible with WithAntiRows.
 func WithPlanner() Option { return func(p *Pipeline) { p.recover.UsePlanner = true } }
 
@@ -170,32 +154,11 @@ func WithSolverBackend(factory func() SolverBackend) Option {
 	return func(p *Pipeline) { p.recover.Solve.Backend = factory }
 }
 
-// WithThreshold configures the §5.2 miscorrection filter: minFraction is the
-// per-word observation-rate cutoff, minCount the absolute floor.
-func WithThreshold(minFraction float64, minCount int64) Option {
-	return func(p *Pipeline) {
-		p.recover.ThresholdFraction = minFraction
-		p.recover.ThresholdMinCount = minCount
-	}
-}
-
 // WithParityBits fixes the number of parity-check bits r the solver assumes
 // (0 selects the minimum for the dataword length, as all publicly known
 // on-die ECC designs use).
 func WithParityBits(r int) Option {
 	return func(p *Pipeline) { p.recover.Solve.ParityBits = r }
-}
-
-// WithSolveBudget bounds SAT effort per solve call in conflicts
-// (0 = unlimited).
-func WithSolveBudget(maxConflicts int64) Option {
-	return func(p *Pipeline) { p.recover.Solve.MaxConflicts = maxConflicts }
-}
-
-// WithMaxSolutions caps how many candidate codes the solver enumerates
-// (0 means 2 — enough to answer "unique or not"; negative means unlimited).
-func WithMaxSolutions(n int) Option {
-	return func(p *Pipeline) { p.recover.Solve.MaxSolutions = n }
 }
 
 // WithProgress registers a callback for pipeline progress events: stage
@@ -213,7 +176,7 @@ type DiscoveryCache = core.DiscoveryCache
 func NewDiscoveryCache(max int) DiscoveryCache { return core.NewDiscoveryCache(max) }
 
 // WithDiscoveryCache installs a cache for the discovery stage: a chip whose
-// layout key (core.LayoutKeyer — the simulated ondie.Chip implements it) was
+// layout key (a LayoutKey method — the simulated ondie.Chip has one) was
 // discovered before reuses the cached cell classes, rows and word layout
 // instead of re-running the §5.1 read sweeps. Share one cache across every
 // pipeline a serving process builds — that is what makes repeat submissions
@@ -234,20 +197,6 @@ func WithDiscoveryCache(c DiscoveryCache) Option {
 // share one across pipelines with different solver limits (see the
 // SolveCache contract).
 func WithSolveCache(c SolveCache) Option { return func(p *Pipeline) { p.recover.SolveCache = c } }
-
-// WithRecoverOptions replaces the pipeline's whole recovery configuration
-// with a legacy options struct — the migration escape hatch for callers that
-// assembled core.RecoverOptions by hand. Options applied after this one
-// mutate the replaced configuration.
-func WithRecoverOptions(opts RecoverOptions) Option {
-	return func(p *Pipeline) {
-		progress := p.recover.Progress
-		p.recover = opts
-		if p.recover.Progress == nil {
-			p.recover.Progress = progress
-		}
-	}
-}
 
 // WithNoiseModel perturbs the collected miscorrection profile with a
 // per-bit Bernoulli observation-error model (HARP-style false-positive
@@ -282,9 +231,6 @@ func WithMaxDrop(k int) Option {
 
 // WithBEEPOptions configures BEEP profiling (ProfileWord).
 func WithBEEPOptions(opts BEEPOptions) Option { return func(p *Pipeline) { p.beep = opts } }
-
-// Engine returns the parallel experiment engine the pipeline runs on.
-func (p *Pipeline) Engine() *Engine { return p.engine }
 
 // RecoverOptions returns a copy of the pipeline's effective recovery
 // configuration (the legacy struct form, for inspection and for

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"repro"
 	"repro/internal/core"
@@ -115,48 +114,18 @@ func TestPipelineRecoverCancel(t *testing.T) {
 func TestPipelineOptions(t *testing.T) {
 	pipe := repro.NewPipeline(
 		repro.WithPatternSet(repro.Set1),
-		repro.WithWindows(5*time.Minute, 10*time.Minute),
+		repro.WithWindowSweep(8),
 		repro.WithRounds(7),
-		repro.WithTemperature(45),
-		repro.WithMaxRows(12),
 		repro.WithAntiRows(),
-		repro.WithThreshold(1e-3, 5),
 		repro.WithParityBits(6),
-		repro.WithSolveBudget(1234),
-		repro.WithMaxSolutions(9),
 	)
 	opts := pipe.RecoverOptions()
 	if opts.PatternSet != repro.Set1 ||
 		len(opts.Collect.Windows) != 2 ||
 		opts.Collect.Rounds != 7 ||
-		opts.Collect.TempC != 45 ||
-		opts.MaxRows != 12 ||
 		!opts.UseAntiRows ||
-		opts.ThresholdFraction != 1e-3 ||
-		opts.ThresholdMinCount != 5 ||
-		opts.Solve.ParityBits != 6 ||
-		opts.Solve.MaxConflicts != 1234 ||
-		opts.Solve.MaxSolutions != 9 {
+		opts.Solve.ParityBits != 6 {
 		t.Fatalf("options not applied: %+v", opts)
-	}
-
-	// WithRecoverOptions replaces the configuration wholesale but keeps an
-	// already-registered progress callback.
-	called := false
-	pipe = repro.NewPipeline(
-		repro.WithProgress(func(repro.ProgressEvent) { called = true }),
-		repro.WithRecoverOptions(repro.NewPipeline(repro.WithFastWindows()).RecoverOptions()),
-	)
-	got := pipe.RecoverOptions()
-	if got.Collect.Rounds != 3 {
-		t.Fatalf("WithRecoverOptions not applied: %+v", got.Collect)
-	}
-	if got.Progress == nil {
-		t.Fatal("WithRecoverOptions dropped the progress callback")
-	}
-	got.Progress(repro.ProgressEvent{})
-	if !called {
-		t.Fatal("preserved progress callback is not the registered one")
 	}
 }
 
@@ -197,5 +166,35 @@ func TestPipelineSolveAndSimulate(t *testing.T) {
 		if c != 1 && c != 5 {
 			t.Fatalf("false positive cell %d", c)
 		}
+	}
+}
+
+// TestChipTimeCountsEveryPass: the modelled chip time is the §6.3 runtime
+// of every collection sweep a run makes. The exhaustive run makes one; the
+// planner needs a second batch for a k=8 manufacturer-B chip, and each
+// batch runs the whole window sweep, so the planned run models twice the
+// chip time.
+func TestChipTimeCountsEveryPass(t *testing.T) {
+	ctx := context.Background()
+	full := repro.NewPipeline(repro.WithFastWindows())
+	rep, err := full.Recover(ctx, repro.SimulatedChip(repro.MfrB, 8, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := core.ExperimentRuntime(full.RecoverOptions().Collect)
+	if rep.ChipTime != sweep {
+		t.Fatalf("exhaustive run: chip time %v, want the sweep's %v", rep.ChipTime, sweep)
+	}
+
+	planned, err := repro.NewPipeline(repro.WithFastWindows(), repro.WithPlanner()).
+		Recover(ctx, repro.SimulatedChip(repro.MfrB, 8, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if planned.Plan == nil || planned.Plan.Batches != 2 {
+		t.Fatalf("planned run: plan %+v, want 2 batches", planned.Plan)
+	}
+	if planned.ChipTime != 2*sweep {
+		t.Fatalf("planned run: chip time %v, want %v", planned.ChipTime, 2*sweep)
 	}
 }

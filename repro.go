@@ -65,9 +65,9 @@ type (
 	// Profile is a miscorrection profile: the ECC-function fingerprint BEER
 	// solves from.
 	Profile = core.Profile
-	// RecoverOptions is the legacy struct form of the pipeline
-	// configuration; new code configures a Pipeline with functional options
-	// instead (WithRecoverOptions accepts the struct form for migration).
+	// RecoverOptions is the struct form of a pipeline's recovery
+	// configuration (Pipeline.RecoverOptions); configure a Pipeline with
+	// functional options.
 	RecoverOptions = core.RecoverOptions
 	// Report is the output of an end-to-end BEER run.
 	Report = core.Report
@@ -84,20 +84,10 @@ type (
 	SolverBackend = sat.Backend
 	// PlanOptions tunes the adaptive pattern planner (WithPlanOptions).
 	PlanOptions = core.PlanOptions
-	// PlanInfo summarizes a planned recovery (Report.Plan): patterns used
-	// vs. the full sweep, batch count, and whether the planner decided
-	// early.
-	PlanInfo = core.PlanInfo
 	// NoiseModel is a per-bit Bernoulli observation-error model over
 	// miscorrection profiles (HARP-style PBEM); install one with
 	// WithNoiseModel to evaluate recovery under imperfect profiling.
 	NoiseModel = noise.Model
-	// NoisyOptions tunes the noise-tolerant drop-k solve path
-	// (WithNoiseModel / WithMaxDrop).
-	NoisyOptions = core.NoisyOptions
-	// NoiseInfo reports a noisy recovery's drop-k outcome — retained vs
-	// dropped entries, confidence, and support margin (SolveResult.Noise).
-	NoiseInfo = core.NoiseInfo
 	// BEEPOptions configures BEEP profiling.
 	BEEPOptions = beep.Options
 	// BEEPOutcome reports BEEP's findings for one word.
